@@ -32,9 +32,6 @@ from .relative import (
     assemble_les,
     assemble_les_of_chain_map,
     rel_of_adjoint,
-    rel_of_chain_map,
-    rel_of_morphism,
-    rel_of_morphism_star,
 )
 from .subgroups import (
     CoformalReport,
@@ -95,9 +92,6 @@ __all__ = [
     "assemble_les",
     "assemble_les_of_chain_map",
     "rel_of_adjoint",
-    "rel_of_chain_map",
-    "rel_of_morphism",
-    "rel_of_morphism_star",
     "CoformalReport",
     "EvaluationContext",
     "GSequenceReport",

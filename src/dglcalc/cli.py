@@ -62,6 +62,8 @@ def _parse_degrees(args, default_tops):
             lo, hi = int(lo) + shift, int(hi) + shift
         except ValueError:
             raise PreconditionError(f"malformed degree range {ranged!r}; expected A:B") from None
+        if lo > hi:
+            raise PreconditionError(f"empty degree range {ranged!r}; A must not exceed B")
         return list(range(lo, hi + 1))
     return list(default_tops)
 

@@ -1,9 +1,11 @@
 """Chain-complex engine: bases, differentials, homology with representatives.
 
 Every complex in the package (a DGL, a derivation space, a relativization)
-implements the same small interface: a dimension, a completeness predicate
+implements the same small interface: basis labels, a completeness predicate
 saying whether the degree is fully known under the truncation, differential
-columns, and conversions between basis vectors and domain objects.  Homology
+columns, and conversions between basis vectors and domain objects.  The base
+class keeps one record per degree (the labels, their index and the single
+elimination of d_n) that dimensions, conversions and homology read.  Homology
 slices carry deterministic representative cycles and can express the class of
 any cycle in coordinates, which is all the downstream subgroup machinery
 needs.
@@ -56,9 +58,8 @@ class HomologySlice:
             residual, _ = boundaries.reduce(row)
             if residual:
                 reduced.append(residual)
-        rr = linalg.rref(reduced)
-        self.rep_rows = rr.rows
-        self.rep_pivots = rr.pivots
+        self.rep_rref = linalg.rref(reduced)
+        self.rep_rows = self.rep_rref.rows
         if len(self.rep_rows) != cycles.rank - boundaries.rank:
             raise InternalError("homology dimensions are inconsistent")
 
@@ -69,12 +70,7 @@ class HomologySlice:
     def class_coords(self, vec) -> dict:
         """Coordinates of a cycle's class over the representative rows."""
         residual, _ = self.boundaries.reduce(vec)
-        coords = {}
-        for i, (p, row) in enumerate(zip(self.rep_pivots, self.rep_rows)):
-            c = residual.get(p)
-            if c:
-                residual = linalg.vec_add(residual, row, -c)
-                coords[i] = c
+        residual, coords = self.rep_rref.reduce(residual, track=True)
         if residual:
             raise PreconditionError("vector is not a cycle of this slice")
         return coords
@@ -87,16 +83,29 @@ class HomologySlice:
             return False
 
 
+class DegreeRecord:
+    """One degree of a complex: basis labels, their index, and the elimination of d_n.
+
+    The elimination is the single rref of d_columns(n): its kernel is Z_n and
+    its rows span B_{n-1}.  It is filled on first use.
+    """
+
+    __slots__ = ("labels", "index", "elimination")
+
+    def __init__(self, labels: list):
+        self.labels = labels
+        self.index = {lab: i for i, lab in enumerate(labels)}
+        self.elimination: Optional[linalg.Rref] = None
+
+
 class ChainComplex:
-    """Base class; subclasses fill in dims, columns and object conversion."""
+    """Base class; subclasses fill in labels, columns and object conversion."""
 
     trunc: int
 
     def __init__(self):
+        self._records = {}
         self._homology_cache = {}
-
-    def dim(self, n: int) -> int:
-        raise NotImplementedError
 
     def complete(self, n: int) -> bool:
         raise NotImplementedError
@@ -106,6 +115,7 @@ class ChainComplex:
         raise NotImplementedError
 
     def labels(self, n: int) -> list:
+        """Builds the basis labels of C_n; callers read them through record(n)."""
         raise NotImplementedError
 
     def from_vector(self, n: int, vec):
@@ -114,20 +124,42 @@ class ChainComplex:
     def to_vector(self, n: int, obj):
         raise NotImplementedError
 
+    def record(self, n: int) -> DegreeRecord:
+        rec = self._records.get(n)
+        if rec is None:
+            rec = self._records[n] = DegreeRecord(self.labels(n))
+        return rec
+
+    def dim(self, n: int) -> int:
+        return len(self.record(n).labels)
+
+    def elimination(self, n: int) -> linalg.Rref:
+        rec = self.record(n)
+        if rec.elimination is None:
+            rec.elimination = linalg.rref(self.d_columns(n))
+        return rec.elimination
+
+    def computable(self, n: int) -> bool:
+        """H_n can be computed: C_n and C_{n-1} are complete."""
+        return self.complete(n) and self.complete(n - 1)
+
+    def trusted(self, n: int) -> bool:
+        """H_n is computed with its full boundary space C_{n+1}."""
+        return self.complete(n + 1) and self.computable(n)
+
     # -- homology -------------------------------------------------------------
 
     def homology(self, n: int) -> HomologySlice:
         cached = self._homology_cache.get(n)
         if cached is not None:
             return cached
-        if not (self.complete(n) and self.complete(n - 1)):
+        if not self.computable(n):
             raise TruncationError(f"degree {n} homology is outside the computable window")
-        cycles = linalg.rref(linalg.kernel_of_columns(self.d_columns(n)))
+        # the kernel of an rref comes out reduced, its pivots leftmost
+        kernel = self.elimination(n).kernel
+        cycles = linalg.Rref(rows=kernel, pivots=[min(row) for row in kernel])
         trusted = self.complete(n + 1)
-        if trusted:
-            boundaries = linalg.rref(self.d_columns(n + 1))
-        else:
-            boundaries = linalg.rref([])
+        boundaries = self.elimination(n + 1) if trusted else linalg.Rref()
         slice_ = HomologySlice(n, cycles, boundaries, trusted)
         self._homology_cache[n] = slice_
         return slice_
@@ -182,13 +214,6 @@ class DglComplex(ChainComplex):
         self.model = model
         self.trunc = model.truncation
 
-    def dim(self, n: int) -> int:
-        if n < 1:
-            return 0
-        if n > self.trunc:
-            raise TruncationError(f"degree {n} exceeds truncation {self.trunc}")
-        return self.model.algebra.dim(n)
-
     def complete(self, n: int) -> bool:
         return n <= self.trunc
 
@@ -199,13 +224,13 @@ class DglComplex(ChainComplex):
 
     def d_columns(self, n: int) -> list:
         cols = []
-        for word in self.labels(n):
+        for word in self.record(n).labels:
             img = self.model._d_word(word)
             cols.append(self.to_vector(n - 1, img))
         return cols
 
     def from_vector(self, n: int, vec) -> LieElement:
-        words = self.labels(n)
+        words = self.record(n).labels
         terms = {words[i]: c for i, c in vec.items()}
         return LieElement(self.model.algebra, n, terms)
 
@@ -214,8 +239,7 @@ class DglComplex(ChainComplex):
             return {}
         if obj.degree != n:
             raise InternalError("degree mismatch while vectorising an element")
-        words = self.labels(n)
-        index = {w: i for i, w in enumerate(words)}
+        index = self.record(n).index
         return {index[w]: c for w, c in obj.terms.items()}
 
 

@@ -19,7 +19,7 @@ from math import factorial
 from typing import Mapping, Optional
 
 from . import linalg
-from .complexes import DglComplex
+from .complexes import ChainComplex, DglComplex
 from .derivations import GenDerivation
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import FreeLieAlgebra, Generator, LieElement, transport as _transport
@@ -166,30 +166,31 @@ class LinearizationReport:
         return self.full_quasi_iso is None or self.linear_quasi_iso == self.full_quasi_iso
 
 
-class _LinearComplex:
+class _LinearComplex(ChainComplex):
     """The generator span of a free model with the linear part of d.
 
     The generating space is finite, so every degree is complete and the
-    homology verdict is global.
+    homology verdict is global.  Basis labels are generator indices.
     """
 
     def __init__(self, model: DglModel):
+        super().__init__()
         self.model = model
         self.by_degree = {}
         for i, g in enumerate(model.generators):
             self.by_degree.setdefault(g.degree, []).append(i)
         self.max_degree = max(self.by_degree, default=0)
 
-    def dim(self, n):
-        return len(self.by_degree.get(n, []))
+    def complete(self, n):
+        return True
 
-    def basis(self, n):
+    def labels(self, n):
         return self.by_degree.get(n, [])
 
     def d_columns(self, n):
         cols = []
-        tgt = {gi: k for k, gi in enumerate(self.basis(n - 1))}
-        for gi in self.basis(n):
+        tgt = self.record(n - 1).index
+        for gi in self.record(n).labels:
             g = self.model.generators[gi]
             linear = self.model.diff_of(g.name).linear_part()
             col = {}
@@ -198,16 +199,6 @@ class _LinearComplex:
             cols.append(col)
         return cols
 
-    def homology_data(self, n):
-        cycles = linalg.kernel_of_columns(self.d_columns(n))
-        boundaries = linalg.rref(self.d_columns(n + 1))
-        reduced = []
-        for row in linalg.rref(cycles).rows:
-            residual, _ = boundaries.reduce(row)
-            if residual:
-                reduced.append(residual)
-        return linalg.rref(reduced).rows
-
 
 def linear_part_map(phi: DglMorphism):
     """Per-degree columns of the linearization of a morphism."""
@@ -215,7 +206,7 @@ def linear_part_map(phi: DglMorphism):
     dst = _LinearComplex(phi.target)
     cols_by_degree = {}
     for n, basis in src.by_degree.items():
-        tgt = {gi: k for k, gi in enumerate(dst.basis(n))}
+        tgt = dst.record(n).index
         cols = []
         for gi in basis:
             g = phi.source.generators[gi]
@@ -239,23 +230,18 @@ def linearization(phi: DglMorphism) -> LinearizationReport:
     linear_ok = True
     src_h, dst_h = {}, {}
     for n in range(1, top + 1):
-        hs = src.homology_data(n)
-        hd = dst.homology_data(n)
+        hs = src.homology(n).rep_rows
+        hd = dst.homology(n)
         src_h[n] = len(hs)
-        dst_h[n] = len(hd)
+        dst_h[n] = hd.dim
         # induced map on linear homology
         cols = cols_by_degree.get(n, [])
-        dst_cycles = linalg.rref(linalg.kernel_of_columns(dst.d_columns(n)))
-        dst_bnd = linalg.rref(dst.d_columns(n + 1))
         image_classes = []
         for row in hs:
-            img = {}
-            for j, c in row.items():
-                img = linalg.vec_add(img, cols[j] if j < len(cols) else {}, c)
-            residual, _ = dst_bnd.reduce(img)
+            residual, _ = hd.boundaries.reduce(linalg.combine(row, cols))
             image_classes.append(residual)
         rk = linalg.rank(image_classes)
-        if rk != len(hs) or len(hs) != len(hd):
+        if rk != len(hs) or len(hs) != hd.dim:
             linear_ok = False
     # full quasi-isomorphism test on the trusted window
     csrc = DglComplex(phi.source)

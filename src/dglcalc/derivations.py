@@ -196,11 +196,8 @@ class DerComplex(ChainComplex):
                 out.append((gi, word))
         return out
 
-    def dim(self, n: int) -> int:
-        return len(self.labels(n))
-
     def from_vector(self, n: int, vec) -> GenDerivation:
-        labels = self.labels(n)
+        labels = self.record(n).labels
         tgt = self.psi.target.algebra
         values = {}
         for i, c in vec.items():
@@ -211,7 +208,7 @@ class DerComplex(ChainComplex):
         return GenDerivation(self.psi, n, values)
 
     def to_vector(self, n: int, theta: GenDerivation) -> dict:
-        index = {lab: i for i, lab in enumerate(self.labels(n))}
+        index = self.record(n).index
         vec = {}
         for gi, g in enumerate(self.psi.source.generators):
             value = theta.values[g.name]
@@ -221,7 +218,7 @@ class DerComplex(ChainComplex):
 
     def d_columns(self, n: int) -> list:
         cols = []
-        for gi, word in self.labels(n):
+        for gi, word in self.record(n).labels:
             gname = self.psi.source.generators[gi].name
             tgt = self.psi.target.algebra
             theta = GenDerivation(
@@ -229,14 +226,6 @@ class DerComplex(ChainComplex):
             )
             cols.append(self.to_vector(n - 1, theta.differential()))
         return cols
-
-
-def der_complex(psi: DglMorphism) -> DerComplex:
-    return DerComplex(psi)
-
-
-def identity_der_complex(model: DglModel) -> DerComplex:
-    return DerComplex(DglMorphism.identity(model))
 
 
 def der_homology(psi: DglMorphism, degrees) -> HomologyReport:

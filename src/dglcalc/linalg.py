@@ -30,10 +30,12 @@ def vec_add(a: Vec, b: Vec, scale: Fraction = 1) -> Vec:
     return out
 
 
-def vec_scale(a: Vec, c: Fraction) -> Vec:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
+def combine(coeffs: Vec, vectors: Sequence[Vec]) -> Vec:
+    """sum_j coeffs[j] * vectors[j]."""
+    out: Vec = {}
+    for j, c in coeffs.items():
+        out = vec_add(out, vectors[j], c)
+    return out
 
 
 def _integerize(row: Vec) -> tuple[Vec, int]:
@@ -169,16 +171,6 @@ def rank(rows: Sequence[Vec]) -> int:
     return rref(rows).rank
 
 
-def row_space(rows: Sequence[Vec]) -> list:
-    """Canonical (RREF) basis of the span of the given rows."""
-    return rref(rows).rows
-
-
-def kernel_of_columns(cols: Sequence[Vec]) -> list:
-    """Basis of {x : sum_j x[j]*cols[j] = 0}, in reduced echelon form."""
-    return rref(cols).kernel
-
-
 def solve_columns(cols: Sequence[Vec], b: Vec) -> Optional[Vec]:
     """Some x with sum_j x[j]*cols[j] = b, or None; free coordinates are 0."""
     rr = rref(cols, track=True)
@@ -273,7 +265,7 @@ class RationalMatrix:
         return rref(self.columns()).rank
 
     def kernel_basis(self) -> list:
-        return kernel_of_columns(self.columns())
+        return rref(self.columns()).kernel
 
     def solve(self, b) -> Optional[Vec]:
         if not isinstance(b, dict):

@@ -121,9 +121,11 @@ class Workspace:
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, truncation: int):
         self.tokens = tokens
         self.pos = 0
+        self.truncation = truncation
+        self.depth = 0  # brackets open around the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -192,11 +194,21 @@ class _Parser:
     def monomial(self):
         tok = self.peek()
         if tok.text == "[":
+            # a bracket nested k deep has degree at least k + 1; refuse deeper
+            # nesting before recursing into it
+            if self.depth >= self.truncation:
+                raise ParseError(
+                    f"brackets nested deeper than the truncation degree {self.truncation}",
+                    tok.line,
+                    tok.column,
+                )
             self.next()
+            self.depth += 1
             a = self.element()
             self.expect(",")
             b = self.element()
             self.expect("]")
+            self.depth -= 1
             return ("bracket", a, b)
         if tok.kind == "ident":
             self.next()
@@ -248,7 +260,7 @@ def _eval_element(node, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieE
 
 
 def parse_workspace(text: str, truncation: int = 12) -> Workspace:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(_tokenize(text), truncation)
     ws = Workspace(truncation=truncation)
     while parser.peek().kind != "eof":
         tok = parser.expect_ident("'model', 'map' or 'smap'")

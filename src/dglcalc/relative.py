@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from . import linalg
 from .complexes import ChainComplex, DglComplex, induced_matrix
-from .derivations import DerComplex, GenDerivation, adjoint
+from .derivations import DerComplex, adjoint
 from .model import DglMorphism
 
 
@@ -40,12 +40,9 @@ class RelComplex(ChainComplex):
     def complete(self, n: int) -> bool:
         return self.W.complete(n) and self.V.complete(n - 1)
 
-    def dim(self, n: int) -> int:
-        return self.W.dim(n) + self.V.dim(n - 1)
-
     def labels(self, n: int) -> list:
-        return [("W", lab) for lab in self.W.labels(n)] + [
-            ("V", lab) for lab in self.V.labels(n - 1)
+        return [("W", lab) for lab in self.W.record(n).labels] + [
+            ("V", lab) for lab in self.V.record(n - 1).labels
         ]
 
     def split(self, n: int, vec):
@@ -97,15 +94,6 @@ class RelComplex(ChainComplex):
         return vvec
 
 
-def rel_of_chain_map(V: ChainComplex, W: ChainComplex, phi: Callable, name: str = "") -> RelComplex:
-    return RelComplex(V, W, phi, name)
-
-
-def rel_of_morphism(psi: DglMorphism) -> RelComplex:
-    """Rel(psi) for a DGL map viewed as a chain map of the underlying complexes."""
-    return RelComplex(DglComplex(psi.source), DglComplex(psi.target), psi.apply, name="rel")
-
-
 def rel_of_adjoint(psi: DglMorphism) -> RelComplex:
     """Relativization of the adjoint map K -> Der(L, K; psi)."""
     return RelComplex(
@@ -114,29 +102,6 @@ def rel_of_adjoint(psi: DglMorphism) -> RelComplex:
         lambda y: adjoint(psi, y),
         name="rel-adjoint",
     )
-
-
-def rel_of_morphism_star(psi: DglMorphism) -> RelComplex:
-    """Relativization of post-composition Der(L,L;1) -> Der(L,K;psi)."""
-    der_id = DerComplex(DglMorphism.identity(psi.source))
-    der_psi = DerComplex(psi)
-
-    def post(theta: GenDerivation) -> GenDerivation:
-        values = {g: psi.apply(v) for g, v in theta.values.items()}
-        return GenDerivation(psi, theta.degree, values)
-
-    return RelComplex(der_id, der_psi, post, name="rel-star")
-
-
-def pair_map_to_star(psi: DglMorphism, rel: RelComplex, rel_star: RelComplex) -> Callable:
-    """(ad_psi, ad): Rel(psi) -> Rel(psi_star), (k, l) -> (ad_psi(k), ad(l))."""
-    identity = rel_star.V.psi  # identity morphism of the source model
-
-    def fn(pair):
-        k, l = pair
-        return (adjoint(psi, k), adjoint(identity, l))
-
-    return fn
 
 
 # -- long exact sequence reports ------------------------------------------------
@@ -163,10 +128,6 @@ class LesReport:
 
     def trusted_nodes(self) -> list:
         return [n for n in self.nodes if n.trusted]
-
-
-def _h_trusted(cplx: ChainComplex, n: int) -> bool:
-    return cplx.complete(n + 1) and cplx.complete(n) and cplx.complete(n - 1)
 
 
 def assemble_les_of_chain_map(
@@ -198,47 +159,32 @@ def assemble_les_of_chain_map(
         return _J[n]
 
     for n in degrees:
-        # node at H_n(V): im H(P) = ker H(phi)
-        trusted = _h_trusted(rel, n + 1) and _h_trusted(V, n) and _h_trusted(W, n)
-        if trusted:
-            inc = linalg.rref(mat_P(n)).rank
-            out_kernel = len(linalg.kernel_of_columns(mat_phi(n)))
-            exact = inc == out_kernel and _composite_zero(mat_P(n), mat_phi(n))
-            report.nodes.append(LesNode(n, "V", V.homology(n).dim, inc, out_kernel, exact, True))
-        else:
-            report.nodes.append(LesNode(n, "V", -1, -1, -1, None, False))
-        # node at H_n(W): im H(phi) = ker H(J)
-        trusted = _h_trusted(V, n) and _h_trusted(W, n) and _h_trusted(rel, n)
-        if trusted:
-            inc = linalg.rref(mat_phi(n)).rank
-            out_kernel = len(linalg.kernel_of_columns(mat_J(n)))
-            exact = inc == out_kernel and _composite_zero(mat_phi(n), mat_J(n))
-            report.nodes.append(LesNode(n, "W", W.homology(n).dim, inc, out_kernel, exact, True))
-        else:
-            report.nodes.append(LesNode(n, "W", -1, -1, -1, None, False))
-        # node at H_n(Rel): im H(J) = ker H(P)
-        trusted = _h_trusted(W, n) and _h_trusted(rel, n) and _h_trusted(V, n - 1)
-        if trusted:
-            inc = linalg.rref(mat_J(n)).rank
-            out_kernel = len(linalg.kernel_of_columns(mat_P(n - 1)))
-            exact = inc == out_kernel and _composite_zero(mat_J(n), mat_P(n - 1))
+        # exactness at a node: im(incoming) = ker(outgoing)
+        nodes = (
+            ("V", V, rel.trusted(n + 1) and V.trusted(n) and W.trusted(n),
+             lambda: mat_P(n), lambda: mat_phi(n)),
+            ("W", W, V.trusted(n) and W.trusted(n) and rel.trusted(n),
+             lambda: mat_phi(n), lambda: mat_J(n)),
+            ("Rel", rel, W.trusted(n) and rel.trusted(n) and V.trusted(n - 1),
+             lambda: mat_J(n), lambda: mat_P(n - 1)),
+        )
+        for position, cplx, trusted, incoming, outgoing in nodes:
+            if not trusted:
+                report.nodes.append(LesNode(n, position, -1, -1, -1, None, False))
+                continue
+            inc_cols, out_cols = incoming(), outgoing()
+            inc = linalg.rref(inc_cols).rank
+            out_kernel = len(linalg.rref(out_cols).kernel)
+            exact = inc == out_kernel and _composite_zero(inc_cols, out_cols)
             report.nodes.append(
-                LesNode(n, "Rel", rel.homology(n).dim, inc, out_kernel, exact, True)
+                LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, exact, True)
             )
-        else:
-            report.nodes.append(LesNode(n, "Rel", -1, -1, -1, None, False))
     return report
 
 
 def _composite_zero(cols_first: list, cols_second_mat: list) -> bool:
     """True when (second o first) = 0, with maps given by class-coordinate columns."""
-    for col in cols_first:
-        out = {}
-        for j, c in col.items():
-            out = linalg.vec_add(out, cols_second_mat[j], c)
-        if out:
-            return False
-    return True
+    return not any(linalg.combine(col, cols_second_mat) for col in cols_first)
 
 
 def assemble_les(psi: DglMorphism, degrees) -> LesReport:

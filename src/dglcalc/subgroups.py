@@ -23,7 +23,7 @@ from .derivations import DerComplex, GenDerivation, adjoint
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import LieElement
 from .model import DglModel, DglMorphism
-from .relative import pair_map_to_star, rel_of_morphism, rel_of_morphism_star
+from .relative import RelComplex, _composite_zero
 
 
 @dataclass
@@ -111,14 +111,8 @@ class _Subgroup:
         return self.cplx.homology(self.degree)
 
     def element_vectors(self) -> list:
-        out = []
         h = self.ambient()
-        for v in self.vectors:
-            vec = {}
-            for i, c in v.items():
-                vec = linalg.vec_add(vec, h.rep_rows[i], c)
-            out.append(vec)
-        return out
+        return [linalg.combine(v, h.rep_rows) for v in self.vectors]
 
     def representatives(self) -> list:
         return [self.cplx.from_vector(self.degree, v) for v in self.element_vectors()]
@@ -126,14 +120,6 @@ class _Subgroup:
     def coords_of(self, class_vec) -> Optional[dict]:
         """Coordinates of a homology-class vector over the subgroup basis."""
         return linalg.solve_columns(self.vectors, class_vec)
-
-
-def _h_trusted(cplx: ChainComplex, n: int) -> bool:
-    return cplx.complete(n + 1) and cplx.complete(n) and cplx.complete(n - 1)
-
-
-def _computable(cplx: ChainComplex, n: int) -> bool:
-    return cplx.complete(n) and cplx.complete(n - 1)
 
 
 class EvaluationContext:
@@ -146,11 +132,20 @@ class EvaluationContext:
         self.cL = DglComplex(self.L)
         self.cK = DglComplex(self.K)
         self.der_LK = DerComplex(psi)
-        self.identity = DglMorphism.identity(self.L)
-        self.der_LL = DerComplex(self.identity)
-        self.rel = rel_of_morphism(psi)
-        self.rel_star = rel_of_morphism_star(psi)
-        self.pair_map = pair_map_to_star(psi, self.rel, self.rel_star)
+        self.identity = identity = DglMorphism.identity(self.L)
+        self.der_LL = DerComplex(identity)
+        # The maps below close over locals, never over self: a closure kept
+        # on self would make every context a reference cycle.
+
+        def post(theta: GenDerivation) -> GenDerivation:
+            """Post-composition Der(L,L;1) -> Der(L,K;psi)."""
+            values = {g: psi.apply(v) for g, v in theta.values.items()}
+            return GenDerivation(psi, theta.degree, values)
+
+        self.rel = RelComplex(self.cL, self.cK, psi.apply, name="rel")
+        self.rel_star = RelComplex(self.der_LL, self.der_LK, post, name="rel-star")
+        # (ad_psi, ad): Rel(psi) -> Rel(psi_star), (k, l) -> (ad_psi(k), ad(l))
+        self.pair_map = lambda pair: (adjoint(psi, pair[0]), adjoint(identity, pair[1]))
         self._kernels = {}
 
     # -- kernels of the three vertical maps ---------------------------------
@@ -169,14 +164,14 @@ class EvaluationContext:
             raise InternalError(f"unknown subgroup kind {kind}")
         if m < 1 and kind != "relative":
             group = _Subgroup(src, m, [], True)
-        elif not (_computable(src, m) and _computable(dst, m)):
+        elif not (src.computable(m) and dst.computable(m)):
             raise TruncationError(
                 f"{kind} subgroup at internal degree {m} is outside the computable window"
             )
         else:
             cols = induced_matrix(src, m, dst, m, fn)
-            vectors = linalg.kernel_of_columns(cols)
-            trusted = _h_trusted(src, m) and _h_trusted(dst, m)
+            vectors = linalg.rref(cols).kernel
+            trusted = src.trusted(m) and dst.trusted(m)
             group = _Subgroup(src, m, vectors, trusted)
         self._kernels[key] = group
         return group
@@ -208,20 +203,14 @@ class EvaluationContext:
 
     # -- Whitehead center -------------------------------------------------------
 
-    def _homology_window(self) -> int:
-        """Largest source degree whose homology classes can be tested."""
-        return min(self.L.truncation, self.K.truncation) - 1
+    def _pairing_kernel(self, m: int, elements: list, pair) -> tuple:
+        """Kernel of x -> (xi -> class of pair(x, xi) in H_{j+m}(K)), and the top j.
 
-    def whitehead_center(self, top: int) -> SubspaceReport:
-        m = top - 1
-        if m < 1:
-            return SubspaceReport(top, m, 0, 0, [], True, True)
-        if not _computable(self.cK, m):
-            raise TruncationError("center degree is outside the computable window")
-        hK = self.cK.homology(m)
-        ys = [self.cK.from_vector(m, row) for row in hK.rep_rows]
+        One column per element x, one block of rows per homology
+        representative xi of H_j(L) for each testable source degree j.
+        """
         j_max = min(self.L.truncation - 1, self.K.truncation - 1 - m)
-        cols = [dict() for _ in range(hK.dim)]
+        cols = [dict() for _ in elements]
         offset = 0
         for j in range(1, j_max + 1):
             hL = self.cL.homology(j)
@@ -229,15 +218,24 @@ class EvaluationContext:
                 continue
             hKjm = self.cK.homology(j + m)
             for xi_row in hL.rep_rows:
-                xi = self.psi.apply(self.cL.from_vector(j, xi_row))
-                for k, y in enumerate(ys):
-                    bracket = self.K.algebra.bracket(y, xi)
-                    for idx, c in hKjm.class_coords(
-                        self.cK.to_vector(j + m, bracket)
-                    ).items():
+                xi = self.cL.from_vector(j, xi_row)
+                for k, x in enumerate(elements):
+                    value = self.cK.to_vector(j + m, pair(x, xi))
+                    for idx, c in hKjm.class_coords(value).items():
                         cols[k][offset + idx] = c
                 offset += hKjm.dim
-        vectors = linalg.kernel_of_columns(cols)
+        return linalg.rref(cols).kernel, j_max
+
+    def whitehead_center(self, top: int) -> SubspaceReport:
+        m = top - 1
+        if m < 1:
+            return SubspaceReport(top, m, 0, 0, [], True, True)
+        if not self.cK.computable(m):
+            raise TruncationError("center degree is outside the computable window")
+        hK = self.cK.homology(m)
+        ys = [self.cK.from_vector(m, row) for row in hK.rep_rows]
+        bracket, apply = self.K.algebra.bracket, self.psi.apply
+        vectors, j_max = self._pairing_kernel(m, ys, lambda y, xi: bracket(y, apply(xi)))
         group = _Subgroup(self.cK, m, vectors, hK.trusted)
         return SubspaceReport(
             topological=top,
@@ -258,45 +256,27 @@ class EvaluationContext:
         ce = self.whitehead_center(top)
         quotient = ce.dimension - ev.dimension
         witness_rows: list = []
-        if m >= 1 and _computable(self.der_LK, m):
+        if m >= 1 and self.der_LK.computable(m):
             ad_cols = induced_matrix(
                 self.cK, m, self.der_LK, m, lambda y: adjoint(self.psi, y)
             )
             image_rows = linalg.rref(ad_cols).rows
             hDer = self.der_LK.homology(m)
             thetas = [self.der_LK.from_vector(m, row) for row in hDer.rep_rows]
-            j_max = min(self.L.truncation - 1, self.K.truncation - 1 - m)
-            icols = [dict() for _ in range(hDer.dim)]
-            offset = 0
-            for j in range(1, j_max + 1):
-                hL = self.cL.homology(j)
-                if not hL.dim:
-                    continue
-                hKjm = self.cK.homology(j + m)
-                for xi_row in hL.rep_rows:
-                    xi = self.cL.from_vector(j, xi_row)
-                    for k, theta in enumerate(thetas):
-                        value = theta.apply(xi)
-                        for idx, c in hKjm.class_coords(
-                            self.cK.to_vector(j + m, value)
-                        ).items():
-                            icols[k][offset + idx] = c
-                    offset += hKjm.dim
-            ker_i_rows = linalg.kernel_of_columns(icols)
+            ker_i_rows, _ = self._pairing_kernel(m, thetas, lambda theta, xi: theta.apply(xi))
             witness_rows = linalg.intersect(image_rows, ker_i_rows)
         if len(witness_rows) != quotient:
             raise InternalError(
                 "quotient dimension disagrees with the kernel/image intersection: "
                 f"{quotient} vs {len(witness_rows)}"
             )
-        hDer = self.der_LK.homology(m) if m >= 1 else None
         witnesses = []
-        if hDer is not None:
-            for row in witness_rows:
-                vec = {}
-                for i, c in row.items():
-                    vec = linalg.vec_add(vec, hDer.rep_rows[i], c)
-                witnesses.append(self.der_LK.from_vector(m, vec))
+        if m >= 1:
+            hDer = self.der_LK.homology(m)
+            witnesses = [
+                self.der_LK.from_vector(m, linalg.combine(row, hDer.rep_rows))
+                for row in witness_rows
+            ]
         return GvpReport(
             topological=top,
             internal=m,
@@ -318,10 +298,7 @@ class EvaluationContext:
         """Columns of a homology map restricted to subgroup coordinates."""
         out = []
         for v in src_group.vectors:
-            img = {}
-            for j, c in v.items():
-                img = linalg.vec_add(img, cols[j], c)
-            coords = dst_group.coords_of(img)
+            coords = dst_group.coords_of(linalg.combine(v, cols))
             if coords is None:
                 raise InternalError("ladder restriction failed; image leaves the subgroup")
             out.append(coords)
@@ -398,7 +375,7 @@ class EvaluationContext:
     def computable_tops(self, start: int = 2) -> list:
         out = []
         top = start
-        while self._g_sequence_degree_ok(top, _computable):
+        while self._g_sequence_degree_ok(top, ChainComplex.computable):
             out.append(top)
             top += 1
         return out
@@ -406,25 +383,15 @@ class EvaluationContext:
     def trusted_tops(self, start: int = 2) -> list:
         out = []
         top = start
-        while self._g_sequence_degree_ok(top, _h_trusted):
+        while self._g_sequence_degree_ok(top, ChainComplex.trusted):
             out.append(top)
             top += 1
         return out
 
 
-def _composite_zero(first_cols: list, second_cols: list) -> bool:
-    for col in first_cols:
-        out = {}
-        for j, c in col.items():
-            out = linalg.vec_add(out, second_cols[j], c)
-        if out:
-            return False
-    return True
-
-
 def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols, cplx, m):
     """ker(outgoing)/im(incoming) inside a subgroup, with representatives."""
-    kernel = linalg.kernel_of_columns(outgoing_cols)  # over group coordinates
+    kernel = linalg.rref(outgoing_cols).kernel  # over group coordinates
     image = linalg.rref(incoming_cols).rows
     if not kernel:
         return 0, []
@@ -432,13 +399,8 @@ def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols, cplx, m):
     reps = []
     h = group.ambient()
     for q in quotient:
-        class_vec = {}
-        for j, c in q.items():
-            class_vec = linalg.vec_add(class_vec, group.vectors[j], c)
-        vec = {}
-        for i, c in class_vec.items():
-            vec = linalg.vec_add(vec, h.rep_rows[i], c)
-        reps.append(cplx.from_vector(m, vec))
+        class_vec = linalg.combine(q, group.vectors)
+        reps.append(cplx.from_vector(m, linalg.combine(class_vec, h.rep_rows)))
     return len(quotient), reps
 
 
@@ -496,7 +458,7 @@ def coformal_check(subject) -> CoformalReport:
     failures = list(report.problems)
     bigraded_ok = bool(report.bigraded_ok)
     cx = DglComplex(model)
-    window = [n for n in range(1, model.truncation) if _h_trusted(cx, n)]
+    window = [n for n in range(1, model.truncation) if cx.trusted(n)]
     upper_ok = True
     alg = model.algebra
     for n in window:
@@ -507,7 +469,7 @@ def coformal_check(subject) -> CoformalReport:
         uppers = sorted({alg.word_upper(w) for w in words_n if alg.word_upper(w)})
         for i in uppers:
             idx = [k for k, w in enumerate(words_n) if alg.word_upper(w) == i]
-            cycles = linalg.kernel_of_columns([cols_n[k] for k in idx])
+            cycles = linalg.rref([cols_n[k] for k in idx]).kernel
             bnd = [
                 cols_up[k]
                 for k, w in enumerate(words_up)

@@ -44,7 +44,7 @@ def random_cycle_vector(rng, model, degree, decomposable=False):
         idx = [i for i, w in enumerate(words) if len(w) >= 2]
     else:
         idx = list(range(len(words)))
-    kernel = linalg.kernel_of_columns([cols[i] for i in idx])
+    kernel = linalg.rref([cols[i] for i in idx]).kernel
     out = model.algebra.zero(degree)
     for vec in kernel:
         c = rng.choice([-2, -1, 0, 0, 1, 1, 2])

@@ -4,7 +4,9 @@ Everything here works on raw bracket trees (a tree is a generator name or a
 pair of trees) and compares elements through a naive, unmemoized expansion
 into the tensor algebra, with dense rational Gaussian elimination.  None of
 the package's canonicalisation, caching or sparse elimination code is used,
-so agreement is a genuine cross-check.
+so agreement is a genuine cross-check.  The exception is
+`two_elimination_homology`, which keeps the package's `linalg.rref` but none
+of the per-degree caching, as the reference for single-elimination homology.
 """
 from __future__ import annotations
 
@@ -167,3 +169,23 @@ def homology_dim(degrees, diff_trees, n):
     else:
         boundary_dim = 0
     return cycle_dim - boundary_dim
+
+
+def two_elimination_homology(cplx, n):
+    """H_n of a package complex with a fresh elimination for each of Z_n and B_n.
+
+    Z_n is the kernel of d_n, row-reduced once more; B_n comes from its own
+    rref of d_{n+1}, or is empty when C_{n+1} is incomplete.  Returns the
+    cycle rows, boundary rows, representative rows and the trusted flag.
+    """
+    from dglcalc import linalg
+
+    cycles = linalg.rref(linalg.rref(cplx.d_columns(n)).kernel)
+    trusted = cplx.complete(n + 1)
+    boundaries = linalg.rref(cplx.d_columns(n + 1) if trusted else [])
+    reduced = []
+    for row in cycles.rows:
+        residual, _ = boundaries.reduce(row)
+        if residual:
+            reduced.append(residual)
+    return cycles.rows, boundaries.rows, linalg.rref(reduced).rows, trusted

@@ -152,6 +152,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_deep_bracket_nesting_is_a_parse_error(tmp_path, capsys):
+    # nesting beyond the truncation is refused before the parser recurses
+    deep = "x1"
+    for _ in range(400):
+        deep = f"[{deep},x1]"
+    path = tmp_path / "deep.dgl"
+    path.write_text(f"model M {{ gen x1 : deg 1; gen y : deg 2; d y = {deep}; }}")
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert "nested deeper than the truncation degree 12" in err
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad_map.dgl"
     bad.write_text(
@@ -185,6 +197,12 @@ def test_precondition_exit_code(capsys):
     )
     assert code == 3
     assert "precondition" in err
+
+
+def test_reversed_degree_range_is_a_precondition_error(capsys):
+    code, out, err = run(["homology", fixture("spheres.dgl"), "S2", "--degrees", "5:2"], capsys)
+    assert code == 3
+    assert "precondition" in err and out == ""
 
 
 def test_untrusted_degrees_flagged_not_silent(capsys):

@@ -5,18 +5,16 @@ from hypothesis import given, settings, strategies as st
 from dglcalc import (
     DglModel,
     DglMorphism,
+    EvaluationContext,
     FreeLieAlgebra,
     adjoint,
     assemble_les,
     extend_derivation,
     rel_of_adjoint,
-    rel_of_morphism,
-    rel_of_morphism_star,
     zero_morphism,
 )
 from dglcalc.complexes import DglComplex
 from dglcalc.derivations import DerComplex
-from dglcalc.relative import pair_map_to_star
 from dglcalc import linalg
 
 from .conftest import make_contractible_pair, make_sphere_model
@@ -37,7 +35,7 @@ def _h_window(cplx, lo=1):
 def test_cone_of_identity_is_acyclic():
     model = make_sphere_model(2, truncation=8)
     ident = DglMorphism.identity(model)
-    rel = rel_of_morphism(ident)
+    rel = EvaluationContext(ident).rel
     for n in _h_window(rel, 1):
         assert rel.homology(n).dim == 0
 
@@ -46,7 +44,7 @@ def test_cone_of_zero_map_splits():
     src = make_sphere_model(1, truncation=6)
     dst = make_sphere_model(2, truncation=6)
     psi = zero_morphism(src, dst)
-    rel = rel_of_morphism(psi)
+    rel = EvaluationContext(psi).rel
     cs, cd = DglComplex(src), DglComplex(dst)
     for n in _h_window(rel, 1):
         if cd.complete(n + 1) and cs.complete(n):
@@ -56,7 +54,7 @@ def test_cone_of_zero_map_splits():
 def test_contractible_pair_witness_cycle():
     # (y, w) is a delta-cycle in Rel(psi) and not a boundary
     src, dst, incl = make_contractible_pair()
-    rel = rel_of_morphism(incl)
+    rel = EvaluationContext(incl).rel
     y = dst.algebra.gen("y")
     w = src.algebra.gen("w")
     vec = rel.to_vector(3, (y, w))
@@ -73,7 +71,7 @@ def test_rel_star_of_zero_map_to_empty_target_is_shifted_der():
     src = make_sphere_model(1, truncation=6)
     empty = DglModel(FreeLieAlgebra([], truncation=6), {})
     psi = zero_morphism(src, empty)
-    rel = rel_of_morphism_star(psi)
+    rel = EvaluationContext(psi).rel_star
     der_id = DerComplex(DglMorphism.identity(src))
     for n in range(0, 4):
         if rel.complete(n + 1) and der_id.complete(n):
@@ -88,10 +86,9 @@ def test_contractible_pair_star_boundary_identity():
     src, dst, incl = make_contractible_pair()
     y = dst.algebra.gen("y")
     w = src.algebra.gen("w")
-    rel = rel_of_morphism(incl)
-    rel_star = rel_of_morphism_star(incl)
-    fn = pair_map_to_star(incl, rel, rel_star)
-    image = fn((y, w))
+    ctx = EvaluationContext(incl)
+    rel_star = ctx.rel_star
+    image = ctx.pair_map((y, w))
     assert image[1].is_zero()  # ad(w) = 0 since |w| is even and L(w) abelian
     phi = extend_derivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
     assert phi.differential() == image[0]
@@ -103,7 +100,7 @@ def test_contractible_pair_star_boundary_identity():
 
 
 def test_rel_star_delta_squared_zero_on_pinch(pinch):
-    rel = rel_of_morphism_star(pinch)
+    rel = EvaluationContext(pinch).rel_star
     for n in range(0, 5):
         if not (rel.complete(n) and rel.complete(n - 1) and rel.complete(n - 2)):
             continue

@@ -1,4 +1,7 @@
+import gc
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from dglcalc import (
     adjoint,
     zero_morphism,
 )
+from dglcalc.modelfile import parse_workspace
 from dglcalc.subgroups import (
     EvaluationContext,
     coformal_bounding_derivation,
@@ -320,3 +324,21 @@ def test_g_sequence_composites_zero_random(seed):
     report = ctx.g_sequence(tops[:3])
     for term in report.terms.values():
         assert term.composites_zero
+
+
+def test_evaluation_context_is_freed_without_the_cycle_collector():
+    # nothing the context keeps may refer back to it, or every context and
+    # its caches would wait for the cyclic garbage collector
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "one_cell_attachment.dgl"
+    psi = parse_workspace(fixture.read_text()).map("i")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = EvaluationContext(psi)
+        ctx.g_sequence([3])
+        refs = (weakref.ref(ctx), weakref.ref(ctx.rel_star))
+        del ctx
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
