@@ -14,9 +14,10 @@ import argparse
 import json
 import sys
 
-from .complexes import DglComplex
 from .constructions import cylinder, product_model, verify_homotopy
+from .derivations import DerComplex, GenDerivation
 from .errors import ParseError, PreconditionError, TruncationError, ValidationError
+from .model import DglMorphism
 from .modelfile import Workspace, parse_workspace, print_workspace
 from .relative import assemble_les
 from .subgroups import EvaluationContext, gottlieb
@@ -28,8 +29,6 @@ EXIT_PRECONDITION = 3
 
 
 def _rep_str(rep) -> str:
-    from .derivations import GenDerivation
-
     if isinstance(rep, tuple):
         return "(" + ", ".join(_rep_str(r) for r in rep) + ")"
     if isinstance(rep, GenDerivation):
@@ -152,8 +151,8 @@ def cmd_homology(ws: Workspace, args):
 
 def cmd_gottlieb(ws: Workspace, args):
     model = ws.model(args.name)
-    cx = DglComplex(model)
-    default = [m + 1 for m in range(1, model.truncation) if cx.complete(m + 1)]
+    der = DerComplex(DglMorphism.identity(model))
+    default = [m + 1 for m in range(1, model.truncation) if der.computable(m)]
     tops = _parse_degrees(args, default)
     reports = [gottlieb(model, t) for t in tops]
     return _subgroup_report(args, "gottlieb", reports), EXIT_OK

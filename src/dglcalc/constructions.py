@@ -48,7 +48,7 @@ class ProductModel:
     suspended_names: list  # per sphere: dict base-generator name -> shifted name
 
 
-def product_model(base: DglModel, spheres, names: Optional[list] = None) -> ProductModel:
+def product_model(base: DglModel, spheres) -> ProductModel:
     """Model of (wedge of spheres) x (space of the base model)."""
     spheres = list(spheres)
     if any(n < 2 for n in spheres):
@@ -76,61 +76,27 @@ def product_model(base: DglModel, spheres, names: Optional[list] = None) -> Prod
         suspended_names.append(shifted)
 
     alg = FreeLieAlgebra(gens, truncation=trunc)
-
-    def transport(element: LieElement) -> LieElement:
-        return _transport(element, alg)
-
+    # the inclusion into the bare algebra: the suspensions below read only its
+    # brackets and letters, so the product's differential need not exist yet
+    letters = {g.name: alg.gen(g.name) for g in base.generators}
+    bare = DglMorphism(base, DglModel(alg), letters, check=False)
     diff = {}
     for g in base.generators:
         value = base.diff_of(g.name)
         if not value.is_zero():
-            diff[g.name] = transport(value)
-
-    # suspension derivations, evaluated before the result model exists: the
-    # recursion only needs the algebra bracket and the inclusion of letters
-    for i, n in enumerate(spheres):
-        v = alg.gen(sphere_names[i])
-        shifted = suspended_names[i]
-        cache: dict = {}
-
-        def s_word(word, _n=n, _shifted=shifted, _cache=cache):
-            if word in _cache:
-                return _cache[word]
-            if len(word) == 1:
-                gname = base.algebra.generators[word[0]].name
-                out = alg.gen(_shifted[gname])
-            else:
-                prefix, last = word[:-1], word[-1:]
-                a = s_word(prefix)
-                lam_prefix = transport(base.algebra.monomial(prefix))
-                lam_last = transport(base.algebra.monomial(last))
-                out = alg.bracket(a, lam_last)
-                sign = -1 if (_n * base.algebra.word_degree(prefix)) % 2 else 1
-                out = out + sign * alg.bracket(lam_prefix, s_word(last))
-            _cache[word] = out
-            return out
-
-        def s_apply(element: LieElement, _s_word=s_word, _n=n) -> LieElement:
-            out = alg.zero(element.degree + _n)
-            for word, c in element.terms.items():
-                out = out + c * _s_word(word)
-            return out
-
+            diff[g.name] = _transport(value, alg)
+    values = [{g: alg.gen(s) for g, s in shifted.items()} for shifted in suspended_names]
+    for n, vname, shifted, svalues in zip(spheres, sphere_names, suspended_names, values):
+        v = alg.gen(vname)
+        suspension = GenDerivation(bare, n, svalues)
         sign = -1 if n % 2 else 1
         for g in base.generators:
-            w = transport(base.algebra.gen(g.name))
-            dw = base.diff_of(g.name)
-            value = alg.bracket(v, w) + sign * s_apply(dw)
+            value = alg.bracket(v, letters[g.name]) + sign * suspension.apply(base.diff_of(g.name))
             diff[shifted[g.name]] = value
 
     model = DglModel(alg, diff, name=(base.name or "X") + "_product")
-    inclusion = DglMorphism(
-        base, model, {g.name: alg.gen(g.name) for g in base.generators}, name="incl"
-    )
-    suspensions = []
-    for i, n in enumerate(spheres):
-        values = {g.name: alg.gen(suspended_names[i][g.name]) for g in base.generators}
-        suspensions.append(GenDerivation(inclusion, n, values))
+    inclusion = DglMorphism(base, model, letters, name="incl")
+    suspensions = [GenDerivation(inclusion, n, svalues) for n, svalues in zip(spheres, values)]
     return ProductModel(
         base=base,
         spheres=spheres,

@@ -418,17 +418,10 @@ class LieElement:
             return values.pop()
         return None
 
-    def upper_component(self, upper: int) -> "LieElement":
-        terms = {w: c for w, c in self.terms.items() if self.algebra.word_upper(w) == upper}
-        return LieElement(self.algebra, self.degree, terms)
-
     def linear_part(self) -> "LieElement":
         return LieElement(
             self.algebra, self.degree, {w: c for w, c in self.terms.items() if len(w) == 1}
         )
-
-    def is_decomposable(self) -> bool:
-        return all(len(w) >= 2 for w in self.terms)
 
     def tensor_expansion(self) -> TensorVec:
         out: TensorVec = {}

@@ -262,16 +262,21 @@ def _eval_element(node, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieE
 def parse_workspace(text: str, truncation: int = 12) -> Workspace:
     parser = _Parser(_tokenize(text), truncation)
     ws = Workspace(truncation=truncation)
-    while parser.peek().kind != "eof":
-        tok = parser.expect_ident("'model', 'map' or 'smap'")
-        if tok.text == "model":
-            _parse_model(parser, ws)
-        elif tok.text in ("map", "smap"):
-            _parse_map(parser, ws, suspension=tok.text == "smap")
-        else:
-            raise ParseError(
-                f"expected 'model', 'map' or 'smap', found {tok.text!r}", tok.line, tok.column
-            )
+    try:
+        while parser.peek().kind != "eof":
+            tok = parser.expect_ident("'model', 'map' or 'smap'")
+            if tok.text == "model":
+                _parse_model(parser, ws)
+            elif tok.text in ("map", "smap"):
+                _parse_map(parser, ws, suspension=tok.text == "smap")
+            else:
+                raise ParseError(
+                    f"expected 'model', 'map' or 'smap', found {tok.text!r}", tok.line, tok.column
+                )
+    except RecursionError:
+        # the depth bound follows the truncation, which may exceed the stack
+        tok = parser.peek()
+        raise ParseError("brackets nested too deeply to parse", tok.line, tok.column) from None
     return ws
 
 

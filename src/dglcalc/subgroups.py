@@ -73,9 +73,6 @@ class GSequenceTerm:
 class GSequenceReport:
     terms: dict
 
-    def omega_dims(self) -> dict:
-        return {n: t.omega_dim for n, t in self.terms.items()}
-
 
 @dataclass
 class CoformalReport:
@@ -197,9 +194,6 @@ class EvaluationContext:
 
     def rel_evaluation_subgroup(self, top: int) -> SubspaceReport:
         return self._report("relative", top)
-
-    def gottlieb_of_source(self, top: int) -> SubspaceReport:
-        return self._report("gottlieb", top)
 
     # -- Whitehead center -------------------------------------------------------
 

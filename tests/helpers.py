@@ -55,8 +55,8 @@ def random_cycle_vector(rng, model, degree, decomposable=False):
 
 
 def random_model(seed, max_gens=3, truncation=8, min_degree=2, max_degree=4,
-                 degree_one_budget=0):
-    """A random validated minimal model (decomposable differential, d^2 = 0)."""
+                 degree_one_budget=0, minimal=True):
+    """A random model with d^2 = 0; minimal (decomposable d) unless told otherwise."""
     rng = random.Random(seed)
     degrees = random_degrees(rng, max_gens, min_degree, max_degree, degree_one_budget)
     gens = [(NAMES[i], d) for i, d in enumerate(degrees)]
@@ -64,7 +64,7 @@ def random_model(seed, max_gens=3, truncation=8, min_degree=2, max_degree=4,
     diff = {}
     for name, d in gens:
         partial = DglModel(alg, diff)
-        value = random_cycle_vector(rng, partial, d - 1, decomposable=True)
+        value = random_cycle_vector(rng, partial, d - 1, decomposable=minimal)
         if not value.is_zero():
             diff[name] = value
     return DglModel(alg, diff)

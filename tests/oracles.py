@@ -4,9 +4,11 @@ Everything here works on raw bracket trees (a tree is a generator name or a
 pair of trees) and compares elements through a naive, unmemoized expansion
 into the tensor algebra, with dense rational Gaussian elimination.  None of
 the package's canonicalisation, caching or sparse elimination code is used,
-so agreement is a genuine cross-check.  The exception is
+so agreement is a genuine cross-check.  The exceptions are
 `two_elimination_homology`, which keeps the package's `linalg.rref` but none
-of the per-degree caching, as the reference for single-elimination homology.
+of the per-degree caching, as the reference for single-elimination homology,
+and `d_squared_sweep`, which keeps the package's basis and differential, as
+the reference for the generator-only d^2 check.
 """
 from __future__ import annotations
 
@@ -189,3 +191,17 @@ def two_elimination_homology(cplx, n):
         if residual:
             reduced.append(residual)
     return cycles.rows, boundaries.rows, linalg.rref(reduced).rows, trusted
+
+
+def d_squared_sweep(model):
+    """Whether d(d(w)) = 0 for every basis word w in degrees 2..N.
+
+    The package checks d^2 = 0 on generators only; this sweeps the whole
+    truncated basis instead.
+    """
+    alg = model.algebra
+    for n in range(2, model.truncation + 1):
+        for word in alg._basis_data(n).words:
+            if not model.d(model.d(alg.monomial(word))).is_zero():
+                return False
+    return True

@@ -162,6 +162,11 @@ def test_deep_bracket_nesting_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(["validate", str(path)], capsys)
     assert code == 2
     assert "nested deeper than the truncation degree 12" in err
+    # a truncation high enough to admit the nesting can still exhaust the stack
+    for n in ("300", "330", "500"):
+        code, out, err = run(["validate", str(path), "--max-degree", n], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and "Traceback" not in err
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -183,10 +188,22 @@ def test_broken_differential_reported_by_validate(tmp_path, capsys):
     code, out, err = run(["validate", str(broken)], capsys)
     assert code == 1
     assert "FAILED" in out
+    # d^2 is checked on generators, and the problem names the generator
+    assert "! d(d(c)) = a in degree 2" in out
     # any computing command refuses to run on an invalid model
     code, out, err = run(["homology", str(broken), "M"], capsys)
     assert code == 1
     assert "validation error" in err
+
+
+def test_gottlieb_default_window_is_the_computable_window(capsys):
+    # Der(L,L;1) of CP2 = L(x1, x3) reaches internal degree 12 - 3 = 9 at N = 12
+    code, out, err = run_json(["gottlieb", fixture("cp2_to_s4.dgl"), "CP2"], capsys)
+    assert code == 0, err
+    entries = {e["topological"]: e for e in out["degrees"]}
+    assert sorted(entries) == list(range(2, 11))
+    assert entries[10]["trusted"] is False
+    assert entries[5]["dimension"] == 1
 
 
 def test_precondition_exit_code(capsys):

@@ -19,6 +19,7 @@ from dglcalc.constructions import (
 )
 from dglcalc.derivations import adjoint
 
+from . import oracles
 from .conftest import make_contractible_pair, make_cp2_model, make_sphere_model
 from .helpers import random_model
 
@@ -58,6 +59,7 @@ def test_product_cp2_with_s2():
     pm = product_model(base, [2])
     report = pm.model.validate()
     assert report.d_squared_ok and report.minimal
+    assert oracles.d_squared_sweep(pm.model)
     # d(x3') = [v, x3] + S(d x3) with S extended by the derivation rule
     alg = pm.model.algebra
     s = pm.suspensions[0]
@@ -270,6 +272,7 @@ def test_product_models_validate_randomized(seed, spheres):
         return
     report = pm.model.validate()
     assert report.d_squared_ok and report.minimal
+    assert oracles.d_squared_sweep(pm.model)
 
 
 @settings(max_examples=8, deadline=None)

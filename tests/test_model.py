@@ -165,7 +165,7 @@ def random_valid_models(draw):
 @given(random_valid_models())
 def test_random_models_validate(model):
     report = model.validate()
-    assert report.d_squared_ok
+    assert report.d_squared_ok and oracles.d_squared_sweep(model)
 
 
 @settings(max_examples=12, deadline=None)
@@ -178,3 +178,38 @@ def test_induced_map_well_defined_on_homology(model):
         report = model.homology([n])
         for rep in report.slices[n].representatives:
             assert model.d(rep).is_zero()
+
+
+# -- d^2 = 0 on generators against the full basis sweep ---------------------------
+
+
+def _perturbations(model):
+    """Every model whose d differs from the given one by a basis word on one generator."""
+    alg = model.algebra
+    for h in model.generators:
+        if h.degree < 2:
+            continue
+        for word in alg._basis_data(h.degree - 1).words:
+            diff = dict(model.diff)
+            diff[h.name] = model.diff_of(h.name) + alg.monomial(word)
+            yield DglModel(alg, diff)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_generator_check_matches_sweep_on_perturbed_models(seed):
+    from .helpers import random_model
+
+    # the first non-minimal model from the seed on that some perturbation breaks
+    for s in range(seed, seed + 100):
+        model = random_model(s, max_gens=4, truncation=7, min_degree=1, max_degree=4,
+                             minimal=False)
+        verdicts = [(p.validate().d_squared_ok, oracles.d_squared_sweep(p))
+                    for p in _perturbations(model)]
+        if any(not sweep for _, sweep in verdicts):
+            break
+    else:
+        raise AssertionError("no perturbation breaks d^2 = 0 in 100 seeds")
+    assert model.validate().d_squared_ok and oracles.d_squared_sweep(model)
+    assert all(ours == sweep for ours, sweep in verdicts)
+
