@@ -84,17 +84,19 @@ class HomologySlice:
 
 
 class DegreeRecord:
-    """One degree of a complex: basis labels, their index, and the elimination of d_n.
+    """One degree of a complex: basis labels, their index, d_n and its elimination.
 
-    The elimination is the single rref of d_columns(n): its kernel is Z_n and
-    its rows span B_{n-1}.  It is filled on first use.
+    The columns of d_n are built once, for the elimination and for any cone
+    over the complex.  The elimination is their single rref: its kernel is Z_n
+    and its rows span B_{n-1}.  Both are filled on first use.
     """
 
-    __slots__ = ("labels", "index", "elimination")
+    __slots__ = ("labels", "index", "columns", "elimination")
 
     def __init__(self, labels: list):
         self.labels = labels
         self.index = {lab: i for i, lab in enumerate(labels)}
+        self.columns: Optional[list] = None
         self.elimination: Optional[linalg.Rref] = None
 
 
@@ -133,10 +135,17 @@ class ChainComplex:
     def dim(self, n: int) -> int:
         return len(self.record(n).labels)
 
+    def columns(self, n: int) -> list:
+        """d_columns(n), built once per degree."""
+        rec = self.record(n)
+        if rec.columns is None:
+            rec.columns = self.d_columns(n)
+        return rec.columns
+
     def elimination(self, n: int) -> linalg.Rref:
         rec = self.record(n)
         if rec.elimination is None:
-            rec.elimination = linalg.rref(self.d_columns(n))
+            rec.elimination = linalg.rref(self.columns(n))
         return rec.elimination
 
     def computable(self, n: int) -> bool:
@@ -223,11 +232,8 @@ class DglComplex(ChainComplex):
         return list(self.model.algebra._basis_data(n).words)
 
     def d_columns(self, n: int) -> list:
-        cols = []
-        for word in self.record(n).labels:
-            img = self.model._d_word(word)
-            cols.append(self.to_vector(n - 1, img))
-        return cols
+        d_word = self.model.leibniz.word
+        return [self.to_vector(n - 1, d_word(word)) for word in self.record(n).labels]
 
     def from_vector(self, n: int, vec) -> LieElement:
         words = self.record(n).labels
@@ -263,8 +269,8 @@ def model_is_boundary(model: DglModel, cycle: LieElement) -> Optional[LieElement
         raise TruncationError("preimage degree exceeds the truncation degree")
     cx = DglComplex(model)
     target = cx.to_vector(cycle.degree, cycle)
-    words = cx.labels(n)
-    cols = cx.d_columns(n)
+    words = cx.record(n).labels
+    cols = cx.columns(n)
     if model.bigraded:
         upper = cycle.upper_degree()
         if upper is not None:

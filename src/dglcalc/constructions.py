@@ -22,7 +22,7 @@ from . import linalg
 from .complexes import ChainComplex, DglComplex
 from .derivations import GenDerivation
 from .errors import InternalError, PreconditionError, TruncationError
-from .lie import FreeLieAlgebra, Generator, LieElement, transport as _transport
+from .lie import FreeLieAlgebra, Generator, LieElement
 from .model import DglModel, DglMorphism
 
 
@@ -80,11 +80,7 @@ def product_model(base: DglModel, spheres) -> ProductModel:
     # brackets and letters, so the product's differential need not exist yet
     letters = {g.name: alg.gen(g.name) for g in base.generators}
     bare = DglMorphism(base, DglModel(alg), letters, check=False)
-    diff = {}
-    for g in base.generators:
-        value = base.diff_of(g.name)
-        if not value.is_zero():
-            diff[g.name] = _transport(value, alg)
+    diff = {g.name: bare.apply(base.diff_of(g.name)) for g in base.generators}
     values = [{g: alg.gen(s) for g, s in shifted.items()} for shifted in suspended_names]
     for n, vname, shifted, svalues in zip(spheres, sphere_names, suspended_names, values):
         v = alg.gen(vname)
@@ -288,27 +284,20 @@ def cylinder(source: DglModel) -> CylinderModel:
     for g in source.generators:
         gens.append(Generator(hat_names[g.name], g.degree))
     alg = FreeLieAlgebra(gens, truncation=trunc)
+    letters = {g.name: alg.gen(g.name) for g in source.generators}
+    bare = DglMorphism(source, DglModel(alg), letters, check=False)
     diff = {}
     for g in source.generators:
-        value = source.diff_of(g.name)
-        if not value.is_zero():
-            diff[g.name] = _transport(value, alg)
+        diff[g.name] = bare.apply(source.diff_of(g.name))
         diff[s_names[g.name]] = alg.gen(hat_names[g.name])
     model = DglModel(alg, diff, name=(source.name or "L") + "_cyl")
 
-    ident = DglMorphism.identity(model)
     sigma_values = {g.name: alg.gen(s_names[g.name]) for g in source.generators}
-    sigma = GenDerivation(ident, 1, sigma_values)
-    conj_values = {}
-    for g in model.generators:
-        conj_values[g.name] = model.d(sigma.values[g.name]) + sigma.apply(
-            model.diff_of(g.name)
-        )
-    conjugation = GenDerivation(ident, 0, conj_values)
+    sigma = GenDerivation(DglMorphism.identity(model), 1, sigma_values)
+    # D(sigma) = d sigma + sigma d, since |sigma| = 1
+    conjugation = sigma.differential()
 
-    near = DglMorphism(
-        source, model, {g.name: alg.gen(g.name) for g in source.generators}, name="near"
-    )
+    near = DglMorphism(source, model, letters, name="near")
     min_deg = min(g.degree for g in source.generators)
     cap = trunc // min_deg + 1
     far_values = {

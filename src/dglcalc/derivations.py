@@ -5,7 +5,9 @@ raising degree by n with
 
     theta([a, b]) = [theta(a), psi(b)] + (-1)^{n|a|} [psi(a), theta(b)],
 
-determined by its values on free generators.  The differential is
+determined by its values on free generators and evaluated by the same
+`model.Leibniz` recursion as the differential of a model, with psi the
+morphism.  The differential is
 
     D(theta) = d_K o theta - (-1)^{|theta|} theta o d_L.
 
@@ -21,7 +23,7 @@ from typing import Mapping
 from .complexes import ChainComplex, HomologyReport, induced_matrix
 from .errors import PreconditionError, TruncationError
 from .lie import LieElement
-from .model import DglMorphism, DglModel
+from .model import DglMorphism, DglModel, Leibniz
 
 
 class GenDerivation:
@@ -45,7 +47,8 @@ class GenDerivation:
                     f"value for {g.name} must have degree {g.degree + degree}, got {v.degree}"
                 )
             self.values[g.name] = v
-        self._word_cache = {}
+        letters = tuple(self.values[g.name] for g in along.source.generators)
+        self.leibniz = Leibniz(along.source.algebra, target, degree, letters, along._apply_word)
 
     @property
     def source(self) -> DglModel:
@@ -55,33 +58,8 @@ class GenDerivation:
     def target(self) -> DglModel:
         return self.along.target
 
-    def _apply_word(self, word) -> LieElement:
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
-        src = self.source.algebra
-        tgt = self.target.algebra
-        if len(word) == 1:
-            out = self.values[src.generators[word[0]].name]
-        else:
-            prefix, last = word[:-1], word[-1:]
-            ta = self._apply_word(prefix)
-            tb = self._apply_word(last)
-            pa = self.along._apply_word(prefix)
-            pb = self.along._apply_word(last)
-            out = tgt.bracket(ta, pb)
-            sign = -1 if (self.degree * src.word_degree(prefix)) % 2 else 1
-            out = out + sign * tgt.bracket(pa, tb)
-        self._word_cache[word] = out
-        return out
-
     def apply(self, element: LieElement) -> LieElement:
-        if element.algebra is not self.source.algebra:
-            raise PreconditionError("element is not in the source algebra")
-        out = self.target.algebra.zero(element.degree + self.degree)
-        for word, c in element.terms.items():
-            out = out + c * self._apply_word(word)
-        return out
+        return self.leibniz.apply(element)
 
     __call__ = apply
 

@@ -11,6 +11,9 @@ linear algebra reduce to sparse exact vector arithmetic on tensor words.  The
 per-degree basis is the set of pivot words obtained by row-reducing the
 expanded left-normed words in graded-lexicographic order; it is deterministic
 and cached on the algebra.
+
+Only this module knows how a word is bracketed: evaluators elsewhere recurse
+on the factors that `FreeLieAlgebra.split` gives.
 """
 from __future__ import annotations
 
@@ -172,6 +175,10 @@ class FreeLieAlgebra:
                 return None
             total += u
         return total
+
+    def split(self, word: Word) -> tuple:
+        """The factors (u, v) of a word of length >= 2 read as the bracket [u, v]."""
+        return word[:-1], word[-1:]
 
     def word_names(self, word: Word) -> tuple:
         return tuple(self.generators[i].name for i in word)
@@ -409,7 +416,9 @@ class LieElement:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.algebra), self.degree, frozenset(self.terms.items())))
+        # zero elements of every degree are equal, so they must hash alike
+        degree = self.degree if self.terms else None
+        return hash((id(self.algebra), degree, frozenset(self.terms.items())))
 
     def upper_degree(self) -> Optional[int]:
         """Common upper degree of all terms, or None if mixed/ungraded."""
@@ -464,15 +473,3 @@ def _word_str(algebra: FreeLieAlgebra, word: Word) -> str:
         out = f"[{out},{n}]"
     return out
 
-
-def transport(element: LieElement, algebra: FreeLieAlgebra) -> LieElement:
-    """Re-express an element in another algebra, matching generators by name.
-
-    Every generator appearing in the element must exist in the target algebra
-    with the same degree; the result is re-canonicalised there.
-    """
-    out = algebra.zero(element.degree)
-    for word, c in element.terms.items():
-        names = element.algebra.word_names(word)
-        out = out + c * algebra.monomial(tuple(algebra.index(n) for n in names))
-    return out

@@ -1,9 +1,13 @@
 """Differential graded Lie algebra presentations and morphisms.
 
 A model is a free graded Lie algebra together with the differential's values
-on generators; the differential extends uniquely by the graded Leibniz rule
+on generators.  The differential is a degree -1 derivation along the
+identity, so it extends uniquely by the graded Leibniz rule
 
     d([x, y]) = [d(x), y] + (-1)^{|x|} [x, d(y)].
+
+`Leibniz` evaluates that rule for d and for every derivation along a
+morphism, recursing on the factors that `FreeLieAlgebra.split` gives.
 
 A morphism is a generator assignment that commutes with the differentials.
 Both d^2 = 0 and the chain-map condition are checked on generators only: a
@@ -17,6 +21,49 @@ from typing import Mapping, Optional
 
 from .errors import PreconditionError, ValidationError
 from .lie import FreeLieAlgebra, LieElement
+
+
+class Leibniz:
+    """A degree-n derivation theta along psi, evaluated and cached per word:
+
+        theta([u, v]) = [theta(u), psi(v)] + (-1)^{n|u|} [psi(u), theta(v)]
+
+    with (u, v) = source.split(word).  `letters` holds theta on the generators
+    by index; `psi` maps a source word into the target and must not refer back
+    to the evaluator's owner, so that owners are freed by reference counting.
+    """
+
+    __slots__ = ("source", "target", "degree", "letters", "psi", "_cache")
+
+    def __init__(self, source: FreeLieAlgebra, target: FreeLieAlgebra, degree: int, letters, psi):
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.letters = letters
+        self.psi = psi
+        self._cache = {}
+
+    def word(self, word) -> LieElement:
+        cached = self._cache.get(word)
+        if cached is not None:
+            return cached
+        if len(word) == 1:
+            out = self.letters[word[0]]
+        else:
+            u, v = self.source.split(word)
+            out = self.target.bracket(self.word(u), self.psi(v))
+            sign = -1 if (self.degree * self.source.word_degree(u)) % 2 else 1
+            out = out + sign * self.target.bracket(self.psi(u), self.word(v))
+        self._cache[word] = out
+        return out
+
+    def apply(self, element: LieElement) -> LieElement:
+        if element.algebra is not self.source:
+            raise PreconditionError("element is not in the source algebra")
+        out = self.target.zero(element.degree + self.degree)
+        for word, c in element.terms.items():
+            out = out + c * self.word(word)
+        return out
 
 
 @dataclass
@@ -51,7 +98,9 @@ class DglModel:
                     f"d({gname}) must have degree {expected}, got {value.degree}"
                 )
             self.diff[gname] = value
-        self._d_cache = {}
+        # psi = DglMorphism.identity(self) would close a reference cycle
+        letters = tuple(self.diff_of(g.name) for g in algebra.generators)
+        self.leibniz = Leibniz(algebra, algebra, -1, letters, algebra.monomial)
 
     # -- structure ----------------------------------------------------------
 
@@ -80,32 +129,8 @@ class DglModel:
 
     # -- the differential ----------------------------------------------------
 
-    def _d_word(self, word) -> LieElement:
-        cached = self._d_cache.get(word)
-        if cached is not None:
-            return cached
-        alg = self.algebra
-        if len(word) == 1:
-            out = self.diff_of(alg.generators[word[0]].name)
-        else:
-            prefix, last = word[:-1], word[-1:]
-            a = alg.monomial(prefix)
-            b = alg.monomial(last)
-            da = self._d_word(prefix)
-            db = self._d_word(last)
-            out = alg.bracket(da, b)
-            sign = -1 if alg.word_degree(prefix) % 2 else 1
-            out = out + sign * alg.bracket(a, db)
-        self._d_cache[word] = out
-        return out
-
     def d(self, element: LieElement) -> LieElement:
-        if element.algebra is not self.algebra:
-            raise PreconditionError("element belongs to a different algebra")
-        out = self.algebra.zero(element.degree - 1)
-        for word, c in element.terms.items():
-            out = out + c * self._d_word(word)
-        return out
+        return self.leibniz.apply(element)
 
     # -- validation -----------------------------------------------------------
 
@@ -221,9 +246,8 @@ class DglMorphism:
         if len(word) == 1:
             out = self.values[self.source.algebra.generators[word[0]].name]
         else:
-            a = self._apply_word(word[:-1])
-            b = self._apply_word(word[-1:])
-            out = self.target.algebra.bracket(a, b)
+            u, v = self.source.algebra.split(word)
+            out = self.target.algebra.bracket(self._apply_word(u), self._apply_word(v))
         self._apply_cache[word] = out
         return out
 

@@ -70,12 +70,15 @@ class RelComplex(ChainComplex):
         w, v = obj
         return self.join(n, self.W.to_vector(n, w), self.V.to_vector(n - 1, v))
 
+    def columns(self, n: int) -> list:
+        # only the elimination reads a cone's columns, so they are not kept
+        return self.d_columns(n)
+
     def d_columns(self, n: int) -> list:
         cols = []
-        dW = self.W.d_columns(n)
-        for col in dW:
+        for col in self.W.columns(n):
             cols.append(self.join(n - 1, {k: -c for k, c in col.items()}, {}))
-        dV = self.V.d_columns(n - 1)
+        dV = self.V.columns(n - 1)
         for j in range(self.V.dim(n - 1)):
             vobj = self.V.from_vector(n - 1, {j: linalg.Fraction(1)})
             wpart = self.W.to_vector(n - 1, self.phi(vobj))

@@ -456,10 +456,10 @@ def coformal_check(subject) -> CoformalReport:
     upper_ok = True
     alg = model.algebra
     for n in window:
-        words_n = cx.labels(n)
-        cols_n = cx.d_columns(n)
-        words_up = cx.labels(n + 1)
-        cols_up = cx.d_columns(n + 1)
+        words_n = cx.record(n).labels
+        cols_n = cx.columns(n)
+        words_up = cx.record(n + 1).labels
+        cols_up = cx.columns(n + 1)
         uppers = sorted({alg.word_upper(w) for w in words_n if alg.word_upper(w)})
         for i in uppers:
             idx = [k for k, w in enumerate(words_n) if alg.word_upper(w) == i]
@@ -521,8 +521,8 @@ def coformal_bounding_derivation(psi: DglMorphism, xi: LieElement) -> GenDerivat
             )
         if rhs.is_zero():
             continue
-        words = cK.labels(deg)
-        cols = cK.d_columns(deg)
+        words = cK.record(deg).labels
+        cols = cK.columns(deg)
         idx = [
             k for k, w in enumerate(words) if K.algebra.word_upper(w) == g.upper + 1
         ]

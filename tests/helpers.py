@@ -12,7 +12,6 @@ import random
 
 from dglcalc import DglModel, DglMorphism, FreeLieAlgebra
 from dglcalc.complexes import DglComplex
-from dglcalc.lie import transport
 from dglcalc import linalg
 
 NAMES = "abcdefgh"
@@ -55,8 +54,12 @@ def random_cycle_vector(rng, model, degree, decomposable=False):
 
 
 def random_model(seed, max_gens=3, truncation=8, min_degree=2, max_degree=4,
-                 degree_one_budget=0, minimal=True):
-    """A random model with d^2 = 0; minimal (decomposable d) unless told otherwise."""
+                 degree_one_budget=1, minimal=True):
+    """A random model with d^2 = 0; minimal (decomposable d) unless told otherwise.
+
+    With degrees of at least 2 up to 4 no decomposable cycle exists one degree
+    below a generator, so by default one generator may have degree 1.
+    """
     rng = random.Random(seed)
     degrees = random_degrees(rng, max_gens, min_degree, max_degree, degree_one_budget)
     gens = [(NAMES[i], d) for i, d in enumerate(degrees)]
@@ -80,21 +83,20 @@ def extend_to_supermodel(seed, base, extra=1, max_degree=5):
         gens.append((pool[i], rng.randint(2, max_degree)))
     gens.sort(key=lambda t: t[1])
     alg = FreeLieAlgebra(gens, truncation=base.truncation)
+    values = {g.name: alg.gen(g.name) for g in base.generators}
+    bare = DglMorphism(base, DglModel(alg), values, check=False)
     diff = {}
     for name, d in gens:
         if name in used:
-            old = base.diff.get(name)
-            if old is not None:
-                value = transport(old, alg)
-                if not value.is_zero():
-                    diff[name] = value
+            value = bare.apply(base.diff_of(name))
+            if not value.is_zero():
+                diff[name] = value
             continue
         partial = DglModel(alg, diff)
         value = random_cycle_vector(rng, partial, d - 1, decomposable=True)
         if not value.is_zero():
             diff[name] = value
     model = DglModel(alg, diff)
-    values = {g.name: alg.gen(g.name) for g in base.generators}
     incl = DglMorphism(base, model, values, name="incl")
     return model, incl
 

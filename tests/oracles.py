@@ -8,7 +8,9 @@ so agreement is a genuine cross-check.  The exceptions are
 `two_elimination_homology`, which keeps the package's `linalg.rref` but none
 of the per-degree caching, as the reference for single-elimination homology,
 and `d_squared_sweep`, which keeps the package's basis and differential, as
-the reference for the generator-only d^2 check.
+the reference for the generator-only d^2 check.  `tensor_derivation` and
+`tensor_morphism` act on the package's tensor vectors (word tuples of
+generator indices) and extend letter by letter, never bracketing a word.
 """
 from __future__ import annotations
 
@@ -205,3 +207,53 @@ def d_squared_sweep(model):
             if not model.d(model.d(alg.monomial(word))).is_zero():
                 return False
     return True
+
+
+# -- derivations and morphisms on the tensor algebra ---------------------------
+
+
+def _tensor_product(factors):
+    """Product in the tensor algebra of a list of tensor vectors."""
+    out = {(): Fraction(1)}
+    for factor in factors:
+        nxt = {}
+        for w, c in out.items():
+            for u, v in factor.items():
+                nxt[w + u] = nxt.get(w + u, Fraction(0)) + c * v
+        out = {k: v for k, v in nxt.items() if v}
+    return out
+
+
+def tensor_morphism(vec, images):
+    """The multiplicative extension phi_T(x1...xk) = phi_T(x1)...phi_T(xk).
+
+    images[i] is the tensor vector of the image of generator i.
+    """
+    out = {}
+    for word, c in vec.items():
+        for w, v in _tensor_product([images[i] for i in word]).items():
+            out[w] = out.get(w, Fraction(0)) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def tensor_derivation(vec, degree, values, images, letter_degrees):
+    """A degree-n derivation along psi, extended letter by letter:
+
+        theta_T(x1...xk) = sum_i (-1)^{n(|x1|+...+|x_{i-1}|)}
+                           psi_T(x1)...theta_T(xi)...psi_T(xk),
+
+    with values[i] and images[i] the tensor vectors of theta and psi on
+    generator i.  It never brackets a word, so it does not depend on how the
+    package splits one.
+    """
+    out = {}
+    for word, c in vec.items():
+        before = 0
+        for i, letter in enumerate(word):
+            sign = -1 if (degree * before) % 2 else 1
+            factors = [images[j] for j in word[:i]] + [values[letter]]
+            factors += [images[j] for j in word[i + 1:]]
+            for w, v in _tensor_product(factors).items():
+                out[w] = out.get(w, Fraction(0)) + sign * c * v
+            before += letter_degrees[letter]
+    return {k: v for k, v in out.items() if v}

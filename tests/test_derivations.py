@@ -256,3 +256,68 @@ def test_induced_class_independent_of_representative(seed):
     a = induced_derivation(theta)
     b = induced_derivation(perturbed)
     assert a.table == b.table
+
+
+# -- the Leibniz evaluator against the tensor-algebra oracle ----------------------
+
+
+def _random_values(rng, psi, degree):
+    """Random small-integer generator values of a degree-n derivation along psi."""
+    tgt = psi.target.algebra
+    values = {}
+    for g in psi.source.generators:
+        d = g.degree + degree
+        if 1 <= d <= tgt.truncation:
+            coords = [rng.randint(-2, 2) for _ in tgt.degree_basis(d).words]
+            values[g.name] = tgt.element_from_coords(d, coords)
+    return values
+
+
+def _seeds_with_differential(count):
+    """Seeds of the first nonzero random morphisms with d != 0 on both sides."""
+    seeds = []
+    seed = 0
+    while len(seeds) < count:
+        psi = random_validated_morphism(seed, max_gens=3, truncation=7)
+        if psi.source.diff and psi.target.diff and not psi.is_zero():
+            seeds.append(seed)
+        seed += 1
+    return seeds
+
+
+@pytest.mark.parametrize("seed", _seeds_with_differential(6))
+def test_word_evaluators_match_tensor_oracle(seed):
+    # d, morphisms and derivations along psi against their letter-by-letter
+    # extensions to the tensor algebra, on every basis word up to N
+    import random
+
+    from dglcalc.derivations import GenDerivation
+
+    from . import oracles
+
+    psi = random_validated_morphism(seed, max_gens=3, truncation=7)
+    rng = random.Random(seed)
+    for model in (psi.source, psi.target):
+        alg = model.algebra
+        degrees = [g.degree for g in alg.generators]
+        ids = [{(i,): F(1)} for i in range(len(degrees))]
+        d_letters = [model.diff_of(g.name).tensor_expansion() for g in alg.generators]
+        for n in range(1, alg.truncation + 1):
+            for word in alg.degree_basis(n).words:
+                want = oracles.tensor_derivation(alg.expansion(word), -1, d_letters, ids, degrees)
+                assert model.d(alg.monomial(word)).tensor_expansion() == want, word
+    src = psi.source.algebra
+    top = min(src.truncation, psi.target.truncation)
+    degrees = [g.degree for g in src.generators]
+    images = [psi.values[g.name].tensor_expansion() for g in src.generators]
+    thetas = [GenDerivation(psi, k, _random_values(rng, psi, k)) for k in range(-1, 3)]
+    for n in range(1, top + 1):
+        for word in src.degree_basis(n).words:
+            w, e = src.monomial(word), src.expansion(word)
+            assert psi.apply(w).tensor_expansion() == oracles.tensor_morphism(e, images)
+            for theta in thetas:
+                if n + theta.degree > top:
+                    continue
+                values = [theta.values[g.name].tensor_expansion() for g in src.generators]
+                want = oracles.tensor_derivation(e, theta.degree, values, images, degrees)
+                assert theta.apply(w).tensor_expansion() == want, (word, theta.degree)

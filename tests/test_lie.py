@@ -91,6 +91,13 @@ def test_coordinates_resolve_reordered_brackets(two_odd):
     assert all(c == 0 for i, c in enumerate(coords) if i != xy_index)
 
 
+def test_equal_zero_elements_hash_alike(two_odd):
+    zeros = (two_odd.zero(2), two_odd.zero(3), two_odd.gen("x") - two_odd.gen("x"))
+    assert zeros[0] == zeros[1] == zeros[2]
+    assert len({hash(z) for z in zeros}) == 1
+    assert len(set(zeros)) == 1
+
+
 def test_bracket_beyond_truncation_raises():
     alg = FreeLieAlgebra([("x", 3)], truncation=5)
     x = alg.gen("x")

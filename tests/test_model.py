@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +162,28 @@ def random_valid_models(draw):
 
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return random_model(seed)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"max_gens": 2, "truncation": 7, "max_degree": 3}])
+def test_random_models_draw_nonzero_differentials(kwargs):
+    from .helpers import random_model
+
+    assert sum(1 for seed in range(100) if random_model(seed, **kwargs).diff) >= 10
+
+
+def test_model_is_freed_without_the_cycle_collector():
+    # the differential's evaluator may not refer back to its model
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = make_cp2_model()
+        assert model.homology(range(1, 6)).dims()
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @settings(max_examples=20, deadline=None)

@@ -326,6 +326,25 @@ def test_g_sequence_composites_zero_random(seed):
         assert term.composites_zero
 
 
+def test_g_sequence_builds_each_differential_once(monkeypatch):
+    # the cones read the columns of the complexes they are built on
+    from dglcalc.complexes import DglComplex
+    from dglcalc.derivations import DerComplex
+
+    built = []
+    for cls in (DglComplex, DerComplex):
+        def counted(self, n, _build=cls.d_columns):
+            built.append((id(self), n))
+            return _build(self, n)
+
+        monkeypatch.setattr(cls, "d_columns", counted)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "one_cell_attachment.dgl"
+    psi = parse_workspace(fixture.read_text(), truncation=13).map("i")
+    ctx = EvaluationContext(psi)
+    ctx.g_sequence(ctx.computable_tops())
+    assert built and len(built) == len(set(built))
+
+
 def test_evaluation_context_is_freed_without_the_cycle_collector():
     # nothing the context keeps may refer back to it, or every context and
     # its caches would wait for the cyclic garbage collector
