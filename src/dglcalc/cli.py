@@ -6,7 +6,8 @@ the inputs to internal degrees and suppresses the topological field.  Reports
 are deterministic: same input, byte-identical output.
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 precondition
-or truncation failure.
+or truncation failure, 4 internal error (a failed consistency check, or the
+stack or memory running out), reported on one line with no traceback.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _rep_str(rep) -> str:
@@ -473,6 +475,15 @@ def run_command(ws: Workspace, args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except Exception as exc:  # e.g. InternalError, RecursionError, MemoryError
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _main(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -1,16 +1,23 @@
 """Exact arithmetic in free graded Lie algebras over the rationals.
 
-A Lie monomial is stored as a word of generators and read as the left-normed
-bracket [[...[[g1,g2],g3]...],gk].  Every element is canonicalised through the
-embedding into the free associative algebra,
+Every element is canonicalised through the embedding into the free
+associative algebra,
 
     i([a, b]) = i(a)i(b) - (-1)^{|a||b|} i(b)i(a),
 
 which is injective over a field of characteristic zero, so equality and all
-linear algebra reduce to sparse exact vector arithmetic on tensor words.  The
-per-degree basis is the set of pivot words obtained by row-reducing the
-expanded left-normed words in graded-lexicographic order; it is deterministic
-and cached on the algebra.
+linear algebra reduce to sparse exact vector arithmetic on tensor words.
+
+The basis of each degree is indexed by super-Lyndon words (Reutenauer, *Free
+Lie Algebras*, ch. 4-5; Bokut-Kang-Lee-Malcolmson, J. Algebra 217, 1999):
+the Lyndon words in generator-index order, plus ww for each Lyndon word w of
+odd degree.  A Lyndon word w of length >= 2 names the bracket [u, v] of its
+standard factorisation w = uv, where v is the longest proper Lyndon suffix;
+ww names [w, w].  The tensor expansion P_w of that bracketing has w as its
+least word, with coefficient 1 (2 for ww), so any tensor vector in the Lie
+subspace reduces to coordinates by one triangular sweep, with no
+elimination.  Bases and expansions are deterministic and cached on the
+algebra.
 
 Only this module knows how a word is bracketed: evaluators elsewhere recurse
 on the factors that `FreeLieAlgebra.split` gives.
@@ -19,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InternalError, PreconditionError, TruncationError
 
-Word = tuple  # tuple of generator indices; read as a left-normed bracket
-TensorVec = dict  # tensor word (tuple of generator indices) -> Fraction
+Word = tuple  # tuple of generator indices; a super-Lyndon word names its standard bracketing
+TensorVec = dict  # tensor word (tuple of generator indices) -> int or Fraction
 
 
 @dataclass(frozen=True)
@@ -41,88 +50,49 @@ def _word_key(w: Word):
 
 
 class _BasisData:
-    """Canonical basis of one degree plus the reduction rows used to project
-    arbitrary tensor vectors onto it."""
+    """The super-Lyndon basis words of one degree, in (len, word) order."""
 
-    __slots__ = ("words", "rows")
+    __slots__ = ("words", "members")
 
-    def __init__(self):
-        self.words: list[Word] = []
-        # each row: [pivot tensor word, row TensorVec, combo over basis indices]
-        self.rows: list[list] = []
+    def __init__(self, words: list):
+        self.words = words
+        self.members = frozenset(words)
 
-    def reduce(self, tensor: TensorVec) -> dict:
-        """Coordinates of a tensor vector over the basis words.
+    def reduce(self, tensor: TensorVec, expansion) -> dict:
+        """Coordinates (basis word -> coefficient) of a tensor vector.
 
-        Raises InternalError if the vector is not in the span (impossible for
-        the expansion of a genuine Lie element).
+        One triangular sweep: the least word of the residual must be a basis
+        word w, whose expansion P_w = expansion(w) has w as its least word;
+        subtract the multiple of P_w that clears it.  Raises InternalError if
+        the vector is not in the Lie subspace.
         """
         residual = dict(tensor)
-        coords: dict = {}
-        for pivot, row, combo in self.rows:
-            c = residual.get(pivot)
-            if c:
-                for k, v in row.items():
-                    w = residual.get(k, 0) - c * v
-                    if w:
-                        residual[k] = w
-                    else:
-                        residual.pop(k, None)
-                for k, v in combo.items():
-                    w = coords.get(k, 0) + c * v
-                    if w:
-                        coords[k] = w
-                    else:
-                        coords.pop(k, None)
-        if residual:
-            raise InternalError("tensor vector is outside the Lie subspace; basis is inconsistent")
-        return coords
-
-    def insert(self, word: Word, expansion: TensorVec) -> bool:
-        """Try to add a word to the basis; returns True if it was independent."""
-        residual = dict(expansion)
-        used: dict = {}
-        for i, (pivot, row, _combo) in enumerate(self.rows):
-            c = residual.get(pivot)
-            if c:
-                for k, v in row.items():
-                    w = residual.get(k, 0) - c * v
-                    if w:
-                        residual[k] = w
-                    else:
-                        residual.pop(k, None)
-                used[i] = c
-        if not residual:
-            return False
-        new_index = len(self.words)
-        self.words.append(word)
-        pivot = min(residual, key=_word_key)
-        lead = residual[pivot]
-        row = {k: v / lead for k, v in residual.items()}
-        combo = {new_index: Fraction(1) / lead}
-        for i, c in used.items():
-            for k, v in self.rows[i][2].items():
-                w = combo.get(k, 0) - (c / lead) * v
-                if w:
-                    combo[k] = w
+        heap = list(residual)
+        heapify(heap)
+        coords = {}
+        members = self.members
+        while heap:
+            w = heappop(heap)
+            c = residual[w]
+            if not c:
+                continue
+            if w not in members:
+                raise InternalError("tensor vector is outside the Lie subspace")
+            row = expansion(w)
+            lead = row[w]
+            if lead != 1:  # a square ww, whose lead coefficient is 2
+                c = c // lead if type(c) is int and not c % lead else Fraction(c) / lead
+            coords[w] = c
+            # words of P_w are >= w, and w itself is cleared, so every word
+            # already popped stays at zero
+            for k, v in row.items():
+                x = residual.get(k)
+                if x is None:
+                    residual[k] = -c * v
+                    heappush(heap, k)
                 else:
-                    combo.pop(k, None)
-        # keep the reduction rows fully reduced against the new pivot
-        for entry in self.rows:
-            c = entry[1].get(pivot)
-            if c:
-                entry[1] = {
-                    k: v
-                    for k in set(entry[1]) | set(row)
-                    if (v := entry[1].get(k, 0) - c * row.get(k, 0))
-                }
-                entry[2] = {
-                    k: v
-                    for k in set(entry[2]) | set(combo)
-                    if (v := entry[2].get(k, 0) - c * combo.get(k, 0))
-                }
-        self.rows.append([pivot, row, combo])
-        return True
+                    residual[k] = x - c * v
+        return coords
 
 
 class FreeLieAlgebra:
@@ -155,6 +125,7 @@ class FreeLieAlgebra:
         self._words_cache: dict = {}
         self._expansion_cache: dict = {}
         self._basis_cache: dict = {}
+        self._split: dict = {}  # basis word of length >= 2 -> (u, v)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -177,8 +148,11 @@ class FreeLieAlgebra:
         return total
 
     def split(self, word: Word) -> tuple:
-        """The factors (u, v) of a word of length >= 2 read as the bracket [u, v]."""
-        return word[:-1], word[-1:]
+        """The factors (u, v) of a basis word of length >= 2, which names [u, v]."""
+        try:
+            return self._split[word]
+        except KeyError:
+            raise PreconditionError(f"{self.word_names(word)} is not a basis word") from None
 
     def word_names(self, word: Word) -> tuple:
         return tuple(self.generators[i].name for i in word)
@@ -194,52 +168,62 @@ class FreeLieAlgebra:
     # -- tensor expansion ---------------------------------------------------
 
     def words(self, degree: int) -> list:
-        """All generator words of the given degree, graded-lexicographic."""
-        if degree in self._words_cache:
-            return self._words_cache[degree]
-        out = []
-        if degree >= 1 and self.generators:
-            stack = [((), degree)]
-            while stack:
-                prefix, rem = stack.pop()
-                for i, d in enumerate(self._degrees):
-                    if d < rem:
-                        stack.append((prefix + (i,), rem - d))
-                    elif d == rem:
-                        out.append(prefix + (i,))
-            out.sort(key=_word_key)
+        """The super-Lyndon words of the given degree, in (len, word) order.
+
+        A Lyndon word uv of length >= 2 with standard factorisation (u, v) is
+        built from Lyndon words u < v, where u is a letter or the right factor
+        of u is >= v (Lothaire, *Combinatorics on Words*, Prop. 5.1.4), so
+        each word is made once, from its factors, and no other word is seen.
+        """
+        cached = self._words_cache.get(degree)
+        if cached is not None:
+            return cached
+        split = self._split
+        lyndon = {
+            k: [w for w in self.words(k) if len(w) == 1 or split[w][0] != split[w][1]]
+            for k in range(1, degree)
+        }
+        out = [(i,) for i, d in enumerate(self._degrees) if d == degree]
+        for k in range(1, degree):
+            for u in lyndon[k]:
+                right = split[u][1] if len(u) > 1 else None
+                for v in lyndon[degree - k]:
+                    if u < v and (right is None or right >= v):
+                        split[u + v] = (u, v)
+                        out.append(u + v)
+        if degree % 4 == 2:  # squares of the Lyndon words of odd degree
+            for w in lyndon[degree // 2]:
+                split[w + w] = (w, w)
+                out.append(w + w)
+        out.sort(key=_word_key)
         self._words_cache[degree] = out
         return out
 
     def expansion(self, word: Word) -> TensorVec:
-        """Tensor-algebra expansion of the left-normed bracket of the word."""
+        """Tensor expansion P_w of the bracket a basis word names; integer
+        coefficients, least word w with coefficient 1 (2 for a square ww)."""
         cached = self._expansion_cache.get(word)
         if cached is not None:
             return cached
         if len(word) == 1:
-            out = {word: Fraction(1)}
+            out = {word: 1}
         else:
-            a = self.expansion(word[:-1])
-            da = self.word_degree(word[:-1])
-            db = self._degrees[word[-1]]
-            sign = -1 if (da * db) % 2 else 1
-            tail = word[-1:]
-            out = {}
-            for wa, ca in a.items():
-                k = wa + tail
-                v = out.get(k, 0) + ca
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-                k = tail + wa
-                v = out.get(k, 0) - sign * ca
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+            u, v = self.split(word)
+            sign = -1 if (self.word_degree(u) * self.word_degree(v)) % 2 else 1
+            out = _commutator(self.expansion(u), self.expansion(v), sign)
         self._expansion_cache[word] = out
         return out
+
+    def _integral_tensor(self, element: "LieElement") -> tuple:
+        """(den * tensor expansion of the element, den) with integer entries."""
+        terms = element.terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        out: TensorVec = {}
+        for w, c in terms.items():
+            m = c.numerator * (den // c.denominator)
+            for t, v in self.expansion(w).items():
+                out[t] = out.get(t, 0) + m * v
+        return {t: v for t, v in out.items() if v}, den
 
     def _basis_data(self, degree: int) -> _BasisData:
         if degree in self._basis_cache:
@@ -248,10 +232,7 @@ class FreeLieAlgebra:
             raise TruncationError(
                 f"degree {degree} exceeds truncation degree {self.truncation}"
             )
-        data = _BasisData()
-        if degree >= 1:
-            for word in self.words(degree):
-                data.insert(word, self.expansion(word))
+        data = _BasisData(self.words(degree) if degree >= 1 else [])
         self._basis_cache[degree] = data
         return data
 
@@ -274,16 +255,15 @@ class FreeLieAlgebra:
         return LieElement(self, self._degrees[i], {(i,): Fraction(1)})
 
     def monomial(self, word: Word) -> "LieElement":
-        """Canonical form of the left-normed bracket of a word of indices."""
+        """The basis element that a basis word names."""
         degree = self.word_degree(word)
-        data = self._basis_data(degree)
-        coords = data.reduce(self.expansion(word))
-        return LieElement(self, degree, {data.words[i]: c for i, c in coords.items()})
+        if word not in self._basis_data(degree).members:
+            raise PreconditionError(f"{self.word_names(word)} is not a basis word")
+        return LieElement(self, degree, {word: 1})
 
     def from_tensor(self, degree: int, tensor: TensorVec) -> "LieElement":
-        data = self._basis_data(degree)
-        coords = data.reduce(tensor)
-        return LieElement(self, degree, {data.words[i]: c for i, c in coords.items()})
+        coords = self._basis_data(degree).reduce(tensor, self.expansion)
+        return LieElement(self, degree, coords)
 
     def bracket(self, a: "LieElement", b: "LieElement") -> "LieElement":
         if a.algebra is not self or b.algebra is not self:
@@ -296,28 +276,10 @@ class FreeLieAlgebra:
                 f"bracket of degrees {a.degree} and {b.degree} exceeds truncation {self.truncation}"
             )
         sign = -1 if (a.degree * b.degree) % 2 else 1
-        tensor: TensorVec = {}
-        for wa, ca in a.terms.items():
-            ea = self.expansion(wa)
-            for wb, cb in b.terms.items():
-                eb = self.expansion(wb)
-                c = ca * cb
-                for ta, va in ea.items():
-                    for tb, vb in eb.items():
-                        v = c * va * vb
-                        k = ta + tb
-                        w = tensor.get(k, 0) + v
-                        if w:
-                            tensor[k] = w
-                        else:
-                            tensor.pop(k, None)
-                        k = tb + ta
-                        w = tensor.get(k, 0) - sign * v
-                        if w:
-                            tensor[k] = w
-                        else:
-                            tensor.pop(k, None)
-        return self.from_tensor(degree, tensor)
+        ta, da = self._integral_tensor(a)
+        tb, db = self._integral_tensor(b)
+        out = self.from_tensor(degree, _commutator(ta, tb, sign))
+        return out if da * db == 1 else out * Fraction(1, da * db)
 
     def element_from_coords(self, degree: int, coords: Sequence) -> "LieElement":
         words = self._basis_data(degree).words
@@ -433,15 +395,8 @@ class LieElement:
         )
 
     def tensor_expansion(self) -> TensorVec:
-        out: TensorVec = {}
-        for w, c in self.terms.items():
-            for t, v in self.algebra.expansion(w).items():
-                val = out.get(t, 0) + c * v
-                if val:
-                    out[t] = val
-                else:
-                    out.pop(t, None)
-        return out
+        tensor, den = self.algebra._integral_tensor(self)
+        return {t: Fraction(v, den) for t, v in tensor.items()}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -466,10 +421,22 @@ class LieElement:
         return f"<LieElement {self}>"
 
 
-def _word_str(algebra: FreeLieAlgebra, word: Word) -> str:
-    names = algebra.word_names(word)
-    out = names[0]
-    for n in names[1:]:
-        out = f"[{out},{n}]"
-    return out
+def _commutator(a: TensorVec, b: TensorVec, sign: int) -> TensorVec:
+    """ab - sign * ba in the tensor algebra."""
+    out: TensorVec = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            c = ca * cb
+            k = ta + tb
+            out[k] = out.get(k, 0) + c
+            k = tb + ta
+            out[k] = out.get(k, 0) - sign * c
+    return {k: v for k, v in out.items() if v}
 
+
+def _word_str(algebra: FreeLieAlgebra, word: Word) -> str:
+    """The bracket a basis word names, e.g. [x,[x,y]]."""
+    if len(word) == 1:
+        return algebra.generators[word[0]].name
+    u, v = algebra.split(word)
+    return f"[{_word_str(algebra, u)},{_word_str(algebra, v)}]"

@@ -132,6 +132,26 @@ def lie_dim(degrees, n):
     return len(lie_basis(degrees, n)[0])
 
 
+def is_lyndon(word):
+    """Whether a word is strictly smaller than each of its proper rotations."""
+    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def super_lyndon_words(degrees, n):
+    """Words of degree n that are Lyndon, or ww with w Lyndon of odd degree,
+    in (len, word) order, found by testing every word (tuples of names,
+    compared in the order of `degrees`)."""
+    rank = {name: i for i, name in enumerate(degrees)}
+    out = []
+    for word in all_words(degrees, n):
+        key = tuple(rank[x] for x in word)
+        half = key[: len(key) // 2]
+        square = len(key) % 2 == 0 and key == half + half and (n // 2) % 2 == 1
+        if is_lyndon(key) or (square and is_lyndon(half)):
+            out.append(word)
+    return sorted(out, key=lambda w: (len(w), tuple(rank[x] for x in w)))
+
+
 # -- differentials and homology ------------------------------------------------
 
 

@@ -1,7 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from dglcalc import cli
 from dglcalc.cli import main
+from dglcalc.errors import InternalError
+from dglcalc.model import DglModel
 from dglcalc.modelfile import parse_workspace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -220,6 +225,24 @@ def test_reversed_degree_range_is_a_precondition_error(capsys):
     code, out, err = run(["homology", fixture("spheres.dgl"), "S2", "--degrees", "5:2"], capsys)
     assert code == 3
     assert "precondition" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "exc", [InternalError("basis is inconsistent"), RecursionError("maximum recursion depth exceeded")]
+)
+def test_unexpected_errors_exit_4_without_traceback(exc, monkeypatch, capsys):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "homology", fail)
+    code, out, err = run(["homology", fixture("spheres.dgl"), "S2"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert "Traceback" not in err and str(exc) in err
+    # the up-front validation of every model is covered too
+    monkeypatch.setattr(DglModel, "validate", fail)
+    code, out, err = run(["gottlieb", fixture("spheres.dgl"), "S2"], capsys)
+    assert code == 4 and out == "" and err.startswith("internal error:")
 
 
 def test_untrusted_degrees_flagged_not_silent(capsys):

@@ -261,8 +261,7 @@ def test_verify_homotopy_injectivity_witness():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=4000), st.sampled_from([2, 3, [2, 2]]))
 def test_product_models_validate_randomized(seed, spheres):
-    # a degree-1 base generator makes the checks below take seconds to minutes at N = 9
-    base = random_model(seed, max_gens=2, truncation=9, max_degree=3, degree_one_budget=0)
+    base = random_model(seed, max_gens=2, truncation=9, max_degree=3)
     spheres = spheres if isinstance(spheres, list) else [spheres]
     try:
         pm = product_model(base, spheres)

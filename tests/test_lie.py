@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dglcalc import FreeLieAlgebra, TruncationError, coordinates
-from dglcalc.errors import PreconditionError
+from dglcalc.errors import InternalError, PreconditionError
 
 from . import oracles
 
@@ -118,16 +118,16 @@ def test_generator_degree_must_be_positive():
 # -- randomized properties ----------------------------------------------------
 
 
-gen_sets = st.sampled_from(
-    [
-        (("x", 1),),
-        (("x", 1), ("y", 1)),
-        (("x", 1), ("y", 2)),
-        (("a", 2), ("b", 3)),
-        (("x", 1), ("a", 2), ("u", 3)),
-        (("a", 2), ("b", 2)),
-    ]
-)
+GEN_SETS = [
+    (("x", 1),),
+    (("x", 1), ("y", 1)),
+    (("x", 1), ("y", 2)),
+    (("a", 2), ("b", 3)),
+    (("x", 1), ("a", 2), ("u", 3)),
+    (("a", 2), ("b", 2)),
+    (("x", 1), ("y", 1), ("u", 3), ("v", 3)),
+]
+gen_sets = st.sampled_from(GEN_SETS)
 
 
 @st.composite
@@ -180,3 +180,69 @@ def test_coordinates_are_linear(data, s, t):
     cb = coordinates(b, basis)
     combo = coordinates(s * a + t * b, basis)
     assert combo == [s * x + t * y for x, y in zip(ca, cb)]
+
+
+# -- the super-Lyndon basis against left-normed oracles ------------------------
+
+
+def _oracle_tensor(alg, names_tensor):
+    return {tuple(alg.index(x) for x in w): c for w, c in names_tensor.items()}
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
+def test_basis_words_are_the_super_lyndon_words(gens):
+    alg = FreeLieAlgebra(gens, truncation=8)
+    degrees = dict(gens)
+    for n in range(1, 9):
+        got = [alg.word_names(w) for w in alg.degree_basis(n).words]
+        assert got == oracles.super_lyndon_words(degrees, n), n
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
+def test_every_dimension_matches_tensor_rank_oracle(gens):
+    alg = FreeLieAlgebra(gens, truncation=6)
+    degrees = dict(gens)
+    for n in range(1, 7):
+        assert alg.dim(n) == oracles.lie_dim(degrees, n), n
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
+def test_basis_word_is_least_word_of_its_expansion(gens):
+    # P_w has w as its least tensor word, with coefficient 1, or 2 for ww
+    alg = FreeLieAlgebra(gens, truncation=8)
+    for n in range(1, 9):
+        for w in alg.degree_basis(n).words:
+            e = alg.expansion(w)
+            half = w[: len(w) // 2]
+            square = len(w) > 1 and w == half + half
+            assert min(e) == w and e[w] == (2 if square else 1), w
+            assert all(type(c) is int for c in e.values())
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
+def test_left_normed_words_reduce_and_expand_back(gens):
+    # the naive expansion of every left-normed word up to degree 7 lies in
+    # the span of the basis, and its coordinates expand back to it exactly
+    alg = FreeLieAlgebra(gens, truncation=7)
+    degrees = dict(gens)
+    for n in range(1, 8):
+        for names in oracles.all_words(degrees, n):
+            tensor = _oracle_tensor(alg, oracles.expand(oracles.left_normed(names), degrees))
+            element = alg.from_tensor(n, tensor)
+            assert element.tensor_expansion() == tensor, names
+
+
+def test_tensor_outside_the_lie_subspace_is_an_internal_error(two_odd):
+    # xy clears against [x,y] = xy + yx, and leaves yx, which is not a basis word
+    with pytest.raises(InternalError):
+        two_odd.from_tensor(2, {(0, 1): F(1)})
+
+
+def test_basis_word_is_the_bracket_of_its_standard_factors():
+    alg = FreeLieAlgebra([("x", 1), ("y", 2)], truncation=8)
+    words = [w for n in range(1, 9) for w in alg.degree_basis(n).words]
+    assert "[x,[x,[x,y]]]" in {str(alg.monomial(w)) for w in words}
+    for w in words:
+        if len(w) > 1:
+            u, v = alg.split(w)
+            assert alg.monomial(u).bracket(alg.monomial(v)) == alg.monomial(w), w

@@ -4,7 +4,10 @@ from pathlib import Path
 import pytest
 
 from dglcalc import ParseError
-from dglcalc.modelfile import parse_workspace, print_workspace
+from dglcalc.constructions import product_model
+from dglcalc.modelfile import Workspace, parse_workspace, print_workspace
+
+from .helpers import random_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -114,11 +117,33 @@ def test_all_fixtures_parse_and_validate():
             assert model.validate().d_squared_ok, path.name
 
 
+def _assert_round_trip(ws):
+    text = print_workspace(ws)
+    ws2 = parse_workspace(text, truncation=ws.truncation)
+    assert ws == ws2, text
+    # printing is idempotent byte for byte
+    assert print_workspace(ws2) == text
+
+
 def test_round_trip_is_identity():
     for name in ("cp2_to_s4.dgl", "s3_into_s3xs3.dgl", "homotopy_demo.dgl"):
-        ws = parse_workspace(read(name), truncation=10)
-        text = print_workspace(ws)
-        ws2 = parse_workspace(text, truncation=10)
-        assert ws == ws2, name
-        # printing is idempotent byte for byte
-        assert print_workspace(ws2) == text
+        _assert_round_trip(parse_workspace(read(name), truncation=10))
+
+
+def test_round_trip_with_long_words():
+    # a basis word prints as its standard bracketing, e.g. the word aab as
+    # [a,[a,b]], and must parse back to the same element
+    ws = parse_workspace(read("cp2_to_s4.dgl"), truncation=9)
+    emitted = Workspace(truncation=9)
+    emitted.models["CP2_product"] = product_model(ws.model("CP2"), [2]).model
+    _assert_round_trip(emitted)
+    long_draws = 0
+    for seed in range(300):
+        # at most three generators, named a, b, c ("d" is reserved)
+        model = random_model(seed, max_gens=3, truncation=9, max_degree=7,
+                             degree_one_budget=2, minimal=False)
+        if max((len(w) for v in model.diff.values() for w in v.terms), default=0) < 3:
+            continue
+        long_draws += 1
+        _assert_round_trip(Workspace(truncation=9, models={"M": model}))
+    assert long_draws >= 5
