@@ -12,6 +12,7 @@ stack or memory running out), reported on one line with no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -435,6 +436,7 @@ def _render_text(out) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dglcalc",

@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals on sparse vectors.
 
 A vector is a dict mapping column index to a nonzero Fraction.  The
-elimination core is fraction-free (one-step Bareiss) on integer-scaled rows,
-with a final rational normalisation pass, so intermediate coefficients stay
-polynomially bounded.  Pivoting is deterministic: leftmost column first,
+elimination is sparse and fraction-free on integer-scaled rows: a heap keyed
+by leading column picks each pivot, only the rows with an entry in the pivot
+column are updated, each by a gcd-primitive integer step that is then divided
+by its content, and back-substitution runs the same step before one rational
+normalisation per row.  Pivoting is deterministic: leftmost column first,
 smallest row index second, which makes every derived basis reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
@@ -86,85 +89,95 @@ class Rref:
         return not residual
 
 
+def _eliminate(p: int, row: Vec, a: int, prow: Vec) -> Vec:
+    """(p/g)*row - (a/g)*prow with g = gcd(p, a): cancels row's entry a
+    against prow's pivot entry p, dropping zeros."""
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    out = {k: p * v for k, v in row.items()} if p != 1 else dict(row)
+    for k, v in prow.items():
+        w = out.get(k, 0) - a * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def _primitive(row: Vec, combo: Optional[Vec] = None) -> None:
+    """Divide row (and combo) in place by their common content."""
+    c = gcd(*row.values(), *combo.values()) if combo is not None else gcd(*row.values())
+    if c > 1:
+        for k in row:
+            row[k] //= c
+        if combo is not None:
+            for k in combo:
+                combo[k] //= c
+
+
 def rref(rows: Sequence[Vec], track: bool = False) -> Rref:
-    """Fraction-free elimination with deterministic pivoting."""
+    """Sparse fraction-free elimination with deterministic pivoting."""
     work = []
     combos = []
+    heap = []  # (leading column, row index) of the rows still to reduce
+    kernel_combos: list[Vec] = []
     for i, r in enumerate(rows):
         ir, mult = _integerize({k: v for k, v in r.items() if v})
         work.append(ir)
         combos.append({i: mult})
+        if ir:
+            heap.append((min(ir), i))
+        else:
+            kernel_combos.append(combos[i])
+    heapify(heap)
 
     pivot_rows: list[Vec] = []
     pivot_combos: list[Vec] = []
     pivot_cols: list = []
-    kernel_combos: list[Vec] = []
-    remaining = list(range(len(work)))
-    prev_pivot = 1
-
-    while remaining:
-        # discard rows that have become zero; their combos span the kernel
-        alive = []
-        for idx in remaining:
-            if work[idx]:
-                alive.append(idx)
-            else:
-                kernel_combos.append(combos[idx])
-        remaining = alive
-        if not remaining:
-            break
-        col = min(min(work[idx]) for idx in remaining)
-        lead = next(idx for idx in remaining if col in work[idx])
-        remaining.remove(lead)
+    while heap:
+        # the least leading column, led by its smallest row index
+        col, lead = heappop(heap)
         prow, pcomb = work[lead], combos[lead]
         p = prow[col]
-        # one-step Bareiss update of every remaining row (exact division)
-        for idx in remaining:
-            r = work[idx]
-            a = r.get(col, 0)
-            new: Vec = {}
-            for k in set(r) | set(prow):
-                v = p * r.get(k, 0) - a * prow.get(k, 0)
-                if v:
-                    new[k] = v // prev_pivot
-            work[idx] = new
-            c = combos[idx]
-            newc: Vec = {}
-            for k in set(c) | set(pcomb):
-                v = p * c.get(k, 0) - a * pcomb.get(k, 0)
-                if v:
-                    newc[k] = v // prev_pivot
-            combos[idx] = newc
+        # only the other rows led by col change; zero rows span the kernel
+        while heap and heap[0][0] == col:
+            _, idx = heappop(heap)
+            a = work[idx][col]
+            r = _eliminate(p, work[idx], a, prow)
+            c = _eliminate(p, combos[idx], a, pcomb)
+            if r:
+                _primitive(r, c)
+                work[idx], combos[idx] = r, c
+                heappush(heap, (min(r), idx))
+            else:
+                kernel_combos.append(c)
         pivot_rows.append(prow)
         pivot_combos.append(pcomb)
         pivot_cols.append(col)
-        prev_pivot = p
 
-    # rational back-substitution to reduced form with unit pivots
-    frows = []
-    fcombos = []
-    for row, comb, col in zip(pivot_rows, pivot_combos, pivot_cols):
-        inv = Fraction(1, 1) / row[col]
-        frows.append({k: inv * v for k, v in row.items()})
-        fcombos.append({k: inv * v for k, v in comb.items()})
-    for i in range(len(frows) - 1, -1, -1):
-        col = pivot_cols[i]
-        for j in range(i):
-            c = frows[j].get(col)
-            if c:
-                frows[j] = vec_add(frows[j], frows[i], -c)
-                fcombos[j] = vec_add(fcombos[j], fcombos[i], -c)
+    # integer back-substitution, last row first, then unit pivots
+    position = {col: i for i, col in enumerate(pivot_cols)}
+    frows = [None] * len(pivot_rows)
+    fcombos = [None] * len(pivot_rows) if track else None
+    for i in range(len(pivot_rows) - 1, -1, -1):
+        row, comb = pivot_rows[i], pivot_combos[i]
+        for j in [position[k] for k in row if k in position and position[k] > i]:
+            q, a = pivot_rows[j][pivot_cols[j]], row[pivot_cols[j]]
+            row = _eliminate(q, row, a, pivot_rows[j])
+            if track:
+                comb = _eliminate(q, comb, a, pivot_combos[j])
+            _primitive(row, comb if track else None)
+        pivot_rows[i], pivot_combos[i] = row, comb
+        p = row[pivot_cols[i]]
+        frows[i] = {k: Fraction(v, p) for k, v in row.items()}
+        if track:
+            fcombos[i] = {k: Fraction(v, p) for k, v in comb.items()}
 
     kernel = []
     if kernel_combos:
         kr = rref(kernel_combos)
         kernel = kr.rows
-    return Rref(
-        rows=frows,
-        pivots=pivot_cols,
-        combos=fcombos if track else None,
-        kernel=kernel,
-    )
+    return Rref(rows=frows, pivots=pivot_cols, combos=fcombos, kernel=kernel)
 
 
 def rank(rows: Sequence[Vec]) -> int:
@@ -220,54 +233,3 @@ def intersect(a: Sequence[Vec], b: Sequence[Vec]) -> list:
         if vec:
             out.append(vec)
     return rref(out).rows
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """A sparse exact matrix acting on column vectors."""
-
-    rows: int
-    cols: int
-    entries: dict  # (row, col) -> nonzero Fraction
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
-        entries = {}
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = Fraction(v)
-        ncols = max((len(r) for r in data), default=0)
-        return cls(rows=len(data), cols=ncols, entries=entries)
-
-    def column(self, j: int) -> Vec:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def columns(self) -> list:
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
-
-    def apply(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for (i, j), v in self.entries.items():
-            c = x.get(j)
-            if c:
-                w = out.get(i, 0) + v * c
-                if w:
-                    out[i] = w
-                else:
-                    out.pop(i, None)
-        return out
-
-    def rank(self) -> int:
-        return rref(self.columns()).rank
-
-    def kernel_basis(self) -> list:
-        return rref(self.columns()).kernel
-
-    def solve(self, b) -> Optional[Vec]:
-        if not isinstance(b, dict):
-            b = {i: Fraction(v) for i, v in enumerate(b) if v}
-        return solve_columns(self.columns(), b)

@@ -11,10 +11,14 @@ and `d_squared_sweep`, which keeps the package's basis and differential, as
 the reference for the generator-only d^2 check.  `tensor_derivation` and
 `tensor_morphism` act on the package's tensor vectors (word tuples of
 generator indices) and extend letter by letter, never bracketing a word.
+`bareiss_rref` is the package's earlier one-step Bareiss elimination, kept
+as the slow reference for the sparse `linalg.rref`; it shares only the
+`Rref` record and `vec_add`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 # -- trees -----------------------------------------------------------------
@@ -277,3 +281,99 @@ def tensor_derivation(vec, degree, values, images, letter_degrees):
                 out[w] = out.get(w, Fraction(0)) + sign * c * v
             before += letter_degrees[letter]
     return {k: v for k, v in out.items() if v}
+
+
+# -- elimination -----------------------------------------------------------
+
+
+def _bareiss_integerize(row):
+    """Scale a rational row to integers; returns (row, positive multiplier)."""
+    denoms = [v.denominator for v in row.values() if isinstance(v, Fraction)]
+    if not denoms:
+        return {k: int(v) for k, v in row.items()}, 1
+    m = lcm(*denoms) if len(denoms) > 1 else denoms[0]
+    return {k: int(v * m) for k, v in row.items()}, m
+
+
+def bareiss_rref(rows, track=False):
+    """One-step Bareiss elimination with rational back-substitution: every
+    remaining row is rescaled at every pivot.  Same contract as `linalg.rref`."""
+    from dglcalc.linalg import Rref, vec_add
+
+    work = []
+    combos = []
+    for i, r in enumerate(rows):
+        ir, mult = _bareiss_integerize({k: v for k, v in r.items() if v})
+        work.append(ir)
+        combos.append({i: mult})
+
+    pivot_rows: list = []
+    pivot_combos: list = []
+    pivot_cols: list = []
+    kernel_combos: list = []
+    remaining = list(range(len(work)))
+    prev_pivot = 1
+
+    while remaining:
+        # discard rows that have become zero; their combos span the kernel
+        alive = []
+        for idx in remaining:
+            if work[idx]:
+                alive.append(idx)
+            else:
+                kernel_combos.append(combos[idx])
+        remaining = alive
+        if not remaining:
+            break
+        col = min(min(work[idx]) for idx in remaining)
+        lead = next(idx for idx in remaining if col in work[idx])
+        remaining.remove(lead)
+        prow, pcomb = work[lead], combos[lead]
+        p = prow[col]
+        # one-step Bareiss update of every remaining row (exact division)
+        for idx in remaining:
+            r = work[idx]
+            a = r.get(col, 0)
+            new = {}
+            for k in set(r) | set(prow):
+                v = p * r.get(k, 0) - a * prow.get(k, 0)
+                if v:
+                    new[k] = v // prev_pivot
+            work[idx] = new
+            c = combos[idx]
+            newc = {}
+            for k in set(c) | set(pcomb):
+                v = p * c.get(k, 0) - a * pcomb.get(k, 0)
+                if v:
+                    newc[k] = v // prev_pivot
+            combos[idx] = newc
+        pivot_rows.append(prow)
+        pivot_combos.append(pcomb)
+        pivot_cols.append(col)
+        prev_pivot = p
+
+    # rational back-substitution to reduced form with unit pivots
+    frows = []
+    fcombos = []
+    for row, comb, col in zip(pivot_rows, pivot_combos, pivot_cols):
+        inv = Fraction(1, 1) / row[col]
+        frows.append({k: inv * v for k, v in row.items()})
+        fcombos.append({k: inv * v for k, v in comb.items()})
+    for i in range(len(frows) - 1, -1, -1):
+        col = pivot_cols[i]
+        for j in range(i):
+            c = frows[j].get(col)
+            if c:
+                frows[j] = vec_add(frows[j], frows[i], -c)
+                fcombos[j] = vec_add(fcombos[j], fcombos[i], -c)
+
+    kernel = []
+    if kernel_combos:
+        kr = bareiss_rref(kernel_combos)
+        kernel = kr.rows
+    return Rref(
+        rows=frows,
+        pivots=pivot_cols,
+        combos=fcombos if track else None,
+        kernel=kernel,
+    )

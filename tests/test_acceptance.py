@@ -182,10 +182,10 @@ def test_criterion_6_product_model_correctness():
     """d^2 = 0 and homology additivity for 20 random products."""
     with Budget("6 (product models)", 60.0):
         for seed in range(20):
-            # with a degree-1 base generator, eliminating d_9 (3,860 columns
-            # for seed 2) takes over two minutes at N = 9
+            # bases with a degree-1 generator give the largest eliminations
+            # (d_9 on 3,860 columns for seed 2)
             base = random_model(seed, max_gens=2, truncation=9, max_degree=3,
-                                degree_one_budget=0)
+                                degree_one_budget=1)
             spheres = [2] if seed % 3 == 0 else ([3] if seed % 3 == 1 else [2, 2])
             pm = product_model(base, spheres)
             report = pm.model.validate()
@@ -198,6 +198,19 @@ def test_criterion_6_product_model_correctness():
                 lhs = pm.model.homology([n]).dims()[n]
                 rhs = wedge.homology([n]).dims()[n] + base.homology([n]).dims()[n]
                 assert lhs == rhs, (seed, n, lhs, rhs)
+
+
+def test_criterion_6_emitted_cp2_product_homology():
+    """Homology of the emitted CP2 x S^2 product model at N = 10."""
+    with Budget("6 (CP2 x S^2 product homology at N = 10)", 5.0):
+        out, code = _cli(["product", str(FIXTURES / "cp2_to_s4.dgl"), "CP2",
+                          "--spheres", "2", "--max-degree", "10", "--emit"])
+        assert code == 0
+        ws = parse_workspace(out["model_text"], truncation=10)
+        report = ws.model("CP2_product").homology(range(1, 10))
+    # H_n = pi_{n+1}(CP2) + pi_{n+1}(S^2) (x1 and v, [v,v], then CP2's 5-class)
+    assert report.dims() == {1: 2, 2: 1, 3: 0, 4: 1, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0}
+    assert all(s.trusted for s in report.slices.values())
 
 
 def test_criterion_7_cylinder_invariants():

@@ -281,3 +281,37 @@ def test_reports_are_byte_identical(capsys):
     code2, out2, _ = run(args, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _run_all(calls, capsys, fresh_parser):
+    results = []
+    for argv in calls:
+        if fresh_parser:
+            cli.build_parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        results.append((code, out.out, out.err))
+    return results
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(capsys):
+    calls = [
+        ["gseq", fixture("one_cell_attachment.dgl"), "i", "--max-degree", "9",
+         "--internal-degrees", "--format", "json"],
+        ["homology", fixture("spheres.dgl"), "S2", "--max-degree", "8"],
+        ["evsub", fixture("cp2_to_s4.dgl"), "f", "--top-degree", "4", "--max-degree", "10"],
+        ["product", fixture("cp2_to_s4.dgl"), "S4", "--spheres", "2", "--emit"],
+        ["validate", fixture("s3_into_s3xs3.dgl")],
+        ["homology", fixture("spheres.dgl"), "S2", "--degrees", "5:2"],
+        ["homology", fixture("spheres.dgl")],
+        ["gseq", fixture("one_cell_attachment.dgl"), "i", "--max-degree", "9"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = _run_all(calls, capsys, fresh_parser=False)
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = _run_all(calls, capsys, fresh_parser=True)
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 3, 2, 0]
+    assert shared == fresh

@@ -5,31 +5,34 @@ from hypothesis import given, settings, strategies as st
 
 from dglcalc import linalg
 from dglcalc.errors import PreconditionError
-from dglcalc.linalg import RationalMatrix
+
+from .oracles import bareiss_rref
 
 
 F = Fraction
 
 
+def _columns(data):
+    """The sparse columns of a dense matrix given as a list of rows."""
+    return [{i: F(row[j]) for i, row in enumerate(data) if row[j]} for j in range(len(data[0]))]
+
+
 def test_rank_zero_matrix():
-    m = RationalMatrix(rows=3, cols=3, entries={})
-    assert m.rank() == 0
+    rr = linalg.rref([{}, {}, {}])
+    assert rr.rank == 0
+    assert len(rr.kernel) == 3
 
 
 def test_kernel_of_identity_is_empty():
-    m = RationalMatrix.from_rows([[1, 0], [0, 1]])
-    assert m.kernel_basis() == []
+    assert linalg.rref(_columns([[1, 0], [0, 1]])).kernel == []
 
 
 def test_solve_exact_rational_division():
-    m = RationalMatrix.from_rows([[2]])
-    x = m.solve([1])
-    assert x == {0: F(1, 2)}
+    assert linalg.solve_columns(_columns([[2]]), {0: F(1)}) == {0: F(1, 2)}
 
 
 def test_solve_inconsistent_returns_none():
-    m = RationalMatrix.from_rows([[1, 1], [1, 1]])
-    assert m.solve([0, 1]) is None
+    assert linalg.solve_columns(_columns([[1, 1], [1, 1]]), {1: F(1)}) is None
 
 
 def test_quotient_basis_dimension():
@@ -58,54 +61,95 @@ small_entries = st.integers(min_value=-6, max_value=6)
 
 @st.composite
 def matrices(draw):
+    """The columns of a small integer matrix."""
     nrows = draw(st.integers(min_value=1, max_value=5))
     ncols = draw(st.integers(min_value=1, max_value=5))
-    rows = [
-        [draw(small_entries) for _ in range(ncols)] for _ in range(nrows)
-    ]
-    return RationalMatrix.from_rows([r + [0] * (ncols - len(r)) for r in rows])
+    rows = [[draw(small_entries) for _ in range(ncols)] for _ in range(nrows)]
+    return _columns(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
-def test_kernel_vectors_annihilate(m):
-    for k in m.kernel_basis():
-        assert m.apply(k) == {}
+def test_kernel_vectors_annihilate(cols):
+    for k in linalg.rref(cols).kernel:
+        assert linalg.combine(k, cols) == {}
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
-def test_rank_nullity(m):
-    assert m.rank() + len(m.kernel_basis()) == m.cols
+def test_rank_nullity(cols):
+    rr = linalg.rref(cols)
+    assert rr.rank + len(rr.kernel) == len(cols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.lists(small_entries, min_size=1, max_size=5))
-def test_solve_is_exact_when_solvable(m, coeffs):
+def test_solve_is_exact_when_solvable(cols, coeffs):
     # build a solvable right-hand side from a known combination
-    x = {j: F(c) for j, c in enumerate(coeffs[: m.cols]) if c}
-    b = m.apply(x)
-    sol = m.solve(b)
+    x = {j: F(c) for j, c in enumerate(coeffs[: len(cols)]) if c}
+    b = linalg.combine(x, cols)
+    sol = linalg.solve_columns(cols, b)
     assert sol is not None
-    assert m.apply(sol) == b
+    assert linalg.combine(sol, cols) == b
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices())
-def test_rref_rows_span_input(m):
-    rows = []
-    for i in range(m.rows):
-        rows.append({j: v for (ii, j), v in m.entries.items() if ii == i})
+def test_rref_rows_span_input(rows):
     rr = linalg.rref(rows, track=True)
     # each reduced row must be the stated combination of the input rows
     for row, combo in zip(rr.rows, rr.combos):
-        rebuilt = {}
-        for j, c in combo.items():
-            rebuilt = linalg.vec_add(rebuilt, rows[j], c)
-        assert rebuilt == row
+        assert linalg.combine(combo, rows) == row
     # every kernel combo really kills the rows
     for combo in rr.kernel:
-        rebuilt = {}
-        for j, c in combo.items():
-            rebuilt = linalg.vec_add(rebuilt, rows[j], c)
-        assert rebuilt == {}
+        assert linalg.combine(combo, rows) == {}
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Rows of a sparse rational matrix up to 25 x 25 with density 0.1-0.5,
+    non-integer entries, zero rows, repeated rows and combinations of rows."""
+    nrows = draw(st.integers(min_value=0, max_value=25))
+    ncols = draw(st.integers(min_value=1, max_value=25))
+    density = draw(st.floats(min_value=0.1, max_value=0.5))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(nrows):
+        kind = rng.choice(("fresh", "fresh", "fresh", "zero", "repeat", "combination"))
+        if kind == "zero":
+            row = {}
+        elif kind == "repeat" and rows:
+            row = dict(rng.choice(rows))
+        elif kind == "combination" and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = linalg.vec_add(linalg.vec_add({}, a, F(rng.randint(-3, 3), 2)), b,
+                                 F(rng.randint(1, 4), rng.randint(1, 3)))
+        else:
+            row = {
+                j: F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                for j in range(ncols) if rng.random() < density
+            }
+        rows.append(row)
+    return rows
+
+
+def _canonical(vectors):
+    """Vectors as sorted (index, type name, value) triples: dict order is
+    ignored, and an int differs from an equal Fraction."""
+    return [[(k, type(v).__name__, v) for k, v in sorted(vec.items())] for vec in vectors]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rational_matrices())
+def test_rref_matches_bareiss_oracle(rows):
+    want = bareiss_rref(rows, track=True)
+    got = linalg.rref(rows, track=True)
+    assert got.pivots == want.pivots
+    assert _canonical(got.rows) == _canonical(want.rows)
+    assert _canonical(got.combos) == _canonical(want.combos)
+    assert _canonical(got.kernel) == _canonical(want.kernel)
+    untracked = linalg.rref(rows)
+    assert untracked.combos is None
+    assert untracked.pivots == want.pivots
+    assert _canonical(untracked.rows) == _canonical(want.rows)
+    assert _canonical(untracked.kernel) == _canonical(want.kernel)
