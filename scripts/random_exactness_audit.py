@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from dglcalc import assemble_les
+from dglcalc import EvaluationContext
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import product_model, sphere_wedge_model
 
@@ -42,7 +42,7 @@ def audit_les(cfg: Config):
     failures = []
     for seed in range(cfg.seed_offset, cfg.seed_offset + cfg.morphisms):
         psi = random_validated_morphism(seed, max_gens=cfg.max_generators, truncation=cfg.truncation)
-        report = assemble_les(psi, range(1, cfg.truncation - 2))
+        report = EvaluationContext(psi).les(range(1, cfg.truncation - 2))
         for node in report.trusted_nodes():
             trusted += 1
             if not node.exact:

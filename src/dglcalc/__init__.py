@@ -22,17 +22,10 @@ from .derivations import (
     adjoint,
     der_bracket,
     der_homology,
-    extend_derivation,
     induced_derivation,
 )
 from .complexes import DglComplex, HomologyReport
-from .relative import (
-    LesReport,
-    RelComplex,
-    assemble_les,
-    assemble_les_of_chain_map,
-    rel_of_adjoint,
-)
+from .relative import LesReport, RelComplex, assemble_les_of_chain_map
 from .subgroups import (
     CoformalReport,
     EvaluationContext,
@@ -83,15 +76,12 @@ __all__ = [
     "adjoint",
     "der_bracket",
     "der_homology",
-    "extend_derivation",
     "induced_derivation",
     "DglComplex",
     "HomologyReport",
     "LesReport",
     "RelComplex",
-    "assemble_les",
     "assemble_les_of_chain_map",
-    "rel_of_adjoint",
     "CoformalReport",
     "EvaluationContext",
     "GSequenceReport",

@@ -21,7 +21,6 @@ from .derivations import DerComplex, GenDerivation
 from .errors import ParseError, PreconditionError, TruncationError, ValidationError
 from .model import DglMorphism
 from .modelfile import Workspace, parse_workspace, print_workspace
-from .relative import assemble_les
 from .subgroups import EvaluationContext, gottlieb
 
 EXIT_OK = 0
@@ -157,7 +156,7 @@ def cmd_gottlieb(ws: Workspace, args):
     der = DerComplex(DglMorphism.identity(model))
     default = [m + 1 for m in range(1, model.truncation) if der.computable(m)]
     tops = _parse_degrees(args, default)
-    reports = [gottlieb(model, t) for t in tops]
+    reports = gottlieb(model, tops)
     return _subgroup_report(args, "gottlieb", reports), EXIT_OK
 
 
@@ -254,11 +253,9 @@ def cmd_omega(ws, args):
 
 
 def cmd_les(ws, args):
-    psi = ws.map(args.name)
-    ctx = EvaluationContext(psi)
-    default = ctx.computable_tops()
-    tops = _parse_degrees(args, default)
-    report = assemble_les(psi, [t - 1 for t in tops])
+    ctx = _map_context(ws, args)
+    tops = _parse_degrees(args, ctx.computable_tops())
+    report = ctx.les([t - 1 for t in tops])
     degrees = []
     for node in report.nodes:
         degrees.append(

@@ -75,13 +75,6 @@ class HomologySlice:
             raise PreconditionError("vector is not a cycle of this slice")
         return coords
 
-    def is_cycle(self, vec) -> bool:
-        try:
-            self.class_coords(vec)
-            return True
-        except PreconditionError:
-            return False
-
 
 class DegreeRecord:
     """One degree of a complex: basis labels, their index, d_n and its elimination.

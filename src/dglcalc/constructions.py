@@ -19,7 +19,7 @@ from math import factorial
 from typing import Mapping, Optional
 
 from . import linalg
-from .complexes import ChainComplex, DglComplex
+from .complexes import ChainComplex, DglComplex, induced_matrix
 from .derivations import GenDerivation
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import FreeLieAlgebra, Generator, LieElement
@@ -150,34 +150,27 @@ class _LinearComplex(ChainComplex):
         return self.by_degree.get(n, [])
 
     def d_columns(self, n):
-        cols = []
-        tgt = self.record(n - 1).index
-        for gi in self.record(n).labels:
-            g = self.model.generators[gi]
-            linear = self.model.diff_of(g.name).linear_part()
-            col = {}
-            for word, c in linear.terms.items():
-                col[tgt[word[0]]] = c
-            cols.append(col)
-        return cols
+        gens, index = self.model.generators, self.record(n - 1).index
+        return [
+            _linear_column(self.model.diff_of(gens[gi].name), index)
+            for gi in self.record(n).labels
+        ]
+
+
+def _linear_column(element: LieElement, index: dict) -> dict:
+    """The linear part of an element, over the generator positions in `index`."""
+    return {index[word[0]]: c for word, c in element.linear_part().terms.items()}
 
 
 def linear_part_map(phi: DglMorphism):
     """Per-degree columns of the linearization of a morphism."""
     src = _LinearComplex(phi.source)
     dst = _LinearComplex(phi.target)
-    cols_by_degree = {}
-    for n, basis in src.by_degree.items():
-        tgt = dst.record(n).index
-        cols = []
-        for gi in basis:
-            g = phi.source.generators[gi]
-            linear = phi.values[g.name].linear_part()
-            col = {}
-            for word, c in linear.terms.items():
-                col[tgt[word[0]]] = c
-            cols.append(col)
-        cols_by_degree[n] = cols
+    gens = phi.source.generators
+    cols_by_degree = {
+        n: [_linear_column(phi.values[gens[gi].name], dst.record(n).index) for gi in basis]
+        for n, basis in src.by_degree.items()
+    }
     return src, dst, cols_by_degree
 
 
@@ -215,8 +208,6 @@ def linearization(phi: DglMorphism) -> LinearizationReport:
     ]
     full_ok: Optional[bool] = None
     if window:
-        from .complexes import induced_matrix
-
         full_ok = True
         for n in window:
             hs = csrc.homology(n)

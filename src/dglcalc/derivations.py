@@ -120,11 +120,6 @@ class GenDerivation:
         return f"<GenDerivation deg {self.degree}: {vals or '0'}>"
 
 
-def extend_derivation(along: DglMorphism, degree: int, values: Mapping) -> GenDerivation:
-    """Package generator values as a derivation evaluator along a morphism."""
-    return GenDerivation(along, degree, values)
-
-
 def adjoint(psi: DglMorphism, y: LieElement) -> GenDerivation:
     """The derivation g -> [y, psi(g)] attached to an element of the target."""
     if y.algebra is not psi.target.algebra:

@@ -1,4 +1,4 @@
-"""Relativization (mapping cone) of a chain map and the long exact sequences.
+"""Relativization (mapping cone) of a chain map and its long exact sequence.
 
 For a chain map phi: V -> W the relativization has Rel_n = W_n + V_{n-1} with
 
@@ -10,10 +10,15 @@ into the long exact homology sequence
 
     ... -> H_{n+1}(Rel) -P-> H_n(V) -phi-> H_n(W) -J-> H_n(Rel) -> ...
 
-Applying the construction to the adjoint map of a DGL morphism gives the long
-exact derivation homology sequence; applying it to post-composition on
-derivation spaces gives the relative complex used by the relative evaluation
-subgroups.
+The cone owns this sequence: `phi_star`, `j_star` and `p_star` give the three
+maps in class coordinates, each computed once per degree, and
+`assemble_les_of_chain_map` checks its exactness by reading them.  J and P
+act on vectors directly.
+
+An evaluation context builds the cone of the adjoint map K -> Der(L, K; psi)
+of a DGL morphism, whose sequence is the long exact derivation homology
+sequence, and the cone of post-composition on derivation spaces used by the
+relative evaluation subgroups.
 """
 from __future__ import annotations
 
@@ -21,9 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import linalg
-from .complexes import ChainComplex, DglComplex, induced_matrix
-from .derivations import DerComplex, adjoint
-from .model import DglMorphism
+from .complexes import ChainComplex, induced_matrix
 
 
 class RelComplex(ChainComplex):
@@ -36,6 +39,7 @@ class RelComplex(ChainComplex):
         self.phi = phi  # object-level map, degree 0
         self.name = name
         self.trunc = min(V.trunc, W.trunc)
+        self._les_maps = {}
 
     def complete(self, n: int) -> bool:
         return self.W.complete(n) and self.V.complete(n - 1)
@@ -96,15 +100,39 @@ class RelComplex(ChainComplex):
         _, vvec = self.split(n, vec)
         return vvec
 
+    # -- the long exact sequence, in class coordinates ---------------------------
 
-def rel_of_adjoint(psi: DglMorphism) -> RelComplex:
-    """Relativization of the adjoint map K -> Der(L, K; psi)."""
-    return RelComplex(
-        DglComplex(psi.target),
-        DerComplex(psi),
-        lambda y: adjoint(psi, y),
-        name="rel-adjoint",
-    )
+    def _les_map(self, key, build: Callable) -> list:
+        cols = self._les_maps.get(key)
+        if cols is None:
+            cols = self._les_maps[key] = build()
+        return cols
+
+    def phi_star(self, n: int) -> list:
+        """phi_*: H_n(V) -> H_n(W), one column per class of H_n(V)."""
+        return self._les_map(
+            ("phi", n), lambda: induced_matrix(self.V, n, self.W, n, self.phi)
+        )
+
+    def j_star(self, n: int) -> list:
+        """J_*: H_n(W) -> H_n(Rel), one column per class of H_n(W)."""
+
+        def build():
+            rows = self.W.homology(n).rep_rows
+            h = self.homology(n)
+            return [h.class_coords(self.include(n, row)) for row in rows]
+
+        return self._les_map(("J", n), build)
+
+    def p_star(self, n: int) -> list:
+        """P_*: H_n(Rel) -> H_{n-1}(V), one column per class of H_n(Rel)."""
+
+        def build():
+            rows = self.homology(n).rep_rows
+            h = self.V.homology(n - 1)
+            return [h.class_coords(self.project(n, row)) for row in rows]
+
+        return self._les_map(("P", n), build)
 
 
 # -- long exact sequence reports ------------------------------------------------
@@ -133,43 +161,24 @@ class LesReport:
         return [n for n in self.nodes if n.trusted]
 
 
-def assemble_les_of_chain_map(
-    V: ChainComplex, W: ChainComplex, phi: Callable, degrees
-) -> LesReport:
+def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
     """Check exactness of ... -> H_{n+1}(Rel) -> H_n(V) -> H_n(W) -> H_n(Rel) -> ...
 
     For each requested degree n the three nodes H_n(V), H_n(W), H_n(Rel) are
     examined; a node is trusted only when its own homology and both neighbours
     in the sequence are boundary-complete under the truncation.
     """
-    rel = RelComplex(V, W, phi)
+    V, W = rel.V, rel.W
     report = LesReport()
-    _P, _phi, _J = {}, {}, {}
-
-    def mat_P(n):
-        if n not in _P:
-            _P[n] = induced_matrix(rel, n + 1, V, n, lambda pair: pair[1])
-        return _P[n]
-
-    def mat_phi(n):
-        if n not in _phi:
-            _phi[n] = induced_matrix(V, n, W, n, phi)
-        return _phi[n]
-
-    def mat_J(n):
-        if n not in _J:
-            _J[n] = induced_matrix(W, n, rel, n, lambda w: (w, V.from_vector(n - 1, {})))
-        return _J[n]
-
     for n in degrees:
         # exactness at a node: im(incoming) = ker(outgoing)
         nodes = (
             ("V", V, rel.trusted(n + 1) and V.trusted(n) and W.trusted(n),
-             lambda: mat_P(n), lambda: mat_phi(n)),
+             lambda: rel.p_star(n + 1), lambda: rel.phi_star(n)),
             ("W", W, V.trusted(n) and W.trusted(n) and rel.trusted(n),
-             lambda: mat_phi(n), lambda: mat_J(n)),
+             lambda: rel.phi_star(n), lambda: rel.j_star(n)),
             ("Rel", rel, W.trusted(n) and rel.trusted(n) and V.trusted(n - 1),
-             lambda: mat_J(n), lambda: mat_P(n - 1)),
+             lambda: rel.j_star(n), lambda: rel.p_star(n)),
         )
         for position, cplx, trusted, incoming, outgoing in nodes:
             if not trusted:
@@ -188,13 +197,3 @@ def assemble_les_of_chain_map(
 def _composite_zero(cols_first: list, cols_second_mat: list) -> bool:
     """True when (second o first) = 0, with maps given by class-coordinate columns."""
     return not any(linalg.combine(col, cols_second_mat) for col in cols_first)
-
-
-def assemble_les(psi: DglMorphism, degrees) -> LesReport:
-    """The long exact derivation homology sequence of a DGL morphism.
-
-    This is the long exact sequence of the adjoint map K -> Der(L, K; psi).
-    """
-    return assemble_les_of_chain_map(
-        DglComplex(psi.target), DerComplex(psi), lambda y: adjoint(psi, y), degrees
-    )

@@ -8,8 +8,13 @@ All subgroups are kernels of maps induced on homology by adjoints:
   G^rel_n(K,L;psi)  = ker{ H(ad_psi, ad): H_{n-1}(Rel(psi)) -> H_{n-1}(Rel(psi_*)) }
 
 Degrees are topological on the reports (internal degree = topological - 1).
-The G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
-restricted from the long exact homology sequence of the map, and its
+An `EvaluationContext` builds the complexes of one morphism once, with three
+cones: Rel(psi), Rel(psi_*) and the adjoint cone Rel(ad_psi).  H(ad_psi) is
+the first map of the adjoint cone's long exact sequence, so the evaluation
+subgroup, the image that `g_vs_p` intersects and `les` all read one matrix
+per degree.  The G-sequence is the chain complex
+G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ... restricted from the long exact
+homology sequence of Rel(psi), whose maps it reads from that cone, and its
 omega-homology is measured at the G_n(L) term.
 """
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .derivations import DerComplex, GenDerivation, adjoint
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import LieElement
 from .model import DglModel, DglMorphism
-from .relative import RelComplex, _composite_zero
+from .relative import LesReport, RelComplex, _composite_zero, assemble_les_of_chain_map
 
 
 @dataclass
@@ -94,11 +99,12 @@ class CoformalReport:
 class _Subgroup:
     """A kernel subspace of one homology group, in class coordinates."""
 
-    def __init__(self, cplx: ChainComplex, degree: int, vectors: list, trusted: bool):
+    def __init__(self, cplx: ChainComplex, degree: int, vectors: list, trusted: bool, image: list):
         self.cplx = cplx
         self.degree = degree
         self.vectors = vectors  # RREF rows over homology representative indices
         self.trusted = trusted
+        self.image = image  # RREF rows spanning the image of the map, if it was eliminated
 
     @property
     def dim(self) -> int:
@@ -141,6 +147,9 @@ class EvaluationContext:
 
         self.rel = RelComplex(self.cL, self.cK, psi.apply, name="rel")
         self.rel_star = RelComplex(self.der_LL, self.der_LK, post, name="rel-star")
+        self.rel_ad = RelComplex(
+            self.cK, self.der_LK, lambda y: adjoint(psi, y), name="rel-adjoint"
+        )
         # (ad_psi, ad): Rel(psi) -> Rel(psi_star), (k, l) -> (ad_psi(k), ad(l))
         self.pair_map = lambda pair: (adjoint(psi, pair[0]), adjoint(identity, pair[1]))
         self._kernels = {}
@@ -153,23 +162,23 @@ class EvaluationContext:
             return self._kernels[key]
         if kind == "gottlieb":
             src, dst, fn = self.cL, self.der_LL, lambda x: adjoint(self.identity, x)
-        elif kind == "evaluation":
-            src, dst, fn = self.cK, self.der_LK, lambda y: adjoint(self.psi, y)
+        elif kind == "evaluation":  # phi_* of the adjoint cone
+            src, dst, fn = self.cK, self.der_LK, None
         elif kind == "relative":
             src, dst, fn = self.rel, self.rel_star, self.pair_map
         else:  # pragma: no cover
             raise InternalError(f"unknown subgroup kind {kind}")
         if m < 1 and kind != "relative":
-            group = _Subgroup(src, m, [], True)
+            group = _Subgroup(src, m, [], True, [])
         elif not (src.computable(m) and dst.computable(m)):
             raise TruncationError(
                 f"{kind} subgroup at internal degree {m} is outside the computable window"
             )
         else:
-            cols = induced_matrix(src, m, dst, m, fn)
-            vectors = linalg.rref(cols).kernel
+            cols = induced_matrix(src, m, dst, m, fn) if fn else self.rel_ad.phi_star(m)
+            elimination = linalg.rref(cols)
             trusted = src.trusted(m) and dst.trusted(m)
-            group = _Subgroup(src, m, vectors, trusted)
+            group = _Subgroup(src, m, elimination.kernel, trusted, elimination.rows)
         self._kernels[key] = group
         return group
 
@@ -194,6 +203,13 @@ class EvaluationContext:
 
     def rel_evaluation_subgroup(self, top: int) -> SubspaceReport:
         return self._report("relative", top)
+
+    def les(self, degrees) -> LesReport:
+        """The long exact derivation homology sequence, in internal degrees.
+
+        It is the long exact sequence of the adjoint cone K -> Der(L, K; psi).
+        """
+        return assemble_les_of_chain_map(self.rel_ad, degrees)
 
     # -- Whitehead center -------------------------------------------------------
 
@@ -230,7 +246,7 @@ class EvaluationContext:
         ys = [self.cK.from_vector(m, row) for row in hK.rep_rows]
         bracket, apply = self.K.algebra.bracket, self.psi.apply
         vectors, j_max = self._pairing_kernel(m, ys, lambda y, xi: bracket(y, apply(xi)))
-        group = _Subgroup(self.cK, m, vectors, hK.trusted)
+        group = _Subgroup(self.cK, m, vectors, hK.trusted, [])
         return SubspaceReport(
             topological=top,
             internal=m,
@@ -249,28 +265,22 @@ class EvaluationContext:
         ev = self.evaluation_subgroup(top)
         ce = self.whitehead_center(top)
         quotient = ce.dimension - ev.dimension
-        witness_rows: list = []
-        if m >= 1 and self.der_LK.computable(m):
-            ad_cols = induced_matrix(
-                self.cK, m, self.der_LK, m, lambda y: adjoint(self.psi, y)
-            )
-            image_rows = linalg.rref(ad_cols).rows
+        witness_rows, witnesses = [], []
+        if m >= 1:  # the evaluation subgroup above checked that Der is computable
+            image_rows = self._kernel("evaluation", m).image
             hDer = self.der_LK.homology(m)
             thetas = [self.der_LK.from_vector(m, row) for row in hDer.rep_rows]
             ker_i_rows, _ = self._pairing_kernel(m, thetas, lambda theta, xi: theta.apply(xi))
             witness_rows = linalg.intersect(image_rows, ker_i_rows)
+            witnesses = [
+                self.der_LK.from_vector(m, linalg.combine(row, hDer.rep_rows))
+                for row in witness_rows
+            ]
         if len(witness_rows) != quotient:
             raise InternalError(
                 "quotient dimension disagrees with the kernel/image intersection: "
                 f"{quotient} vs {len(witness_rows)}"
             )
-        witnesses = []
-        if m >= 1:
-            hDer = self.der_LK.homology(m)
-            witnesses = [
-                self.der_LK.from_vector(m, linalg.combine(row, hDer.rep_rows))
-                for row in witness_rows
-            ]
         return GvpReport(
             topological=top,
             internal=m,
@@ -309,20 +319,10 @@ class EvaluationContext:
             grel_up = self._kernel("relative", m + 1)
             gl_down = self._kernel("gottlieb", m - 1)
 
-            psi_cols = (
-                induced_matrix(self.cL, m, self.cK, m, self.psi.apply) if m >= 1 else []
-            )
-            j_cols = induced_matrix(
-                self.cK, m, self.rel, m,
-                lambda k: (k, self.L.algebra.zero(m - 1)),
-            )
-            p_cols = induced_matrix(self.rel, m, self.cL, m - 1, lambda pair: pair[1])
-            p_up_cols = induced_matrix(self.rel, m + 1, self.cL, m, lambda pair: pair[1])
-
-            r_psi = self._restricted_map(gl, gk, psi_cols)
-            r_j = self._restricted_map(gk, grel, j_cols)
-            r_p = self._restricted_map(grel, gl_down, p_cols)
-            r_p_up = self._restricted_map(grel_up, gl, p_up_cols)
+            r_psi = self._restricted_map(gl, gk, self.rel.phi_star(m))
+            r_j = self._restricted_map(gk, grel, self.rel.j_star(m))
+            r_p = self._restricted_map(grel, gl_down, self.rel.p_star(m))
+            r_p_up = self._restricted_map(grel_up, gl, self.rel.p_star(m + 1))
 
             comp1 = _composite_zero(r_psi, r_j)
             comp2 = _composite_zero(r_j, r_p)
@@ -401,9 +401,10 @@ def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols, cplx, m):
 # -- public operations ---------------------------------------------------------
 
 
-def gottlieb(model: DglModel, top: int) -> SubspaceReport:
-    """Gottlieb subgroup: the evaluation subgroup along the identity."""
-    return EvaluationContext(DglMorphism.identity(model)).evaluation_subgroup(top)
+def gottlieb(model: DglModel, tops) -> list:
+    """Gottlieb subgroups, one report per top: evaluation subgroups along the identity."""
+    ctx = EvaluationContext(DglMorphism.identity(model))
+    return [ctx.evaluation_subgroup(top) for top in tops]
 
 
 def evaluation_subgroup(psi: DglMorphism, top: int) -> SubspaceReport:

@@ -13,7 +13,9 @@ the reference for the generator-only d^2 check.  `tensor_derivation` and
 generator indices) and extend letter by letter, never bracketing a word.
 `bareiss_rref` is the package's earlier one-step Bareiss elimination, kept
 as the slow reference for the sparse `linalg.rref`; it shares only the
-`Rref` record and `vec_add`.
+`Rref` record and `vec_add`.  `les_by_objects` is the package's earlier
+long-exact-sequence check, which induces every map from domain objects, kept
+as the reference for the cone's class-coordinate maps.
 """
 from __future__ import annotations
 
@@ -377,3 +379,63 @@ def bareiss_rref(rows, track=False):
         combos=fcombos if track else None,
         kernel=kernel,
     )
+
+
+# -- the long exact sequence of a chain map, object by object -------------------
+
+
+def les_by_objects(V, W, phi, degrees):
+    """The long exact sequence of phi: V -> W, with every map built on objects.
+
+    This is the package's earlier `assemble_les_of_chain_map`: a fresh cone,
+    and P, phi and J each induced on homology by `induced_matrix` from a
+    function on domain objects (P drops the W part of a pair, J pairs with the
+    zero of V).  It shares the cone, `induced_matrix` and `rref` with the
+    package, but none of the cone's cached class-coordinate maps.
+    """
+    from dglcalc import linalg
+    from dglcalc.complexes import induced_matrix
+    from dglcalc.relative import LesNode, LesReport, RelComplex
+
+    rel = RelComplex(V, W, phi)
+    report = LesReport()
+    _P, _phi, _J = {}, {}, {}
+
+    def mat_P(n):
+        if n not in _P:
+            _P[n] = induced_matrix(rel, n + 1, V, n, lambda pair: pair[1])
+        return _P[n]
+
+    def mat_phi(n):
+        if n not in _phi:
+            _phi[n] = induced_matrix(V, n, W, n, phi)
+        return _phi[n]
+
+    def mat_J(n):
+        if n not in _J:
+            _J[n] = induced_matrix(W, n, rel, n, lambda w: (w, V.from_vector(n - 1, {})))
+        return _J[n]
+
+    for n in degrees:
+        # exactness at a node: im(incoming) = ker(outgoing)
+        nodes = (
+            ("V", V, rel.trusted(n + 1) and V.trusted(n) and W.trusted(n),
+             lambda: mat_P(n), lambda: mat_phi(n)),
+            ("W", W, V.trusted(n) and W.trusted(n) and rel.trusted(n),
+             lambda: mat_phi(n), lambda: mat_J(n)),
+            ("Rel", rel, W.trusted(n) and rel.trusted(n) and V.trusted(n - 1),
+             lambda: mat_J(n), lambda: mat_P(n - 1)),
+        )
+        for position, cplx, trusted, incoming, outgoing in nodes:
+            if not trusted:
+                report.nodes.append(LesNode(n, position, -1, -1, -1, None, False))
+                continue
+            inc_cols, out_cols = incoming(), outgoing()
+            inc = linalg.rref(inc_cols).rank
+            out_kernel = len(linalg.rref(out_cols).kernel)
+            composite_zero = not any(linalg.combine(col, out_cols) for col in inc_cols)
+            exact = inc == out_kernel and composite_zero
+            report.nodes.append(
+                LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, exact, True)
+            )
+    return report

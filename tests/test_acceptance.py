@@ -14,8 +14,8 @@ from dglcalc import (
     DglModel,
     DglMorphism,
     FreeLieAlgebra,
+    GenDerivation,
     adjoint,
-    extend_derivation,
 )
 from dglcalc import linalg
 from dglcalc.cli import build_parser, run_command
@@ -27,7 +27,6 @@ from dglcalc.constructions import (
 )
 from dglcalc.complexes import DglComplex
 from dglcalc.modelfile import parse_workspace
-from dglcalc.relative import assemble_les
 from dglcalc.subgroups import (
     EvaluationContext,
     coformal_bounding_derivation,
@@ -130,7 +129,7 @@ def test_criterion_3_one_cell_attachment_exact():
         assert hL2.class_coords(ctx.cL.to_vector(2, w))
         assert report.terms[3].gottlieb_dim == 1
         # bounding derivation phi(w) = -1/2 [y, y], by direct evaluation:
-        phi = extend_derivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
+        phi = GenDerivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
         assert phi.differential() == adjoint(incl, y)
         # hence (ad(y), ad(w)) = (ad(y), 0) bounds in the derivation cone
         pair = ctx.pair_map((y, w))
@@ -170,7 +169,7 @@ def test_criterion_5_les_property_suite():
         trusted_total = 0
         for seed in range(50):
             psi = random_validated_morphism(seed, max_gens=4, truncation=8)
-            report = assemble_les(psi, range(1, 6))
+            report = EvaluationContext(psi).les(range(1, 6))
             nodes = report.trusted_nodes()
             trusted_total += len(nodes)
             for node in nodes:
@@ -289,13 +288,13 @@ def test_criterion_9_classical_sanity():
     """Sphere Gottlieb groups and the identity-map consistency check."""
     with Budget("9 (classical sanity)", 5.0):
         s3 = make_sphere_model(2, truncation=10)
-        g3 = gottlieb(s3, 3)
+        g3 = gottlieb(s3, [3])[0]
         assert g3.dimension == 1 and g3.full
         s2 = make_sphere_model(1, truncation=10)
         for top in range(2, 9):
-            dim = gottlieb(s2, top).dimension
+            dim = gottlieb(s2, [top])[0].dimension
             assert dim == (1 if top == 3 else 0), top
-        rep = gottlieb(s2, 3).representatives[0]
+        rep = gottlieb(s2, [3])[0].representatives[0]
         x = s2.algebra.gen("x")
         assert rep == x.bracket(x)
         # gottlieb == evaluation subgroup along the identity on all fixtures
@@ -306,7 +305,7 @@ def test_criterion_9_classical_sanity():
                 tops = [t for t in EvaluationContext(ident).computable_tops() if t <= 6]
                 assert tops, (path.name, model.name)
                 for top in tops:
-                    a = gottlieb(model, top)
+                    a = gottlieb(model, [top])[0]
                     b = evaluation_subgroup(ident, top)
                     assert a.dimension == b.dimension, (path.name, model.name, top)
                     assert [r.terms for r in a.representatives] == [

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dglcalc import cli
 from dglcalc.cli import main
@@ -315,3 +319,49 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys):
     fresh = _run_all(calls, capsys, fresh_parser=True)
     assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 3, 2, 0]
     assert shared == fresh
+
+
+# -- fuzzing the model-file grammar ----------------------------------------------------
+
+FUZZ_WORKSPACE = (FIXTURES / "cp2_to_s4.dgl").read_text()
+FUZZ_TOKENS = (
+    "model", "map", "smap", "gen", "deg", "upper", "d", "CP2", "S4", "f", "x1", "x3", "u3",
+    "x'", "y^2", "0", "1", "2", "3", "12", "1/2", "-1/0", "{", "}", "[", "]", ":", ";", ",",
+    "+", "-", "/", "=", "->", "#", "\n", "@",
+)
+FUZZ_CHARS = "{}[]:;,+-/=>#'^ \n\t0123456789xdu@("
+FUZZ_COMMANDS = (["validate"], ["homology", "CP2"], ["evsub", "f"])
+
+
+def _assert_documented_exit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.dgl"
+        path.write_text(text, encoding="utf-8")
+        for command, *name in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path), *name, "--max-degree", "6"])
+            assert code in (0, 1, 2, 3), (command, text, err.getvalue())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=60))
+def test_fuzz_token_soup_exits_with_a_documented_code(tokens):
+    _assert_documented_exit(" ".join(tokens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("delete", "insert", "replace")),
+    st.integers(min_value=0, max_value=len(FUZZ_WORKSPACE) - 1),
+    st.sampled_from(FUZZ_CHARS),
+)
+def test_fuzz_one_character_mutation_exits_with_a_documented_code(kind, pos, char):
+    head, tail = FUZZ_WORKSPACE[:pos], FUZZ_WORKSPACE[pos:]
+    if kind == "delete":
+        text = head + tail[1:]
+    elif kind == "insert":
+        text = head + char + tail
+    else:
+        text = head + char + tail[1:]
+    _assert_documented_exit(text)

@@ -6,7 +6,7 @@ from dglcalc import (
     DglModel,
     DglMorphism,
     FreeLieAlgebra,
-    extend_derivation,
+    GenDerivation,
 )
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import (
@@ -230,7 +230,7 @@ def test_verify_homotopy_injectivity_witness():
     target = DglModel(tgt_alg, {"z": tgt_alg.gen("u").bracket(tgt_alg.gen("u"))})
     psi = DglMorphism(base, target, {"x": tgt_alg.gen("u")}, name="psi")
     # a degree-(n+1) derivation value along psi: Theta(w) = z
-    theta_big = extend_derivation(psi, n + 1, {"x": tgt_alg.gen("z")})
+    theta_big = GenDerivation(psi, n + 1, {"x": tgt_alg.gen("z")})
     dtheta = theta_big.differential()
     # start: w -> psi(w), v -> 0, w' -> D(Theta)(w)
     start = DglMorphism(

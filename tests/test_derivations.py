@@ -7,11 +7,11 @@ from dglcalc import (
     DglModel,
     DglMorphism,
     FreeLieAlgebra,
+    GenDerivation,
     PreconditionError,
     adjoint,
     der_bracket,
     der_homology,
-    extend_derivation,
     induced_derivation,
     zero_morphism,
 )
@@ -57,7 +57,7 @@ def test_der_differential_on_contractible_pair():
     src, dst, incl = make_contractible_pair()
     y = dst.algebra.gen("y")
     w = dst.algebra.gen("w")
-    phi = extend_derivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
+    phi = GenDerivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
     dphi = phi.differential()
     # D(phi)(w) = d(-1/2 [y,y]) = [y,w], which is exactly ad(y) on the source
     assert dphi.values["w"] == y.bracket(w)
@@ -67,7 +67,7 @@ def test_der_differential_on_contractible_pair():
 def test_der_differential_vanishes_for_zero_differentials(s4):
     other = make_sphere_model(2)
     psi = zero_morphism(other, s4)
-    theta = extend_derivation(psi, 1, {"x": s4.algebra.gen("u3") * 0})
+    theta = GenDerivation(psi, 1, {"x": s4.algebra.gen("u3") * 0})
     assert theta.differential().is_zero()
 
 
@@ -105,7 +105,7 @@ def test_induced_derivation_of_pinch_adjoint_is_zero(pinch):
 
 
 def test_induced_derivation_of_zero(pinch):
-    theta = extend_derivation(pinch, 3, {})
+    theta = GenDerivation(pinch, 3, {})
     assert induced_derivation(theta).is_zero()
 
 
@@ -121,7 +121,7 @@ def test_induced_derivation_of_boundary_is_zero():
 
 def test_induced_derivation_requires_cycle():
     src, dst, incl = make_contractible_pair()
-    theta = extend_derivation(incl, 1, {"w": dst.algebra.gen("y")})
+    theta = GenDerivation(incl, 1, {"w": dst.algebra.gen("y")})
     # D(theta)(w) = d(y) = w != 0, not a cycle
     with pytest.raises(PreconditionError):
         induced_derivation(theta)
@@ -132,19 +132,19 @@ def test_der_bracket_squares():
     model = make_cp2_model()
     ident = DglMorphism.identity(model)
     alg = model.algebra
-    odd = extend_derivation(ident, 2, {"x1": alg.gen("x3")})
+    odd = GenDerivation(ident, 2, {"x1": alg.gen("x3")})
     sq = der_bracket(odd, odd)
     for g in ("x1", "x3"):
         assert sq.values[g] == 2 * odd(odd.values[g])
-    even = extend_derivation(ident, 4, {"x1": alg.gen("x1").bracket(alg.gen("x1")).bracket(alg.gen("x3"))})
+    even = GenDerivation(ident, 4, {"x1": alg.gen("x1").bracket(alg.gen("x1")).bracket(alg.gen("x3"))})
     assert der_bracket(even, even).is_zero()
 
 
 def test_der_bracket_with_zero(pinch):
     model = make_cp2_model()
     ident = DglMorphism.identity(model)
-    theta = extend_derivation(ident, 2, {"x1": model.algebra.gen("x3")})
-    zero = extend_derivation(ident, 1, {})
+    theta = GenDerivation(ident, 2, {"x1": model.algebra.gen("x3")})
+    zero = GenDerivation(ident, 1, {})
     assert der_bracket(theta, zero).is_zero()
 
 
@@ -290,8 +290,6 @@ def test_word_evaluators_match_tensor_oracle(seed):
     # d, morphisms and derivations along psi against their letter-by-letter
     # extensions to the tensor algebra, on every basis word up to N
     import random
-
-    from dglcalc.derivations import GenDerivation
 
     from . import oracles
 

@@ -8,8 +8,8 @@ from dglcalc import (
     DglModel,
     DglMorphism,
     FreeLieAlgebra,
+    GenDerivation,
     PreconditionError,
-    extend_derivation,
     zero_morphism,
 )
 
@@ -31,7 +31,7 @@ def test_differential_extends_by_leibniz(cp2):
 
 def test_zero_values_give_zero_evaluator(cp2, s4):
     psi = zero_morphism(cp2, s4)
-    theta = extend_derivation(psi, 2, {})
+    theta = GenDerivation(psi, 2, {})
     e = cp2.algebra.gen("x1").bracket(cp2.algebra.gen("x3"))
     assert theta(e).is_zero()
 
@@ -44,7 +44,7 @@ def test_suspension_derivation_rule():
     dst_alg = FreeLieAlgebra([("w", 2), ("v", n - 1), ("w'", 2 + n)], truncation=12)
     dst = DglModel(dst_alg, {})
     lam = DglMorphism(src, dst, {"w": dst_alg.gen("w")})
-    s = extend_derivation(lam, n, {"w": dst_alg.gen("w'")})
+    s = GenDerivation(lam, n, {"w": dst_alg.gen("w'")})
     w = src_alg.gen("w")
     wd, wp = dst_alg.gen("w"), dst_alg.gen("w'")
     expected = wp.bracket(wd) + ((-1) ** (n * 2)) * wd.bracket(wp)
@@ -55,7 +55,7 @@ def test_inhomogeneous_value_rejected(cp2, s4):
     psi = zero_morphism(cp2, s4)
     # a degree-1 derivation must send x1 to a degree-2 value; u3 has degree 3
     with pytest.raises(PreconditionError):
-        extend_derivation(psi, 1, {"x1": s4.algebra.gen("u3")})
+        GenDerivation(psi, 1, {"x1": s4.algebra.gen("u3")})
 
 
 def test_validate_cp2(cp2):

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dglcalc import (
@@ -7,16 +9,16 @@ from dglcalc import (
     DglMorphism,
     EvaluationContext,
     FreeLieAlgebra,
+    GenDerivation,
     adjoint,
-    assemble_les,
-    extend_derivation,
-    rel_of_adjoint,
     zero_morphism,
 )
 from dglcalc.complexes import DglComplex
 from dglcalc.derivations import DerComplex
 from dglcalc import linalg
+from dglcalc.modelfile import parse_workspace
 
+from . import oracles
 from .conftest import make_contractible_pair, make_sphere_model
 from .helpers import random_validated_morphism
 
@@ -90,7 +92,7 @@ def test_contractible_pair_star_boundary_identity():
     rel_star = ctx.rel_star
     image = ctx.pair_map((y, w))
     assert image[1].is_zero()  # ad(w) = 0 since |w| is even and L(w) abelian
-    phi = extend_derivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
+    phi = GenDerivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
     assert phi.differential() == image[0]
     # and at the vector level the image is a boundary of Rel(psi_star)
     m = 3
@@ -116,7 +118,7 @@ def test_rel_star_delta_squared_zero_on_pinch(pinch):
 def test_inclusion_is_anti_chain_map():
     # delta o J = -J o d_W, exactly as stated, not plain chain commutation
     psi = random_validated_morphism(11)
-    rel = rel_of_adjoint(psi)
+    rel = EvaluationContext(psi).rel_ad
     W = rel.W
     for n in range(1, 4):
         if not (rel.complete(n) and W.complete(n) and rel.complete(n - 1)):
@@ -134,7 +136,7 @@ def test_inclusion_is_anti_chain_map():
 
 def test_projection_kills_inclusion():
     psi = random_validated_morphism(13)
-    rel = rel_of_adjoint(psi)
+    rel = EvaluationContext(psi).rel_ad
     n = 2
     if rel.complete(n):
         for j in range(rel.W.dim(n)):
@@ -143,7 +145,7 @@ def test_projection_kills_inclusion():
 
 def test_les_of_identity_morphism():
     model = make_sphere_model(2, truncation=8)
-    report = assemble_les(DglMorphism.identity(model), range(1, 4))
+    report = EvaluationContext(DglMorphism.identity(model)).les(range(1, 4))
     assert report.trusted_nodes()
     assert report.all_exact
 
@@ -153,7 +155,7 @@ def test_les_degenerate_for_empty_target():
     empty = DglModel(FreeLieAlgebra([], truncation=6), {})
     psi = zero_morphism(src, empty)
     # K = 0: H_{n+1}(Rel) = H_n(V) via P, so exactness holds trivially
-    report = assemble_les(psi, range(1, 4))
+    report = EvaluationContext(psi).les(range(1, 4))
     assert report.all_exact
 
 
@@ -161,7 +163,53 @@ def test_les_degenerate_for_empty_target():
 @given(st.integers(min_value=0, max_value=4000))
 def test_les_exact_on_random_morphisms(seed):
     psi = random_validated_morphism(seed, max_gens=3, truncation=7)
-    report = assemble_les(psi, range(1, 5))
+    report = EvaluationContext(psi).les(range(1, 5))
     assert report.trusted_nodes(), "window should contain trusted nodes"
     for node in report.trusted_nodes():
         assert node.exact, node
+
+
+# -- the cone's LES maps against the object-level assembly --------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_MAPS = (
+    ("contractible_pair.dgl", "i"),
+    ("cp2_to_s4.dgl", "f"),
+    ("homotopy_demo.dgl", "start"),
+    ("homotopy_demo.dgl", "end"),
+    ("one_cell_attachment.dgl", "i"),
+    ("s3_into_s3xs3.dgl", "j"),
+)
+
+
+def _assert_les_matches_oracle(psi, degrees):
+    report = EvaluationContext(psi).les(degrees)
+    expected = oracles.les_by_objects(
+        DglComplex(psi.target), DerComplex(psi), lambda y: adjoint(psi, y), degrees
+    )
+    assert report.trusted_nodes()
+    assert report.nodes == expected.nodes
+
+
+@pytest.mark.parametrize("path, name", FIXTURE_MAPS)
+def test_les_matches_object_oracle_on_fixture_maps(path, name):
+    psi = parse_workspace((FIXTURES / path).read_text(), truncation=10).map(name)
+    tops = EvaluationContext(psi).computable_tops()
+    assert tops
+    _assert_les_matches_oracle(psi, [t - 1 for t in tops])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=4000))
+def test_les_matches_object_oracle_on_random_morphisms(seed):
+    psi = random_validated_morphism(seed, max_gens=3, truncation=7)
+    _assert_les_matches_oracle(psi, range(1, 5))
+
+
+def test_cone_les_maps_are_computed_once():
+    _, _, incl = make_contractible_pair()
+    rel = EvaluationContext(incl).rel
+    for n in range(1, 5):
+        assert rel.phi_star(n) is rel.phi_star(n)
+        assert rel.j_star(n) is rel.j_star(n)
+        assert rel.p_star(n) is rel.p_star(n)

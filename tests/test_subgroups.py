@@ -46,25 +46,25 @@ F = Fraction
 
 def test_gottlieb_s3_full_in_degree_3():
     model = make_sphere_model(2)  # S^3
-    report = gottlieb(model, 3)
+    report = gottlieb(model, [3])[0]
     assert report.dimension == 1 and report.full
 
 
 def test_gottlieb_s2():
     model = make_sphere_model(1)  # S^2
-    assert gottlieb(model, 2).dimension == 0
-    g3 = gottlieb(model, 3)
+    assert gottlieb(model, [2])[0].dimension == 0
+    g3 = gottlieb(model, [3])[0]
     assert g3.dimension == 1
     x = model.algebra.gen("x")
     assert g3.representatives[0] == x.bracket(x)
     # nothing else in the window
     for top in range(4, 9):
-        assert gottlieb(model, top).dimension == 0
+        assert gottlieb(model, [top])[0].dimension == 0
 
 
 def test_gottlieb_of_empty_model():
     empty = DglModel(FreeLieAlgebra([], truncation=8), {})
-    assert gottlieb(empty, 3).dimension == 0
+    assert gottlieb(empty, [3])[0].dimension == 0
 
 
 # -- evaluation subgroups ----------------------------------------------------------
@@ -223,7 +223,7 @@ def test_gottlieb_equals_evaluation_along_identity():
     for model in (make_sphere_model(1), make_sphere_model(2), make_cp2_model()):
         ident = DglMorphism.identity(model)
         for top in range(2, 7):
-            g = gottlieb(model, top)
+            g = gottlieb(model, [top])[0]
             e = evaluation_subgroup(ident, top)
             assert g.dimension == e.dimension
             assert [r.terms for r in g.representatives] == [
@@ -345,6 +345,35 @@ def test_g_sequence_builds_each_differential_once(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
+    # the evaluation kernel, the image that g_vs_p intersects and the LES all
+    # read H(ad_psi): H(K) -> H(Der(L,K;psi)) from the adjoint cone
+    import sys
+
+    from dglcalc import complexes
+
+    original = complexes.induced_matrix
+    calls = []
+
+    def counted(src, n_src, dst, n_dst, fn):
+        calls.append((src, n_src, dst))
+        return original(src, n_src, dst, n_dst, fn)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dglcalc") and getattr(module, "induced_matrix", None) is original:
+            monkeypatch.setattr(module, "induced_matrix", counted)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cp2_to_s4.dgl"
+    psi = parse_workspace(fixture.read_text(), truncation=10).map("f")
+    ctx = EvaluationContext(psi)
+    tops = ctx.computable_tops()
+    for top in tops:
+        ctx.evaluation_subgroup(top)
+        ctx.g_vs_p(top)
+    ctx.les([top - 1 for top in tops])
+    degrees = [n for src, n, dst in calls if src is ctx.cK and dst is ctx.der_LK]
+    assert sorted(degrees) == sorted(set(degrees)) == [top - 1 for top in tops]
+
+
 def test_evaluation_context_is_freed_without_the_cycle_collector():
     # nothing the context keeps may refer back to it, or every context and
     # its caches would wait for the cyclic garbage collector
@@ -355,9 +384,10 @@ def test_evaluation_context_is_freed_without_the_cycle_collector():
     try:
         ctx = EvaluationContext(psi)
         ctx.g_sequence([3])
-        refs = (weakref.ref(ctx), weakref.ref(ctx.rel_star))
+        ctx.les([2, 3])
+        refs = (weakref.ref(ctx), weakref.ref(ctx.rel_star), weakref.ref(ctx.rel_ad))
         del ctx
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
     finally:
         if enabled:
             gc.enable()
