@@ -61,12 +61,12 @@ def audit_products(cfg: Config):
             failures.append((seed, "d^2"))
             continue
         wedge = sphere_wedge_model(spheres, truncation=base.truncation)
-        cx = DglComplex(pm.model)
+        cx, wedge_cx, base_cx = DglComplex(pm.model), DglComplex(wedge), DglComplex(base)
         for n in range(1, pm.model.truncation):
             if not cx.complete(n + 1):
                 break
-            lhs = pm.model.homology([n]).dims()[n]
-            rhs = wedge.homology([n]).dims()[n] + base.homology([n]).dims()[n]
+            lhs = cx.homology(n).dim
+            rhs = wedge_cx.homology(n).dim + base_cx.homology(n).dim
             if lhs != rhs:
                 failures.append((seed, n, lhs, rhs))
     print(f"product models: {cfg.products} checked, {len(failures)} failures")

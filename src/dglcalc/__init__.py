@@ -14,16 +14,9 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .lie import DegreeBasis, FreeLieAlgebra, Generator, LieElement, coordinates
+from .lie import FreeLieAlgebra, Generator, LieElement
 from .model import DglModel, DglMorphism, ValidationReport, zero_morphism
-from .derivations import (
-    DerComplex,
-    GenDerivation,
-    adjoint,
-    der_bracket,
-    der_homology,
-    induced_derivation,
-)
+from .derivations import DerComplex, GenDerivation, adjoint
 from .complexes import DglComplex, HomologyReport
 from .relative import LesReport, RelComplex, assemble_les_of_chain_map
 from .subgroups import (
@@ -34,21 +27,13 @@ from .subgroups import (
     SubspaceReport,
     coformal_bounding_derivation,
     coformal_check,
-    evaluation_subgroup,
-    g_sequence,
-    g_vs_p,
     gottlieb,
-    omega_homology,
-    rel_evaluation_subgroup,
-    whitehead_center,
 )
 from .constructions import (
     CylinderModel,
     HomotopyReport,
-    LinearizationReport,
     ProductModel,
     cylinder,
-    linearization,
     product_model,
     sphere_wedge_model,
     verify_homotopy,
@@ -62,11 +47,9 @@ __all__ = [
     "PreconditionError",
     "TruncationError",
     "ValidationError",
-    "DegreeBasis",
     "FreeLieAlgebra",
     "Generator",
     "LieElement",
-    "coordinates",
     "DglModel",
     "DglMorphism",
     "ValidationReport",
@@ -74,9 +57,6 @@ __all__ = [
     "DerComplex",
     "GenDerivation",
     "adjoint",
-    "der_bracket",
-    "der_homology",
-    "induced_derivation",
     "DglComplex",
     "HomologyReport",
     "LesReport",
@@ -89,19 +69,11 @@ __all__ = [
     "SubspaceReport",
     "coformal_bounding_derivation",
     "coformal_check",
-    "evaluation_subgroup",
-    "g_sequence",
-    "g_vs_p",
     "gottlieb",
-    "omega_homology",
-    "rel_evaluation_subgroup",
-    "whitehead_center",
     "CylinderModel",
     "HomotopyReport",
-    "LinearizationReport",
     "ProductModel",
     "cylinder",
-    "linearization",
     "product_model",
     "sphere_wedge_model",
     "verify_homotopy",

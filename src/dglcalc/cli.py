@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 
+from .complexes import DglComplex
 from .constructions import cylinder, product_model, verify_homotopy
 from .derivations import DerComplex, GenDerivation
 from .errors import ParseError, PreconditionError, TruncationError, ValidationError
@@ -132,7 +133,7 @@ def cmd_homology(ws: Workspace, args):
     model = ws.model(args.name)
     default = range(2, model.truncation + 1)  # topological
     tops = _parse_degrees(args, default)
-    report = model.homology([t - 1 for t in tops if t - 1 >= 1])
+    report = DglComplex(model).homology_report([t - 1 for t in tops if t - 1 >= 1])
     degrees = []
     for n, s in sorted(report.slices.items()):
         degrees.append(

@@ -240,39 +240,3 @@ class DglComplex(ChainComplex):
             raise InternalError("degree mismatch while vectorising an element")
         index = self.record(n).index
         return {index[w]: c for w, c in obj.terms.items()}
-
-
-def model_homology(model: DglModel, degrees) -> HomologyReport:
-    return DglComplex(model).homology_report(degrees)
-
-
-def model_is_boundary(model: DglModel, cycle: LieElement) -> Optional[LieElement]:
-    """A preimage of a cycle under d, or None.
-
-    On a bigraded model with an upper-homogeneous cycle of upper degree i the
-    solve is first restricted to the upper-degree-(i+1) slice of the sources,
-    matching the degreewise construction used by the coformal machinery.
-    """
-    if not model.d(cycle).is_zero():
-        raise PreconditionError("is_boundary requires a cycle")
-    if cycle.is_zero():
-        return model.algebra.zero(cycle.degree + 1)
-    n = cycle.degree + 1
-    if n > model.truncation:
-        raise TruncationError("preimage degree exceeds the truncation degree")
-    cx = DglComplex(model)
-    target = cx.to_vector(cycle.degree, cycle)
-    words = cx.record(n).labels
-    cols = cx.columns(n)
-    if model.bigraded:
-        upper = cycle.upper_degree()
-        if upper is not None:
-            idx = [i for i, w in enumerate(words) if model.algebra.word_upper(w) == upper + 1]
-            sol = linalg.solve_columns([cols[i] for i in idx], target)
-            if sol is not None:
-                vec = {idx[i]: c for i, c in sol.items()}
-                return cx.from_vector(n, vec)
-    sol = linalg.solve_columns(cols, target)
-    if sol is None:
-        return None
-    return cx.from_vector(n, sol)

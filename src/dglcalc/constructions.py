@@ -1,4 +1,4 @@
-"""Product models, linearization, cylinder objects and homotopy verification.
+"""Product models, cylinder objects and homotopy verification.
 
 The product construction attaches to a minimal model L(W; d) one generator v
 of degree n-1 per sphere factor and a shifted copy W' = s^n W, with
@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Optional
+from typing import Mapping
 
-from . import linalg
-from .complexes import ChainComplex, DglComplex, induced_matrix
 from .derivations import GenDerivation
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import FreeLieAlgebra, Generator, LieElement
@@ -110,118 +108,6 @@ def sphere_wedge_model(spheres, truncation: int) -> DglModel:
     for i, n in enumerate(spheres):
         gens.append((("v" if len(spheres) == 1 else f"v{i + 1}"), n - 1))
     return DglModel(FreeLieAlgebra(gens, truncation=truncation), {}, name="wedge")
-
-
-# -- linearization ----------------------------------------------------------------
-
-
-@dataclass
-class LinearizationReport:
-    source_linear_homology: dict
-    target_linear_homology: dict
-    linear_quasi_iso: bool
-    full_quasi_iso: Optional[bool]
-    window: list
-
-    @property
-    def verdicts_agree(self) -> bool:
-        return self.full_quasi_iso is None or self.linear_quasi_iso == self.full_quasi_iso
-
-
-class _LinearComplex(ChainComplex):
-    """The generator span of a free model with the linear part of d.
-
-    The generating space is finite, so every degree is complete and the
-    homology verdict is global.  Basis labels are generator indices.
-    """
-
-    def __init__(self, model: DglModel):
-        super().__init__()
-        self.model = model
-        self.by_degree = {}
-        for i, g in enumerate(model.generators):
-            self.by_degree.setdefault(g.degree, []).append(i)
-        self.max_degree = max(self.by_degree, default=0)
-
-    def complete(self, n):
-        return True
-
-    def labels(self, n):
-        return self.by_degree.get(n, [])
-
-    def d_columns(self, n):
-        gens, index = self.model.generators, self.record(n - 1).index
-        return [
-            _linear_column(self.model.diff_of(gens[gi].name), index)
-            for gi in self.record(n).labels
-        ]
-
-
-def _linear_column(element: LieElement, index: dict) -> dict:
-    """The linear part of an element, over the generator positions in `index`."""
-    return {index[word[0]]: c for word, c in element.linear_part().terms.items()}
-
-
-def linear_part_map(phi: DglMorphism):
-    """Per-degree columns of the linearization of a morphism."""
-    src = _LinearComplex(phi.source)
-    dst = _LinearComplex(phi.target)
-    gens = phi.source.generators
-    cols_by_degree = {
-        n: [_linear_column(phi.values[gens[gi].name], dst.record(n).index) for gi in basis]
-        for n, basis in src.by_degree.items()
-    }
-    return src, dst, cols_by_degree
-
-
-def linearization(phi: DglMorphism) -> LinearizationReport:
-    """Linear chain map between generator spans, with quasi-iso verdicts.
-
-    The linear verdict is exact and global; the full verdict is computed on
-    the trusted window of the two models and cross-checked against it.
-    """
-    src, dst, cols_by_degree = linear_part_map(phi)
-    top = max(src.max_degree, dst.max_degree) + 1
-    linear_ok = True
-    src_h, dst_h = {}, {}
-    for n in range(1, top + 1):
-        hs = src.homology(n).rep_rows
-        hd = dst.homology(n)
-        src_h[n] = len(hs)
-        dst_h[n] = hd.dim
-        # induced map on linear homology
-        cols = cols_by_degree.get(n, [])
-        image_classes = []
-        for row in hs:
-            residual, _ = hd.boundaries.reduce(linalg.combine(row, cols))
-            image_classes.append(residual)
-        rk = linalg.rank(image_classes)
-        if rk != len(hs) or len(hs) != hd.dim:
-            linear_ok = False
-    # full quasi-isomorphism test on the trusted window
-    csrc = DglComplex(phi.source)
-    cdst = DglComplex(phi.target)
-    window = [
-        n
-        for n in range(1, min(phi.source.truncation, phi.target.truncation))
-        if csrc.complete(n + 1) and cdst.complete(n + 1)
-    ]
-    full_ok: Optional[bool] = None
-    if window:
-        full_ok = True
-        for n in window:
-            hs = csrc.homology(n)
-            hd = cdst.homology(n)
-            cols = induced_matrix(csrc, n, cdst, n, phi.apply)
-            if hs.dim != hd.dim or linalg.rank(cols) != hs.dim:
-                full_ok = False
-    return LinearizationReport(
-        source_linear_homology=src_h,
-        target_linear_homology=dst_h,
-        linear_quasi_iso=linear_ok,
-        full_quasi_iso=full_ok,
-        window=window,
-    )
 
 
 # -- cylinder objects ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .complexes import ChainComplex, HomologyReport, induced_matrix
+from .complexes import ChainComplex
 from .errors import PreconditionError, TruncationError
 from .lie import LieElement
 from .model import DglMorphism, DglModel, Leibniz
@@ -72,9 +72,6 @@ class GenDerivation:
                 self.source.diff_of(g.name)
             )
         return GenDerivation(self.along, self.degree - 1, values)
-
-    def is_cycle(self) -> bool:
-        return self.differential().is_zero()
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values.values())
@@ -131,20 +128,6 @@ def adjoint(psi: DglMorphism, y: LieElement) -> GenDerivation:
     return GenDerivation(psi, y.degree, values)
 
 
-def der_bracket(t1: GenDerivation, t2: GenDerivation) -> GenDerivation:
-    """Commutator bracket on derivations along the identity."""
-    for t in (t1, t2):
-        if t.along.source is not t.along.target:
-            raise PreconditionError("der_bracket requires derivations along the identity")
-    if t1.along.source is not t2.along.source:
-        raise PreconditionError("derivations live on different models")
-    sign = -1 if (t1.degree * t2.degree) % 2 else 1
-    values = {}
-    for g in t1.source.generators:
-        values[g.name] = t1.apply(t2.values[g.name]) - sign * t2.apply(t1.values[g.name])
-    return GenDerivation(t1.along, t1.degree + t2.degree, values)
-
-
 class DerComplex(ChainComplex):
     """The DG vector space of derivations along a fixed morphism."""
 
@@ -199,44 +182,3 @@ class DerComplex(ChainComplex):
             )
             cols.append(self.to_vector(n - 1, theta.differential()))
         return cols
-
-
-def der_homology(psi: DglMorphism, degrees) -> HomologyReport:
-    """Homology of the derivation complex along a morphism."""
-    return DerComplex(psi).homology_report(degrees)
-
-
-class InducedDerivation:
-    """The homology-level derivation induced by a derivation cycle.
-
-    Tabulates, for each source homology class within the checkable window,
-    the class of the image in the target homology.
-    """
-
-    def __init__(self, theta: GenDerivation):
-        if not theta.is_cycle():
-            raise PreconditionError("induced_derivation requires a D-cycle")
-        from .complexes import DglComplex
-
-        self.theta = theta
-        self.src = DglComplex(theta.source)
-        self.dst = DglComplex(theta.target)
-        n = theta.degree
-        trunc = min(self.src.trunc, self.dst.trunc)
-        self.checked_degrees = [
-            j for j in range(1, trunc + 1) if j + 1 <= self.src.trunc and j + n + 1 <= self.dst.trunc and j + n >= 1
-        ]
-        self.table = {}
-        for j in self.checked_degrees:
-            cols = induced_matrix(self.src, j, self.dst, j + n, theta.apply)
-            self.table[j] = cols
-
-    def on_class(self, degree: int, index: int) -> dict:
-        return self.table[degree][index]
-
-    def is_zero(self) -> bool:
-        return all(not col for cols in self.table.values() for col in cols)
-
-
-def induced_derivation(theta: GenDerivation) -> InducedDerivation:
-    return InducedDerivation(theta)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import InternalError, PreconditionError, TruncationError
 
@@ -238,10 +238,6 @@ class FreeLieAlgebra:
 
     # -- public API ----------------------------------------------------------
 
-    def degree_basis(self, degree: int) -> "DegreeBasis":
-        data = self._basis_data(degree)
-        return DegreeBasis(algebra=self, degree=degree, words=tuple(data.words))
-
     def dim(self, degree: int) -> int:
         if degree < 1:
             return 0
@@ -280,44 +276,6 @@ class FreeLieAlgebra:
         tb, db = self._integral_tensor(b)
         out = self.from_tensor(degree, _commutator(ta, tb, sign))
         return out if da * db == 1 else out * Fraction(1, da * db)
-
-    def element_from_coords(self, degree: int, coords: Sequence) -> "LieElement":
-        words = self._basis_data(degree).words
-        if len(coords) != len(words):
-            raise PreconditionError("coordinate vector has the wrong length")
-        terms = {w: Fraction(c) for w, c in zip(words, coords) if c}
-        return LieElement(self, degree, terms)
-
-
-@dataclass(frozen=True)
-class DegreeBasis:
-    """Deterministic ordered basis of one degree of a free graded Lie algebra."""
-
-    algebra: FreeLieAlgebra
-    degree: int
-    words: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.words)
-
-    @property
-    def monomials(self) -> tuple:
-        return tuple(self.algebra.word_names(w) for w in self.words)
-
-    def elements(self) -> tuple:
-        return tuple(
-            LieElement(self.algebra, self.degree, {w: Fraction(1)}) for w in self.words
-        )
-
-
-def coordinates(element: "LieElement", basis: DegreeBasis) -> list:
-    """Coordinate vector of a canonical element over a degree basis."""
-    if element.algebra is not basis.algebra:
-        raise PreconditionError("element and basis belong to different algebras")
-    if not element.is_zero() and element.degree != basis.degree:
-        raise PreconditionError("element degree does not match basis degree")
-    return [element.terms.get(w, Fraction(0)) for w in basis.words]
 
 
 class LieElement:

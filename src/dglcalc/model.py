@@ -163,18 +163,6 @@ class DglModel:
                     )
         return ValidationReport(d_squared_ok=d2_ok, minimal=minimal, bigraded_ok=bigraded_ok, problems=problems)
 
-    # -- homology (delegates to the chain complex engine) ---------------------
-
-    def homology(self, degrees):
-        from .complexes import model_homology
-
-        return model_homology(self, degrees)
-
-    def is_boundary(self, cycle: LieElement):
-        from .complexes import model_is_boundary
-
-        return model_is_boundary(self, cycle)
-
     def __eq__(self, other):
         if not isinstance(other, DglModel):
             return NotImplemented

@@ -23,6 +23,7 @@ relative evaluation subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg
@@ -84,7 +85,7 @@ class RelComplex(ChainComplex):
             cols.append(self.join(n - 1, {k: -c for k, c in col.items()}, {}))
         dV = self.V.columns(n - 1)
         for j in range(self.V.dim(n - 1)):
-            vobj = self.V.from_vector(n - 1, {j: linalg.Fraction(1)})
+            vobj = self.V.from_vector(n - 1, {j: Fraction(1)})
             wpart = self.W.to_vector(n - 1, self.phi(vobj))
             cols.append(self.join(n - 1, wpart, dV[j]))
         return cols

@@ -350,13 +350,6 @@ class EvaluationContext:
             )
         return GSequenceReport(terms=terms)
 
-    def omega_homology(self, tops) -> dict:
-        report = self.g_sequence(tops)
-        return {
-            n: (t.omega_dim, t.trusted, t.low_degree_caveat)
-            for n, t in report.terms.items()
-        }
-
     # -- degree windows ----------------------------------------------------------
 
     def _g_sequence_degree_ok(self, top: int, predicate) -> bool:
@@ -405,30 +398,6 @@ def gottlieb(model: DglModel, tops) -> list:
     """Gottlieb subgroups, one report per top: evaluation subgroups along the identity."""
     ctx = EvaluationContext(DglMorphism.identity(model))
     return [ctx.evaluation_subgroup(top) for top in tops]
-
-
-def evaluation_subgroup(psi: DglMorphism, top: int) -> SubspaceReport:
-    return EvaluationContext(psi).evaluation_subgroup(top)
-
-
-def whitehead_center(psi: DglMorphism, top: int) -> SubspaceReport:
-    return EvaluationContext(psi).whitehead_center(top)
-
-
-def g_vs_p(psi: DglMorphism, top: int) -> GvpReport:
-    return EvaluationContext(psi).g_vs_p(top)
-
-
-def rel_evaluation_subgroup(psi: DglMorphism, top: int) -> SubspaceReport:
-    return EvaluationContext(psi).rel_evaluation_subgroup(top)
-
-
-def g_sequence(psi: DglMorphism, tops) -> GSequenceReport:
-    return EvaluationContext(psi).g_sequence(tops)
-
-
-def omega_homology(psi: DglMorphism, tops) -> dict:
-    return EvaluationContext(psi).omega_homology(tops)
 
 
 # -- coformality ------------------------------------------------------------------

@@ -30,7 +30,6 @@ from dglcalc.modelfile import parse_workspace
 from dglcalc.subgroups import (
     EvaluationContext,
     coformal_bounding_derivation,
-    evaluation_subgroup,
     gottlieb,
 )
 
@@ -190,12 +189,12 @@ def test_criterion_6_product_model_correctness():
             report = pm.model.validate()
             assert report.d_squared_ok and report.minimal, seed
             wedge = sphere_wedge_model(spheres, truncation=base.truncation)
-            cx = DglComplex(pm.model)
+            cx, wedge_cx, base_cx = DglComplex(pm.model), DglComplex(wedge), DglComplex(base)
             for n in range(1, pm.model.truncation):
                 if not cx.complete(n + 1):
                     break
-                lhs = pm.model.homology([n]).dims()[n]
-                rhs = wedge.homology([n]).dims()[n] + base.homology([n]).dims()[n]
+                lhs = cx.homology(n).dim
+                rhs = wedge_cx.homology(n).dim + base_cx.homology(n).dim
                 assert lhs == rhs, (seed, n, lhs, rhs)
 
 
@@ -206,7 +205,7 @@ def test_criterion_6_emitted_cp2_product_homology():
                           "--spheres", "2", "--max-degree", "10", "--emit"])
         assert code == 0
         ws = parse_workspace(out["model_text"], truncation=10)
-        report = ws.model("CP2_product").homology(range(1, 10))
+        report = DglComplex(ws.model("CP2_product")).homology_report(range(1, 10))
     # H_n = pi_{n+1}(CP2) + pi_{n+1}(S^2) (x1 and v, [v,v], then CP2's 5-class)
     assert report.dims() == {1: 2, 2: 1, 3: 0, 4: 1, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0}
     assert all(s.trusted for s in report.slices.values())
@@ -243,7 +242,7 @@ def test_criterion_7_cylinder_invariants():
 
 
 def test_criterion_8_free_lie_oracle():
-    """degree_basis dimensions match the tensor-algebra brute-force rank."""
+    """Free-Lie basis dimensions match the tensor-algebra brute-force rank."""
     from . import oracles
 
     with Budget("8 (free-Lie oracle equivalence)", 30.0):
@@ -278,7 +277,7 @@ def test_criterion_8_free_lie_oracle():
         for degrees in fixture_sets + random_sets:
             alg = FreeLieAlgebra(list(degrees.items()), truncation=8)
             for n in range(1, 9):
-                assert alg.degree_basis(n).dimension == oracles.lie_dim(degrees, n), (
+                assert alg.dim(n) == oracles.lie_dim(degrees, n), (
                     degrees,
                     n,
                 )
@@ -301,12 +300,12 @@ def test_criterion_9_classical_sanity():
         for path in sorted(FIXTURES.glob("*.dgl")):
             ws = parse_workspace(path.read_text(), truncation=12)
             for model in ws.models.values():
-                ident = DglMorphism.identity(model)
-                tops = [t for t in EvaluationContext(ident).computable_tops() if t <= 6]
+                ctx = EvaluationContext(DglMorphism.identity(model))
+                tops = [t for t in ctx.computable_tops() if t <= 6]
                 assert tops, (path.name, model.name)
                 for top in tops:
                     a = gottlieb(model, [top])[0]
-                    b = evaluation_subgroup(ident, top)
+                    b = ctx.evaluation_subgroup(top)
                     assert a.dimension == b.dimension, (path.name, model.name, top)
                     assert [r.terms for r in a.representatives] == [
                         r.terms for r in b.representatives

@@ -12,7 +12,6 @@ from dglcalc.complexes import DglComplex
 from dglcalc.constructions import (
     cylinder,
     exp_automorphism,
-    linearization,
     product_model,
     sphere_wedge_model,
     verify_homotopy,
@@ -20,7 +19,7 @@ from dglcalc.constructions import (
 from dglcalc.derivations import adjoint
 
 from . import oracles
-from .conftest import make_contractible_pair, make_cp2_model, make_sphere_model
+from .conftest import make_cp2_model, make_sphere_model
 from .helpers import random_model
 
 F = Fraction
@@ -42,7 +41,7 @@ def test_product_s2_x_s3():
     alg = model.algebra
     assert model.diff_of("x'") == alg.gen("v").bracket(alg.gen("x"))
     # homology through the window: degree 1 (v), degree 2 (x and [v,v])
-    dims = model.homology(range(1, 7)).dims()
+    dims = DglComplex(model).homology_report(range(1, 7)).dims()
     assert dims[1] == 1 and dims[2] == 2
     assert dims[3] == 0 and dims[4] == 0 and dims[5] == 0 and dims[6] == 0
 
@@ -74,12 +73,12 @@ def test_product_model_homology_additivity():
     base = make_sphere_model(2, truncation=9)
     pm = product_model(base, [3])
     wedge = sphere_wedge_model([3], truncation=9)
-    prod_cx = DglComplex(pm.model)
+    prod_cx, wedge_cx, base_cx = DglComplex(pm.model), DglComplex(wedge), DglComplex(base)
     for n in _homology_window(pm.model):
         if not prod_cx.complete(n + 1):
             break
-        expected = wedge.homology([n]).dims()[n] + base.homology([n]).dims()[n]
-        assert pm.model.homology([n]).dims()[n] == expected
+        expected = wedge_cx.homology(n).dim + base_cx.homology(n).dim
+        assert prod_cx.homology(n).dim == expected
 
 
 def test_suspension_derivation_identity():
@@ -97,43 +96,9 @@ def test_is_boundary_in_product_model():
     pm = product_model(base, [2])
     alg = pm.model.algebra
     cycle = alg.gen("v").bracket(alg.gen("b"))
-    pre = pm.model.is_boundary(cycle)
-    assert pre == alg.gen("b'")
-
-
-def test_linearization_identity_is_quasi_iso():
-    model = make_cp2_model()
-    report = linearization(DglMorphism.identity(model))
-    assert report.linear_quasi_iso
-    assert report.full_quasi_iso is True
-    assert report.verdicts_agree
-
-
-def test_linearization_projection_of_product_is_quasi_iso():
-    # projecting the product model onto the direct-sum model kills v and w';
-    # on linear parts this is a quasi-isomorphism
-    base = make_sphere_model(2, truncation=8)
-    pm = product_model(base, [2])
-    # direct-sum model: L(v, x) with zero differential is NOT the direct sum,
-    # but the projection onto the base composed with the wedge projection is
-    # covered by the factor projection below.
-    values = {
-        "x": base.algebra.gen("x"),
-        "v": base.algebra.zero(1),
-        "x'": base.algebra.zero(4),
-    }
-    proj = DglMorphism(pm.model, base, values, name="p2")
-    report = linearization(proj)
-    # the projection to one factor is not a quasi-isomorphism (it loses v)
-    assert not report.linear_quasi_iso
-    assert report.verdicts_agree
-
-
-def test_linearization_contractible_inclusion_not_quasi_iso():
-    src, dst, incl = make_contractible_pair()
-    report = linearization(incl)
-    assert not report.linear_quasi_iso
-    assert report.full_quasi_iso is False
+    assert pm.model.d(alg.gen("b'")) == cycle
+    cx = DglComplex(pm.model)
+    assert cx.homology(3).class_coords(cx.to_vector(3, cycle)) == {}
 
 
 def test_cylinder_of_free_model():

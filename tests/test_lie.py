@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dglcalc import FreeLieAlgebra, TruncationError, coordinates
+from dglcalc import FreeLieAlgebra, LieElement, TruncationError
 from dglcalc.errors import InternalError, PreconditionError
 
 from . import oracles
@@ -46,32 +46,20 @@ def test_odd_cube_dies(one_odd):
 
 
 def test_degree_basis_one_odd_generator(one_odd):
-    assert one_odd.degree_basis(2).dimension == 1
-    assert one_odd.degree_basis(2).monomials == (("x", "x"),)
+    assert one_odd.dim(2) == 1
+    assert [one_odd.word_names(w) for w in one_odd.words(2)] == [("x", "x")]
     assert oracles.lie_dim({"x": 1}, 2) == 1
 
 
 def test_degree_basis_one_even_generator(one_even):
-    assert one_even.degree_basis(4).dimension == 0
+    assert one_even.dim(4) == 0
     assert oracles.lie_dim({"a": 2}, 4) == 0
 
 
 def test_degree_basis_two_odd_generators(two_odd):
-    basis = two_odd.degree_basis(2)
-    assert basis.dimension == 3
-    assert basis.monomials == (("x", "x"), ("x", "y"), ("y", "y"))
+    assert two_odd.dim(2) == 3
+    assert [two_odd.word_names(w) for w in two_odd.words(2)] == [("x", "x"), ("x", "y"), ("y", "y")]
     assert oracles.lie_dim({"x": 1, "y": 1}, 2) == 3
-
-
-def test_coordinates_of_zero(two_odd):
-    z = two_odd.zero(2)
-    assert coordinates(z, two_odd.degree_basis(2)) == [F(0)] * 3
-
-
-def test_coordinates_of_basis_monomial(one_odd):
-    x = one_odd.gen("x")
-    basis = one_odd.degree_basis(2)
-    assert coordinates(x.bracket(x), basis) == [F(1)]
 
 
 def test_coordinates_resolve_reordered_brackets(two_odd):
@@ -79,16 +67,12 @@ def test_coordinates_resolve_reordered_brackets(two_odd):
     # 3[x,y] - 2[y,x] reduces to a single unit of the basis monomial [x,y].
     x, y = two_odd.gen("x"), two_odd.gen("y")
     e = 3 * x.bracket(y) - 2 * y.bracket(x)
-    basis = two_odd.degree_basis(2)
     expected = oracles.combo_expand(
         {("x", "y"): 3, ("y", "x"): -2}, {"x": 1, "y": 1}
     )
     got = {two_odd.word_names(w): c for w, c in e.tensor_expansion().items()}
     assert got == expected
-    xy_index = basis.monomials.index(("x", "y"))
-    coords = coordinates(e, basis)
-    assert coords[xy_index] == F(1)
-    assert all(c == 0 for i, c in enumerate(coords) if i != xy_index)
+    assert e.terms == {(two_odd.index("x"), two_odd.index("y")): F(1)}
 
 
 def test_equal_zero_elements_hash_alike(two_odd):
@@ -137,9 +121,8 @@ def algebra_and_elements(draw, count=2, max_degree=4):
     elements = []
     for _ in range(count):
         n = draw(st.integers(min_value=1, max_value=max_degree))
-        basis = alg.degree_basis(n)
-        coords = [draw(st.integers(min_value=-3, max_value=3)) for _ in basis.words]
-        elements.append(alg.element_from_coords(n, coords))
+        terms = {w: draw(st.integers(min_value=-3, max_value=3)) for w in alg.words(n)}
+        elements.append(LieElement(alg, n, terms))
     return alg, elements
 
 
@@ -166,7 +149,7 @@ def test_graded_jacobi(data):
 def test_dimension_matches_tensor_rank_oracle(gens, n):
     alg = FreeLieAlgebra(gens, truncation=8)
     degrees = {name: d for name, d in gens}
-    assert alg.degree_basis(n).dimension == oracles.lie_dim(degrees, n)
+    assert alg.dim(n) == oracles.lie_dim(degrees, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,11 +158,9 @@ def test_coordinates_are_linear(data, s, t):
     alg, (a, b) = data
     if a.degree != b.degree:
         b = alg.zero(a.degree)
-    basis = alg.degree_basis(a.degree)
-    ca = coordinates(a, basis)
-    cb = coordinates(b, basis)
-    combo = coordinates(s * a + t * b, basis)
-    assert combo == [s * x + t * y for x, y in zip(ca, cb)]
+    combo = s * a + t * b
+    for w in alg.words(a.degree):
+        assert combo.terms.get(w, 0) == s * a.terms.get(w, 0) + t * b.terms.get(w, 0)
 
 
 # -- the super-Lyndon basis against left-normed oracles ------------------------
@@ -194,7 +175,7 @@ def test_basis_words_are_the_super_lyndon_words(gens):
     alg = FreeLieAlgebra(gens, truncation=8)
     degrees = dict(gens)
     for n in range(1, 9):
-        got = [alg.word_names(w) for w in alg.degree_basis(n).words]
+        got = [alg.word_names(w) for w in alg.words(n)]
         assert got == oracles.super_lyndon_words(degrees, n), n
 
 
@@ -211,7 +192,7 @@ def test_basis_word_is_least_word_of_its_expansion(gens):
     # P_w has w as its least tensor word, with coefficient 1, or 2 for ww
     alg = FreeLieAlgebra(gens, truncation=8)
     for n in range(1, 9):
-        for w in alg.degree_basis(n).words:
+        for w in alg.words(n):
             e = alg.expansion(w)
             half = w[: len(w) // 2]
             square = len(w) > 1 and w == half + half
@@ -240,7 +221,7 @@ def test_tensor_outside_the_lie_subspace_is_an_internal_error(two_odd):
 
 def test_basis_word_is_the_bracket_of_its_standard_factors():
     alg = FreeLieAlgebra([("x", 1), ("y", 2)], truncation=8)
-    words = [w for n in range(1, 9) for w in alg.degree_basis(n).words]
+    words = [w for n in range(1, 9) for w in alg.words(n)]
     assert "[x,[x,[x,y]]]" in {str(alg.monomial(w)) for w in words}
     for w in words:
         if len(w) > 1:

@@ -1,0 +1,31 @@
+"""Smoke tests: the scripts under scripts/ run against the current package."""
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_fixture_reports():
+    lines = _run("run_fixture_reports.py")
+    assert "  center/evaluation   : dim 1" in lines
+    assert "  G-sequence at degree 3: G=2 G(map)=1 Grel=0 omega=1" in lines
+    assert "  G-sequence at degree 3: G=1 G(map)=0 Grel=0 omega=0" in lines
+    assert "  bounding derivation for <a> found (degree 3)" in lines
+
+
+def test_random_exactness_audit():
+    lines = _run(
+        "random_exactness_audit.py", "--morphisms", "3", "--products", "2", "--truncation", "6"
+    )
+    assert lines[0].startswith("long exact sequence: ") and lines[0].endswith(" 0 failures")
+    assert lines[1] == "product models: 2 checked, 0 failures"

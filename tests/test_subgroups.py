@@ -19,13 +19,7 @@ from dglcalc.subgroups import (
     EvaluationContext,
     coformal_bounding_derivation,
     coformal_check,
-    evaluation_subgroup,
-    g_sequence,
-    g_vs_p,
     gottlieb,
-    omega_homology,
-    rel_evaluation_subgroup,
-    whitehead_center,
 )
 
 from .conftest import (
@@ -71,7 +65,7 @@ def test_gottlieb_of_empty_model():
 
 
 def test_evaluation_subgroup_pinch_degree_4_vanishes(pinch):
-    report = evaluation_subgroup(pinch, 4)
+    report = EvaluationContext(pinch).evaluation_subgroup(4)
     assert report.ambient_dim == 1
     assert report.dimension == 0
 
@@ -80,13 +74,13 @@ def test_evaluation_subgroup_zero_morphism_is_full():
     src = make_cp2_model()
     dst = make_s4_model()
     psi = zero_morphism(src, dst)
-    report = evaluation_subgroup(psi, 4)
+    report = EvaluationContext(psi).evaluation_subgroup(4)
     assert report.full and report.dimension == 1
 
 
 def test_evaluation_subgroup_factor_inclusion_full_in_degree_3():
     _, _, incl = make_factor_inclusion()
-    report = evaluation_subgroup(incl, 3)
+    report = EvaluationContext(incl).evaluation_subgroup(3)
     assert report.ambient_dim == 2
     assert report.dimension == 2
 
@@ -95,7 +89,7 @@ def test_evaluation_subgroup_factor_inclusion_full_in_degree_3():
 
 
 def test_center_pinch_degree_4_is_full(pinch):
-    report = whitehead_center(pinch, 4)
+    report = EvaluationContext(pinch).whitehead_center(4)
     assert report.dimension == 1 and report.full
     u3 = pinch.target.algebra.gen("u3")
     assert report.representatives[0] == u3
@@ -104,22 +98,23 @@ def test_center_pinch_degree_4_is_full(pinch):
 def test_center_identity_on_even_sphere_is_full():
     model = make_sphere_model(2)
     ident = DglMorphism.identity(model)
-    report = whitehead_center(ident, 3)
+    report = EvaluationContext(ident).whitehead_center(3)
     assert report.full and report.dimension == 1
 
 
 def test_center_empty_target(cp2):
     empty = DglModel(FreeLieAlgebra([], truncation=10), {})
     psi = zero_morphism(cp2, empty)
-    assert whitehead_center(psi, 4).dimension == 0
+    assert EvaluationContext(psi).whitehead_center(4).dimension == 0
 
 
 def test_center_contains_evaluation_subgroup_on_fixtures(pinch):
     _, _, incl = make_factor_inclusion()
     for psi in (pinch, incl):
+        ctx = EvaluationContext(psi)
         for top in range(2, 7):
-            ev = evaluation_subgroup(psi, top)
-            ce = whitehead_center(psi, top)
+            ev = ctx.evaluation_subgroup(top)
+            ce = ctx.whitehead_center(top)
             assert ev.dimension <= ce.dimension
 
 
@@ -127,21 +122,22 @@ def test_center_contains_evaluation_subgroup_on_fixtures(pinch):
 
 
 def test_g_vs_p_pinch_quotient_is_one(pinch):
-    report = g_vs_p(pinch, 4)
+    report = EvaluationContext(pinch).g_vs_p(4)
     assert report.quotient_dim == 1
     assert len(report.witness) == 1
 
 
 def test_g_vs_p_vanishes_for_coformal_map():
     _, _, incl = make_factor_inclusion()
+    ctx = EvaluationContext(incl)
     for top in range(2, 7):
-        assert g_vs_p(incl, top).quotient_dim == 0
+        assert ctx.g_vs_p(top).quotient_dim == 0
 
 
 def test_g_vs_p_identity_abelian():
     model = make_sphere_model(2)
     ident = DglMorphism.identity(model)
-    assert g_vs_p(ident, 3).quotient_dim == 0
+    assert EvaluationContext(ident).g_vs_p(3).quotient_dim == 0
 
 
 # -- relative evaluation subgroups ----------------------------------------------------
@@ -168,8 +164,9 @@ def test_rel_subgroup_contractible_pair_witness():
 def test_rel_subgroup_identity_morphism_vanishes():
     model = make_sphere_model(2)
     ident = DglMorphism.identity(model)
+    ctx = EvaluationContext(ident)
     for top in range(2, 6):
-        assert rel_evaluation_subgroup(ident, top).dimension == 0
+        assert ctx.rel_evaluation_subgroup(top).dimension == 0
 
 
 def test_rel_subgroup_pinch_dimensions_match_brute_force(pinch):
@@ -191,7 +188,7 @@ def test_rel_subgroup_pinch_dimensions_match_brute_force(pinch):
 
 def test_g_sequence_coformal_factor_inclusion_omega_vanishes():
     _, _, incl = make_factor_inclusion()
-    report = g_sequence(incl, range(2, 7))
+    report = EvaluationContext(incl).g_sequence(range(2, 7))
     for n, term in report.terms.items():
         assert term.composites_zero
         if term.trusted:
@@ -200,20 +197,14 @@ def test_g_sequence_coformal_factor_inclusion_omega_vanishes():
 
 def test_g_sequence_one_cell_attachment_omega():
     _, _, incl = make_one_cell_attachment()
-    report = g_sequence(incl, [3])
+    report = EvaluationContext(incl).g_sequence([3])
     assert report.terms[3].omega_dim == 1
 
 
 def test_g_sequence_contractible_pair_omega_vanishes():
     _, _, incl = make_contractible_pair()
-    report = g_sequence(incl, [3])
+    report = EvaluationContext(incl).g_sequence([3])
     assert report.terms[3].omega_dim == 0
-
-
-def test_omega_homology_wrapper():
-    _, _, incl = make_one_cell_attachment()
-    dims = omega_homology(incl, [3])
-    assert dims[3][0] == 1
 
 
 # -- gottlieb == evaluation along the identity --------------------------------------------
@@ -221,10 +212,10 @@ def test_omega_homology_wrapper():
 
 def test_gottlieb_equals_evaluation_along_identity():
     for model in (make_sphere_model(1), make_sphere_model(2), make_cp2_model()):
-        ident = DglMorphism.identity(model)
+        ctx = EvaluationContext(DglMorphism.identity(model))
         for top in range(2, 7):
             g = gottlieb(model, [top])[0]
-            e = evaluation_subgroup(ident, top)
+            e = ctx.evaluation_subgroup(top)
             assert g.dimension == e.dimension
             assert [r.terms for r in g.representatives] == [
                 r.terms for r in e.representatives
@@ -302,14 +293,15 @@ def test_evaluation_subgroup_contained_in_center(seed):
     from dglcalc import TruncationError
 
     psi = random_validated_morphism(seed, max_gens=3, truncation=7)
+    ctx = EvaluationContext(psi)
     for top in (3, 4):
         try:
-            ev = evaluation_subgroup(psi, top)
-            ce = whitehead_center(psi, top)
+            ev = ctx.evaluation_subgroup(top)
+            ce = ctx.whitehead_center(top)
         except TruncationError:
             continue
         assert ev.dimension <= ce.dimension
-        report = g_vs_p(psi, top)
+        report = ctx.g_vs_p(top)
         assert report.quotient_dim == ce.dimension - ev.dimension
 
 
