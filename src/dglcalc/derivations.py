@@ -5,9 +5,9 @@ raising degree by n with
 
     theta([a, b]) = [theta(a), psi(b)] + (-1)^{n|a|} [psi(a), theta(b)],
 
-determined by its values on free generators and evaluated by the same
-`model.Leibniz` recursion as the differential of a model, with psi the
-morphism.  The differential is
+determined by its values on free generators and evaluated through psi's Fox
+table (`DglMorphism.fox`), which skips the letters where theta vanishes.  The
+differential, with d_K from the target's cached `model.Leibniz`, is
 
     D(theta) = d_K o theta - (-1)^{|theta|} theta o d_L.
 
@@ -23,7 +23,7 @@ from typing import Mapping
 from .complexes import ChainComplex
 from .errors import PreconditionError, TruncationError
 from .lie import LieElement
-from .model import DglMorphism, DglModel, Leibniz
+from .model import DglMorphism, DglModel
 
 
 class GenDerivation:
@@ -47,8 +47,6 @@ class GenDerivation:
                     f"value for {g.name} must have degree {g.degree + degree}, got {v.degree}"
                 )
             self.values[g.name] = v
-        letters = tuple(self.values[g.name] for g in along.source.generators)
-        self.leibniz = Leibniz(along.source.algebra, target, degree, letters, along._apply_word)
 
     @property
     def source(self) -> DglModel:
@@ -59,18 +57,35 @@ class GenDerivation:
         return self.along.target
 
     def apply(self, element: LieElement) -> LieElement:
-        return self.leibniz.apply(element)
+        if element.algebra is not self.source.algebra:
+            raise PreconditionError("element is not in the source algebra")
+        bracket = self.target.algebra.bracket
+        odd = self.degree % 2
+        terms = {}
+        for word, c in element.terms.items():
+            for g, chains in self.along.fox(word).items():
+                value = self.values[g]
+                if value.is_zero():
+                    continue
+                for ops, parity in chains:
+                    x = value
+                    for y, left in ops:
+                        x = bracket(y, x) if left else bracket(x, y)
+                    k = -c if odd and parity else c
+                    for w, v in x.terms.items():
+                        terms[w] = terms.get(w, 0) + k * v
+        return LieElement(self.target.algebra, element.degree + self.degree, terms)
 
     __call__ = apply
 
     def differential(self) -> "GenDerivation":
         """D(theta) = d_K o theta - (-1)^{|theta|} theta o d_L."""
-        sign = -1 if self.degree % 2 else 1
+        sign = 1 if self.degree % 2 else -1  # the coefficient of theta o d_L
         values = {}
         for g in self.source.generators:
-            values[g.name] = self.target.d(self.values[g.name]) - sign * self.apply(
-                self.source.diff_of(g.name)
-            )
+            values[g.name] = self.target.d(self.values[g.name])
+            if g.name in self.source.diff:
+                values[g.name] += sign * self.apply(self.source.diff[g.name])
         return GenDerivation(self.along, self.degree - 1, values)
 
     def is_zero(self) -> bool:
@@ -173,12 +188,9 @@ class DerComplex(ChainComplex):
         return vec
 
     def d_columns(self, n: int) -> list:
+        gens, tgt = self.psi.source.generators, self.psi.target.algebra
         cols = []
         for gi, word in self.record(n).labels:
-            gname = self.psi.source.generators[gi].name
-            tgt = self.psi.target.algebra
-            theta = GenDerivation(
-                self.psi, n, {gname: LieElement(tgt, tgt.word_degree(word), {word: Fraction(1)})}
-            )
+            theta = GenDerivation(self.psi, n, {gens[gi].name: tgt.monomial(word)})
             cols.append(self.to_vector(n - 1, theta.differential()))
         return cols

@@ -6,8 +6,9 @@ identity, so it extends uniquely by the graded Leibniz rule
 
     d([x, y]) = [d(x), y] + (-1)^{|x|} [x, d(y)].
 
-`Leibniz` evaluates that rule for d and for every derivation along a
-morphism, recursing on the factors that `FreeLieAlgebra.split` gives.
+`Leibniz` evaluates that rule for d, recursing on the factors that
+`FreeLieAlgebra.split` gives.  Every derivation along a morphism psi is
+evaluated through psi's Fox table (`DglMorphism.fox`).
 
 A morphism is a generator assignment that commutes with the differentials.
 Both d^2 = 0 and the chain-map condition are checked on generators only: a
@@ -24,23 +25,19 @@ from .lie import FreeLieAlgebra, LieElement
 
 
 class Leibniz:
-    """A degree-n derivation theta along psi, evaluated and cached per word:
+    """The differential of a model, evaluated and cached per word:
 
-        theta([u, v]) = [theta(u), psi(v)] + (-1)^{n|u|} [psi(u), theta(v)]
+        d([u, v]) = [d(u), v] + (-1)^{|u|} [u, d(v)]
 
-    with (u, v) = source.split(word).  `letters` holds theta on the generators
-    by index; `psi` maps a source word into the target and must not refer back
-    to the evaluator's owner, so that owners are freed by reference counting.
+    with (u, v) = algebra.split(word).  `letters` holds d on the generators by
+    index.
     """
 
-    __slots__ = ("source", "target", "degree", "letters", "psi", "_cache")
+    __slots__ = ("algebra", "letters", "_cache")
 
-    def __init__(self, source: FreeLieAlgebra, target: FreeLieAlgebra, degree: int, letters, psi):
-        self.source = source
-        self.target = target
-        self.degree = degree
+    def __init__(self, algebra: FreeLieAlgebra, letters):
+        self.algebra = algebra
         self.letters = letters
-        self.psi = psi
         self._cache = {}
 
     def word(self, word) -> LieElement:
@@ -50,17 +47,18 @@ class Leibniz:
         if len(word) == 1:
             out = self.letters[word[0]]
         else:
-            u, v = self.source.split(word)
-            out = self.target.bracket(self.word(u), self.psi(v))
-            sign = -1 if (self.degree * self.source.word_degree(u)) % 2 else 1
-            out = out + sign * self.target.bracket(self.psi(u), self.word(v))
+            alg = self.algebra
+            u, v = alg.split(word)
+            out = alg.bracket(self.word(u), alg.monomial(v))
+            sign = -1 if alg.word_degree(u) % 2 else 1
+            out = out + sign * alg.bracket(alg.monomial(u), self.word(v))
         self._cache[word] = out
         return out
 
     def apply(self, element: LieElement) -> LieElement:
-        if element.algebra is not self.source:
+        if element.algebra is not self.algebra:
             raise PreconditionError("element is not in the source algebra")
-        out = self.target.zero(element.degree + self.degree)
+        out = self.algebra.zero(element.degree - 1)
         for word, c in element.terms.items():
             out = out + c * self.word(word)
         return out
@@ -98,9 +96,8 @@ class DglModel:
                     f"d({gname}) must have degree {expected}, got {value.degree}"
                 )
             self.diff[gname] = value
-        # psi = DglMorphism.identity(self) would close a reference cycle
         letters = tuple(self.diff_of(g.name) for g in algebra.generators)
-        self.leibniz = Leibniz(algebra, algebra, -1, letters, algebra.monomial)
+        self.leibniz = Leibniz(algebra, letters)
 
     # -- structure ----------------------------------------------------------
 
@@ -198,6 +195,7 @@ class DglMorphism:
                 )
             self.values[g.name] = v if not v.is_zero() else target.algebra.zero(g.degree)
         self._apply_cache = {}
+        self._fox = {}
         if check:
             self._check_chain_map()
 
@@ -237,6 +235,33 @@ class DglMorphism:
             u, v = self.source.algebra.split(word)
             out = self.target.algebra.bracket(self._apply_word(u), self._apply_word(v))
         self._apply_cache[word] = out
+        return out
+
+    def fox(self, word) -> dict:
+        """The Fox derivative of a source basis word: generator name -> chains.
+
+        A degree-n derivation theta along self sends the word to the sum of
+        (-1)^{n * parity} ops(theta(g)) over the chains (ops, parity) of each
+        letter g.  The ops (y, left) run from the letter up to the word, one
+        per node [u, v]: x -> [x, psi(v)] from u, x -> [psi(u), x] from v (left);
+        parity sums |u| over the latter.  Chains through a zero psi(.) are
+        dropped; the table holds target elements only, never the morphism.
+        """
+        out = self._fox.get(word)
+        if out is not None:
+            return out
+        if len(word) == 1:
+            out = {self.source.algebra.generators[word[0]].name: [((), 0)]}
+        else:
+            u, v = self.source.algebra.split(word)
+            out = {}
+            for inner, y, left in ((u, self._apply_word(v), False), (v, self._apply_word(u), True)):
+                if y.is_zero():
+                    continue
+                odd = left and y.degree % 2
+                for g, chains in self.fox(inner).items():
+                    out.setdefault(g, []).extend((ops + ((y, left),), p ^ odd) for ops, p in chains)
+        self._fox[word] = out
         return out
 
     def apply(self, element: LieElement) -> LieElement:

@@ -9,12 +9,29 @@ has no solution.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from dglcalc import DglModel, DglMorphism, FreeLieAlgebra
 from dglcalc.complexes import DglComplex
 from dglcalc import linalg
+from dglcalc.modelfile import parse_workspace
 
 NAMES = "abcdefgh"
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# (file, map name) of every morphism in the fixtures
+FIXTURE_MAPS = (
+    ("contractible_pair.dgl", "i"),
+    ("cp2_to_s4.dgl", "f"),
+    ("homotopy_demo.dgl", "start"),
+    ("homotopy_demo.dgl", "end"),
+    ("one_cell_attachment.dgl", "i"),
+    ("s3_into_s3xs3.dgl", "j"),
+)
+
+
+def fixture_map(path, name, truncation=10):
+    return parse_workspace((FIXTURES / path).read_text(), truncation=truncation).map(name)
 
 
 def random_degrees(rng, max_gens=3, min_degree=2, max_degree=4, degree_one_budget=0):

@@ -15,7 +15,10 @@ generator indices) and extend letter by letter, never bracketing a word.
 as the slow reference for the sparse `linalg.rref`; it shares only the
 `Rref` record and `vec_add`.  `les_by_objects` is the package's earlier
 long-exact-sequence check, which induces every map from domain objects, kept
-as the reference for the cone's class-coordinate maps.
+as the reference for the cone's class-coordinate maps.  `GenDerivation` is
+the package's earlier per-derivation evaluator, a Leibniz recursion with its
+own word cache, kept as the reference for derivations evaluated through a
+morphism's Fox table; it shares the basis, brackets and `DglMorphism.apply`.
 """
 from __future__ import annotations
 
@@ -283,6 +286,59 @@ def tensor_derivation(vec, degree, values, images, letter_degrees):
                 out[w] = out.get(w, Fraction(0)) + sign * c * v
             before += letter_degrees[letter]
     return {k: v for k, v in out.items() if v}
+
+
+class GenDerivation:
+    """A degree-n derivation along psi, evaluated word by word by the rule
+
+        theta([u, v]) = [theta(u), psi(v)] + (-1)^{n|u|} [psi(u), theta(v)]
+
+    with (u, v) = split(word), each word cached, and
+    D(theta) = d_K o theta - (-1)^n theta o d_L on every generator.
+    `values` maps generator names to target elements, zero where missing.
+    """
+
+    def __init__(self, along, degree, values):
+        self.along = along
+        self.degree = degree
+        tgt = along.target.algebra
+        self.values = {}
+        for g in along.source.generators:
+            v = values.get(g.name)
+            self.values[g.name] = v if v is not None else tgt.zero(g.degree + degree)
+        self._cache = {}
+
+    def word(self, word):
+        cached = self._cache.get(word)
+        if cached is not None:
+            return cached
+        src, tgt = self.along.source.algebra, self.along.target.algebra
+        if len(word) == 1:
+            out = self.values[src.generators[word[0]].name]
+        else:
+            u, v = src.split(word)
+            psi_u = self.along.apply(src.monomial(u))
+            psi_v = self.along.apply(src.monomial(v))
+            out = tgt.bracket(self.word(u), psi_v)
+            sign = -1 if (self.degree * src.word_degree(u)) % 2 else 1
+            out = out + sign * tgt.bracket(psi_u, self.word(v))
+        self._cache[word] = out
+        return out
+
+    def apply(self, element):
+        out = self.along.target.algebra.zero(element.degree + self.degree)
+        for word, c in element.terms.items():
+            out = out + c * self.word(word)
+        return out
+
+    def differential(self):
+        sign = -1 if self.degree % 2 else 1
+        values = {}
+        for g in self.along.source.generators:
+            values[g.name] = self.along.target.d(self.values[g.name]) - sign * self.apply(
+                self.along.source.diff_of(g.name)
+            )
+        return GenDerivation(self.along, self.degree - 1, values)
 
 
 # -- elimination -----------------------------------------------------------

@@ -20,7 +20,7 @@ from .conftest import (
     make_cp2_model,
     make_sphere_model,
 )
-from .helpers import random_validated_morphism
+from .helpers import FIXTURE_MAPS, fixture_map, random_validated_morphism
 
 F = Fraction
 
@@ -270,3 +270,58 @@ def test_word_evaluators_match_tensor_oracle(seed):
                 values = [theta.values[g.name].tensor_expansion() for g in src.generators]
                 want = oracles.tensor_derivation(e, theta.degree, values, images, degrees)
                 assert theta.apply(w).tensor_expansion() == want, (word, theta.degree)
+    # D(theta)(g) = d_K(theta(g)) - (-1)^n theta(d_L g), each side extended
+    # letter by letter to the tensor algebra
+    tgt = psi.target.algebra
+    d_letters = [psi.target.diff_of(g.name).tensor_expansion() for g in tgt.generators]
+    ids = [{(i,): F(1)} for i in range(len(tgt.generators))]
+    tgt_degrees = [g.degree for g in tgt.generators]
+    for theta in thetas:
+        if theta.degree + max(degrees) > top:
+            continue
+        values = [theta.values[g.name].tensor_expansion() for g in src.generators]
+        sign = -1 if theta.degree % 2 else 1
+        d_theta = theta.differential()
+        assert d_theta.degree == theta.degree - 1
+        for g in src.generators:
+            d_value = oracles.tensor_derivation(
+                theta.values[g.name].tensor_expansion(), -1, d_letters, ids, tgt_degrees
+            )
+            value_of_d = oracles.tensor_derivation(
+                psi.source.diff_of(g.name).tensor_expansion(), theta.degree, values, images, degrees
+            )
+            want = {t: d_value.get(t, 0) - sign * value_of_d.get(t, 0)
+                    for t in set(d_value) | set(value_of_d)}
+            want = {t: c for t, c in want.items() if c}
+            assert d_theta.values[g.name].tensor_expansion() == want, (g.name, theta.degree)
+
+
+# -- the complex's columns against the per-derivation evaluator -----------------------
+
+
+def _assert_columns_match_oracle(psi):
+    # column (g, w) of D in degree n is D(theta_{g,w}), evaluated by the
+    # package's earlier Leibniz recursion with a fresh cache per derivation
+    from . import oracles
+
+    cx = DerComplex(psi)
+    tgt = psi.target.algebra
+    top = cx.trunc - psi.source.max_generator_degree
+    checked = set()
+    for n in range(1 - psi.source.max_generator_degree, top + 1):
+        for (gi, word), column in zip(cx.record(n).labels, cx.columns(n)):
+            gname = psi.source.generators[gi].name
+            theta = oracles.GenDerivation(psi, n, {gname: tgt.monomial(word)})
+            assert column == cx.to_vector(n - 1, theta.differential()), (n, gname, word)
+            checked.add(n % 2)
+    assert checked == {0, 1}
+
+
+@pytest.mark.parametrize("path, name", FIXTURE_MAPS)
+def test_der_columns_match_oracle_on_fixture_maps(path, name):
+    _assert_columns_match_oracle(fixture_map(path, name, truncation=11))
+
+
+@pytest.mark.parametrize("seed", _seeds_with_differential(6))
+def test_der_columns_match_oracle_on_random_morphisms(seed):
+    _assert_columns_match_oracle(random_validated_morphism(seed, max_gens=3, truncation=7))

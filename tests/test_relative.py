@@ -1,5 +1,4 @@
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +15,10 @@ from dglcalc import (
 from dglcalc.complexes import DglComplex
 from dglcalc.derivations import DerComplex
 from dglcalc import linalg
-from dglcalc.modelfile import parse_workspace
 
 from . import oracles
 from .conftest import make_contractible_pair, make_sphere_model
-from .helpers import random_validated_morphism
+from .helpers import FIXTURE_MAPS, fixture_map, random_validated_morphism
 
 F = Fraction
 
@@ -171,17 +169,6 @@ def test_les_exact_on_random_morphisms(seed):
 
 # -- the cone's LES maps against the object-level assembly --------------------------
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-FIXTURE_MAPS = (
-    ("contractible_pair.dgl", "i"),
-    ("cp2_to_s4.dgl", "f"),
-    ("homotopy_demo.dgl", "start"),
-    ("homotopy_demo.dgl", "end"),
-    ("one_cell_attachment.dgl", "i"),
-    ("s3_into_s3xs3.dgl", "j"),
-)
-
-
 def _assert_les_matches_oracle(psi, degrees):
     report = EvaluationContext(psi).les(degrees)
     expected = oracles.les_by_objects(
@@ -193,7 +180,7 @@ def _assert_les_matches_oracle(psi, degrees):
 
 @pytest.mark.parametrize("path, name", FIXTURE_MAPS)
 def test_les_matches_object_oracle_on_fixture_maps(path, name):
-    psi = parse_workspace((FIXTURES / path).read_text(), truncation=10).map(name)
+    psi = fixture_map(path, name)
     tops = EvaluationContext(psi).computable_tops()
     assert tops
     _assert_les_matches_oracle(psi, [t - 1 for t in tops])

@@ -377,9 +377,15 @@ def test_evaluation_context_is_freed_without_the_cycle_collector():
         ctx = EvaluationContext(psi)
         ctx.g_sequence([3])
         ctx.les([2, 3])
+        theta = ctx.der_LK.from_vector(2, {0: 1})
+        theta.differential()
+        assert psi._fox  # the Fox table is filled, and must not refer back to psi
         refs = (weakref.ref(ctx), weakref.ref(ctx.rel_star), weakref.ref(ctx.rel_ad))
         del ctx
         assert [r() for r in refs] == [None, None, None]
+        refs = (weakref.ref(psi), weakref.ref(theta))
+        del psi, theta
+        assert [r() for r in refs] == [None, None]
     finally:
         if enabled:
             gc.enable()
