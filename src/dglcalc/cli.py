@@ -492,21 +492,14 @@ def _main(args) -> int:
         return EXIT_PRECONDITION
     try:
         ws = parse_workspace(text, truncation=args.max_degree)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.command != "validate":
-        # every model must validate before any computation runs on it
-        for name, model in ws.models.items():
-            report = model.validate()
-            if not report.ok:
-                problems = "; ".join(report.problems)
-                print(f"validation error: model {name}: {problems}", file=sys.stderr)
-                return EXIT_VALIDATION
-    try:
+        if args.command != "validate":
+            # every model must validate before any computation runs on it
+            for name, model in ws.models.items():
+                report = model.validate()
+                if not report.ok:
+                    problems = "; ".join(report.problems)
+                    print(f"validation error: model {name}: {problems}", file=sys.stderr)
+                    return EXIT_VALIDATION
         out, code = run_command(ws, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -5,10 +5,12 @@ implements the same small interface: basis labels, a completeness predicate
 saying whether the degree is fully known under the truncation, differential
 columns, and conversions between basis vectors and domain objects.  The base
 class keeps one record per degree (the labels, their index and the single
-elimination of d_n) that dimensions, conversions and homology read.  Homology
-slices carry deterministic representative cycles and can express the class of
-any cycle in coordinates, which is all the downstream subgroup machinery
-needs.
+elimination of d_n) that dimensions, conversions and homology read.  A
+homology slice is `linalg.quotient_basis` of two echelon forms already built,
+Z_n (the kernel of d_n's elimination) and B_n (the rows of d_{n+1}'s), so it
+eliminates only the reduced cycles.  Slices carry deterministic representative
+cycles and can express the class of any cycle in coordinates, which is all
+the downstream subgroup machinery needs.
 
 Truncation discipline: H_n needs C_{n-1}, C_n, C_{n+1}.  The first two are
 required to compute anything; if C_{n+1} is incomplete the slice is computed
@@ -53,15 +55,11 @@ class HomologySlice:
         self.cycles = cycles
         self.boundaries = boundaries
         self.trusted = trusted
-        reduced = []
-        for row in cycles.rows:
-            residual, _ = boundaries.reduce(row)
-            if residual:
-                reduced.append(residual)
-        self.rep_rref = linalg.rref(reduced)
+        try:
+            self.rep_rref = linalg.quotient_basis(cycles, boundaries)
+        except PreconditionError:
+            raise InternalError("homology dimensions are inconsistent") from None
         self.rep_rows = self.rep_rref.rows
-        if len(self.rep_rows) != cycles.rank - boundaries.rank:
-            raise InternalError("homology dimensions are inconsistent")
 
     @property
     def dim(self) -> int:
@@ -157,9 +155,7 @@ class ChainComplex:
             return cached
         if not self.computable(n):
             raise TruncationError(f"degree {n} homology is outside the computable window")
-        # the kernel of an rref comes out reduced, its pivots leftmost
-        kernel = self.elimination(n).kernel
-        cycles = linalg.Rref(rows=kernel, pivots=[min(row) for row in kernel])
+        cycles = self.elimination(n).kernel_space()
         trusted = self.complete(n + 1)
         boundaries = self.elimination(n + 1) if trusted else linalg.Rref()
         slice_ = HomologySlice(n, cycles, boundaries, trusted)
@@ -225,7 +221,7 @@ class DglComplex(ChainComplex):
         return list(self.model.algebra._basis_data(n).words)
 
     def d_columns(self, n: int) -> list:
-        d_word = self.model.leibniz.word
+        d_word = self.model._d_word
         return [self.to_vector(n - 1, d_word(word)) for word in self.record(n).labels]
 
     def from_vector(self, n: int, vec) -> LieElement:

@@ -7,7 +7,7 @@ raising degree by n with
 
 determined by its values on free generators and evaluated through psi's Fox
 table (`DglMorphism.fox`), which skips the letters where theta vanishes.  The
-differential, with d_K from the target's cached `model.Leibniz`, is
+differential, with d_K from the target's per-word cache (`DglModel.d`), is
 
     D(theta) = d_K o theta - (-1)^{|theta|} theta o d_L.
 
@@ -103,12 +103,6 @@ class GenDerivation:
             self.degree,
             {g: self.values[g] + other.values[g] for g in self.values},
         )
-
-    def __neg__(self) -> "GenDerivation":
-        return GenDerivation(self.along, self.degree, {g: -v for g, v in self.values.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, scalar) -> "GenDerivation":
         return GenDerivation(

@@ -7,6 +7,10 @@ column are updated, each by a gcd-primitive integer step that is then divided
 by its content, and back-substitution runs the same step before one rational
 normalisation per row.  Pivoting is deterministic: leftmost column first,
 smallest row index second, which makes every derived basis reproducible.
+
+An `Rref` is the one echelon form of a space: `kernel_space` gives the null
+space of its input rows as another, and `quotient_basis` takes two of them
+and eliminates only the reduced rows of the quotient.
 """
 from __future__ import annotations
 
@@ -84,9 +88,10 @@ class Rref:
                     coeffs[i] = c
         return residual, coeffs
 
-    def contains(self, vec: Vec) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+    def kernel_space(self) -> "Rref":
+        """The kernel as an echelon form: its rows come out reduced, so each
+        row's pivot is its leftmost index."""
+        return Rref(rows=self.kernel, pivots=[min(row) for row in self.kernel])
 
 
 def _eliminate(p: int, row: Vec, a: int, prow: Vec) -> Vec:
@@ -180,10 +185,6 @@ def rref(rows: Sequence[Vec], track: bool = False) -> Rref:
     return Rref(rows=frows, pivots=pivot_cols, combos=fcombos, kernel=kernel)
 
 
-def rank(rows: Sequence[Vec]) -> int:
-    return rref(rows).rank
-
-
 def solve_columns(cols: Sequence[Vec], b: Vec) -> Optional[Vec]:
     """Some x with sum_j x[j]*cols[j] = b, or None; free coordinates are 0."""
     rr = rref(cols, track=True)
@@ -201,21 +202,27 @@ def solve_columns(cols: Sequence[Vec], b: Vec) -> Optional[Vec]:
     return out
 
 
-def quotient_basis(sup: Sequence[Vec], sub: Sequence[Vec]) -> list:
-    """Representatives of span(sup)/span(sub); requires span(sub) <= span(sup)."""
-    rsup = rref(sup)
-    rsub = rref(sub)
-    for row in rsub.rows:
-        if not rsup.contains(row):
-            raise PreconditionError("quotient_basis: subspace is not contained in the ambient space")
+def quotient_basis(sup: Rref, sub: Rref) -> Rref:
+    """Echelon representatives of span(sup)/span(sub), from two echelon forms.
+
+    Neither input is eliminated again: the rows of sup are reduced by sub's
+    rows and only the residuals are eliminated.  Reducing by a reduced echelon
+    form is linear, v -> v - sum v[p_i] sub_i over sub's pivots p_i, with
+    kernel span(sub), so the residuals span a space of dimension
+    rank(sup) - dim(span(sup) & span(sub)).  That is rank(sup) - rank(sub)
+    exactly when span(sub) <= span(sup), so the count check below is also the
+    containment check.  The residuals then lie in span(sup), and no nonzero
+    combination of them lies in span(sub), since reducing it again changes
+    nothing.
+    """
     reduced = []
-    for row in rsup.rows:
-        residual, _ = rsub.reduce(row)
+    for row in sup.rows:
+        residual, _ = sub.reduce(row)
         if residual:
             reduced.append(residual)
-    out = rref(reduced).rows
-    if len(out) != rsup.rank - rsub.rank:
-        raise PreconditionError("quotient_basis: inconsistent dimensions")
+    out = rref(reduced)
+    if out.rank != sup.rank - sub.rank:
+        raise PreconditionError("quotient_basis: subspace is not contained in the ambient space")
     return out
 
 

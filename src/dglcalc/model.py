@@ -6,9 +6,10 @@ identity, so it extends uniquely by the graded Leibniz rule
 
     d([x, y]) = [d(x), y] + (-1)^{|x|} [x, d(y)].
 
-`Leibniz` evaluates that rule for d, recursing on the factors that
-`FreeLieAlgebra.split` gives.  Every derivation along a morphism psi is
-evaluated through psi's Fox table (`DglMorphism.fox`).
+`DglModel.d` evaluates that rule word by word, recursing on the factors that
+`FreeLieAlgebra.split` gives and caching d of each word on the model.  Every
+derivation along a morphism psi is evaluated through psi's Fox table
+(`DglMorphism.fox`).
 
 A morphism is a generator assignment that commutes with the differentials.
 Both d^2 = 0 and the chain-map condition are checked on generators only: a
@@ -22,46 +23,6 @@ from typing import Mapping, Optional
 
 from .errors import PreconditionError, ValidationError
 from .lie import FreeLieAlgebra, LieElement
-
-
-class Leibniz:
-    """The differential of a model, evaluated and cached per word:
-
-        d([u, v]) = [d(u), v] + (-1)^{|u|} [u, d(v)]
-
-    with (u, v) = algebra.split(word).  `letters` holds d on the generators by
-    index.
-    """
-
-    __slots__ = ("algebra", "letters", "_cache")
-
-    def __init__(self, algebra: FreeLieAlgebra, letters):
-        self.algebra = algebra
-        self.letters = letters
-        self._cache = {}
-
-    def word(self, word) -> LieElement:
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        if len(word) == 1:
-            out = self.letters[word[0]]
-        else:
-            alg = self.algebra
-            u, v = alg.split(word)
-            out = alg.bracket(self.word(u), alg.monomial(v))
-            sign = -1 if alg.word_degree(u) % 2 else 1
-            out = out + sign * alg.bracket(alg.monomial(u), self.word(v))
-        self._cache[word] = out
-        return out
-
-    def apply(self, element: LieElement) -> LieElement:
-        if element.algebra is not self.algebra:
-            raise PreconditionError("element is not in the source algebra")
-        out = self.algebra.zero(element.degree - 1)
-        for word, c in element.terms.items():
-            out = out + c * self.word(word)
-        return out
 
 
 @dataclass
@@ -96,8 +57,7 @@ class DglModel:
                     f"d({gname}) must have degree {expected}, got {value.degree}"
                 )
             self.diff[gname] = value
-        letters = tuple(self.diff_of(g.name) for g in algebra.generators)
-        self.leibniz = Leibniz(algebra, letters)
+        self._d_cache = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -126,8 +86,34 @@ class DglModel:
 
     # -- the differential ----------------------------------------------------
 
+    def _d_word(self, word) -> LieElement:
+        """d of a basis word, cached per word:
+
+            d([u, v]) = [d(u), v] + (-1)^{|u|} [u, d(v)]
+
+        with (u, v) = algebra.split(word).
+        """
+        cached = self._d_cache.get(word)
+        if cached is not None:
+            return cached
+        alg = self.algebra
+        if len(word) == 1:
+            out = self.diff_of(alg.generators[word[0]].name)
+        else:
+            u, v = alg.split(word)
+            out = alg.bracket(self._d_word(u), alg.monomial(v))
+            sign = -1 if alg.word_degree(u) % 2 else 1
+            out = out + sign * alg.bracket(alg.monomial(u), self._d_word(v))
+        self._d_cache[word] = out
+        return out
+
     def d(self, element: LieElement) -> LieElement:
-        return self.leibniz.apply(element)
+        if element.algebra is not self.algebra:
+            raise PreconditionError("element is not in the source algebra")
+        out = self.algebra.zero(element.degree - 1)
+        for word, c in element.terms.items():
+            out = out + c * self._d_word(word)
+        return out
 
     # -- validation -----------------------------------------------------------
 

@@ -352,43 +352,37 @@ class EvaluationContext:
 
     # -- degree windows ----------------------------------------------------------
 
-    def _g_sequence_degree_ok(self, top: int, predicate) -> bool:
-        m = top - 1
+    def _tops(self, predicate) -> list:
+        """The tops from 2 up to the first whose G-sequence term fails predicate
+        on a complex it reads: all six at m = top - 1, both cones at m + 1."""
         complexes = (self.cL, self.cK, self.der_LL, self.der_LK, self.rel, self.rel_star)
-        return all(predicate(c, m) for c in complexes) and predicate(
-            self.rel, m + 1
-        ) and predicate(self.rel_star, m + 1)
-
-    def computable_tops(self, start: int = 2) -> list:
-        out = []
-        top = start
-        while self._g_sequence_degree_ok(top, ChainComplex.computable):
+        out, top = [], 2
+        while all(predicate(c, top - 1) for c in complexes) and all(
+            predicate(c, top) for c in (self.rel, self.rel_star)
+        ):
             out.append(top)
             top += 1
         return out
 
-    def trusted_tops(self, start: int = 2) -> list:
-        out = []
-        top = start
-        while self._g_sequence_degree_ok(top, ChainComplex.trusted):
-            out.append(top)
-            top += 1
-        return out
+    def computable_tops(self) -> list:
+        return self._tops(ChainComplex.computable)
+
+    def trusted_tops(self) -> list:
+        return self._tops(ChainComplex.trusted)
 
 
 def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols, cplx, m):
     """ker(outgoing)/im(incoming) inside a subgroup, with representatives."""
-    kernel = linalg.rref(outgoing_cols).kernel  # over group coordinates
-    image = linalg.rref(incoming_cols).rows
-    if not kernel:
+    kernel = linalg.rref(outgoing_cols).kernel_space()  # over group coordinates
+    if not kernel.rank:
         return 0, []
-    quotient = linalg.quotient_basis(kernel, image)
+    quotient = linalg.quotient_basis(kernel, linalg.rref(incoming_cols))
     reps = []
     h = group.ambient()
-    for q in quotient:
+    for q in quotient.rows:
         class_vec = linalg.combine(q, group.vectors)
         reps.append(cplx.from_vector(m, linalg.combine(class_vec, h.rep_rows)))
-    return len(quotient), reps
+    return quotient.rank, reps
 
 
 # -- public operations ---------------------------------------------------------
@@ -439,7 +433,7 @@ def coformal_check(subject) -> CoformalReport:
                 for k, w in enumerate(words_up)
                 if alg.word_upper(w) == i + 1
             ]
-            h_dim = len(cycles) - linalg.rank(bnd)
+            h_dim = len(cycles) - linalg.rref(bnd).rank
             if h_dim:
                 upper_ok = False
                 failures.append(

@@ -87,6 +87,11 @@ def all_words(degrees, n):
 # -- dense rational linear algebra -------------------------------------------
 
 
+def dense(vectors, ncols):
+    """Sparse vectors (index -> value) as dense rows of length ncols."""
+    return [[v.get(j, 0) for j in range(ncols)] for v in vectors]
+
+
 def dense_rank(rows):
     rows = [list(map(Fraction, r)) for r in rows if any(r)]
     rank = 0

@@ -225,6 +225,18 @@ def test_precondition_exit_code(capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "homology"])
+def test_truncation_below_one_is_a_precondition_error(command, tmp_path, capsys):
+    # a model without generators gets past the parser, so its algebra is
+    # what refuses the truncation
+    path = tmp_path / "empty.dgl"
+    path.write_text("model E { }\n")
+    for n in ("0", "-3"):
+        code, out, err = run([command, str(path), "E", "--max-degree", n], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("precondition error:") and err.count("\n") == 1
+
+
 def test_reversed_degree_range_is_a_precondition_error(capsys):
     code, out, err = run(["homology", fixture("spheres.dgl"), "S2", "--degrees", "5:2"], capsys)
     assert code == 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dglcalc import linalg
 from dglcalc.errors import PreconditionError
 
-from .oracles import bareiss_rref
+from .oracles import bareiss_rref, dense, dense_rank
 
 
 F = Fraction
@@ -38,15 +38,15 @@ def test_solve_inconsistent_returns_none():
 def test_quotient_basis_dimension():
     z = [{0: F(1)}, {1: F(1)}, {2: F(1)}]
     b = [{0: F(1), 1: F(2)}]
-    q = linalg.quotient_basis(z, b)
-    assert len(q) == 2
+    q = linalg.quotient_basis(linalg.rref(z), linalg.rref(b))
+    assert len(q.rows) == 2
 
 
 def test_quotient_basis_rejects_non_subspace():
     z = [{0: F(1)}]
     b = [{1: F(1)}]
     with pytest.raises(PreconditionError):
-        linalg.quotient_basis(z, b)
+        linalg.quotient_basis(linalg.rref(z), linalg.rref(b))
 
 
 def test_intersect():
@@ -153,3 +153,40 @@ def test_rref_matches_bareiss_oracle(rows):
     assert untracked.pivots == want.pivots
     assert _canonical(untracked.rows) == _canonical(want.rows)
     assert _canonical(untracked.kernel) == _canonical(want.kernel)
+
+
+@st.composite
+def sup_and_sub(draw):
+    """Two row lists over the same columns; sub's rows are mostly
+    combinations of sup's rows, sometimes fresh, so both answers occur."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def fresh():
+        return {j: F(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(ncols)
+                if rng.random() < 0.4}
+
+    sup = [fresh() for _ in range(draw(st.integers(min_value=0, max_value=6)))]
+    sub = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if sup and rng.random() < 0.8:
+            row = {}
+            for r in sup:
+                row = linalg.vec_add(row, r, F(rng.randint(-2, 2), rng.randint(1, 2)))
+            sub.append(row)
+        else:
+            sub.append(fresh())
+    return ncols, sup, sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(sup_and_sub())
+def test_quotient_basis_refuses_exactly_the_non_subspaces(case):
+    ncols, sup, sub = case
+    rsup, rsub = linalg.rref(sup), linalg.rref(sub)
+    rank_sup, rank_sub = dense_rank(dense(sup, ncols)), dense_rank(dense(sub, ncols))
+    if dense_rank(dense(sup + sub, ncols)) > rank_sup:
+        with pytest.raises(PreconditionError):
+            linalg.quotient_basis(rsup, rsub)
+    else:
+        assert len(linalg.quotient_basis(rsup, rsub).rows) == rank_sup - rank_sub

@@ -30,7 +30,8 @@ from .conftest import (
     make_s4_model,
     make_sphere_model,
 )
-from .helpers import random_validated_morphism
+from .helpers import FIXTURE_MAPS, fixture_map, random_validated_morphism
+from .oracles import dense, dense_rank
 
 F = Fraction
 
@@ -180,7 +181,7 @@ def test_rel_subgroup_pinch_dimensions_match_brute_force(pinch):
         m = top - 1
         report = ctx.rel_evaluation_subgroup(top)
         cols = induced_matrix(ctx.rel, m, ctx.rel_star, m, ctx.pair_map)
-        assert report.dimension == ctx.rel.homology(m).dim - linalg.rank(cols)
+        assert report.dimension == ctx.rel.homology(m).dim - linalg.rref(cols).rank
 
 
 # -- the G-sequence and omega-homology ---------------------------------------------------
@@ -205,6 +206,40 @@ def test_g_sequence_contractible_pair_omega_vanishes():
     _, _, incl = make_contractible_pair()
     report = EvaluationContext(incl).g_sequence([3])
     assert report.terms[3].omega_dim == 0
+
+
+def _in_span(vec, span, dim):
+    return dense_rank(dense(span + [vec], dim)) == dense_rank(dense(span, dim))
+
+
+def test_omega_representatives_are_independent_classes_killed_by_psi():
+    # an omega representative x in L_m is a cycle whose adjoint bounds in
+    # Der(L,L;1) (x is in G_m(L)) and whose image psi(x) bounds in K (x is in
+    # the kernel of psi_*), and the classes are independent modulo B_m(L) and
+    # P_* of G^rel_{m+1}
+    cases = [fixture_map(f, name) for f, name in FIXTURE_MAPS]
+    cases += [random_validated_morphism(seed) for seed in range(12)]
+    checked = 0
+    for psi in cases:
+        ctx = EvaluationContext(psi)
+        for top, term in ctx.g_sequence(ctx.trusted_tops()).terms.items():
+            m = top - 1
+            reps = term.omega_representatives
+            assert len(reps) == term.omega_dim
+            for x in reps:
+                assert x.degree == m and ctx.L.d(x).is_zero()
+                ad = ctx.der_LL.to_vector(m, adjoint(ctx.identity, x))
+                assert _in_span(ad, ctx.der_LL.columns(m + 1), ctx.der_LL.dim(m))
+                assert _in_span(ctx.cK.to_vector(m, psi(x)), ctx.cK.columns(m + 1), ctx.cK.dim(m))
+            grel_up = ctx.rel_evaluation_subgroup(top + 1).representatives
+            p_images = [ctx.cL.to_vector(m, v) for _, v in grel_up]
+            span = ctx.cL.columns(m + 1) + p_images
+            xs = [ctx.cL.to_vector(m, x) for x in reps]
+            dim = ctx.cL.dim(m)
+            assert dense_rank(dense(span + xs, dim)) == dense_rank(dense(span, dim)) + len(xs)
+            checked += len(reps)
+    # cp2_to_s4 f at top 5, one_cell_attachment i at top 3, random seed 8 at top 3
+    assert checked >= 3
 
 
 # -- gottlieb == evaluation along the identity --------------------------------------------
