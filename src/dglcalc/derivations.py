@@ -17,7 +17,6 @@ sparse linear algebra.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .complexes import ChainComplex
@@ -83,9 +82,12 @@ class GenDerivation:
         sign = 1 if self.degree % 2 else -1  # the coefficient of theta o d_L
         values = {}
         for g in self.source.generators:
-            values[g.name] = self.target.d(self.values[g.name])
+            value = self.values[g.name]
+            if not value.is_zero():  # a basis derivation is zero on all generators but one
+                value = self.target.d(value)
             if g.name in self.source.diff:
-                values[g.name] += sign * self.apply(self.source.diff[g.name])
+                value = value + sign * self.apply(self.source.diff[g.name])
+            values[g.name] = value
         return GenDerivation(self.along, self.degree - 1, values)
 
     def is_zero(self) -> bool:
@@ -163,13 +165,12 @@ class DerComplex(ChainComplex):
 
     def from_vector(self, n: int, vec) -> GenDerivation:
         labels = self.record(n).labels
-        tgt = self.psi.target.algebra
-        values = {}
+        terms = {}
         for i, c in vec.items():
             gi, word = labels[i]
-            gname = self.psi.source.generators[gi].name
-            add = c * LieElement(tgt, tgt.word_degree(word), {word: Fraction(1)})
-            values[gname] = values.get(gname, tgt.zero(add.degree)) + add
+            terms.setdefault(gi, {})[word] = c
+        gens, tgt = self.psi.source.generators, self.psi.target.algebra
+        values = {gens[gi].name: LieElement(tgt, gens[gi].degree + n, t) for gi, t in terms.items()}
         return GenDerivation(self.psi, n, values)
 
     def to_vector(self, n: int, theta: GenDerivation) -> dict:

@@ -1,5 +1,10 @@
 """Exact arithmetic in free graded Lie algebras over the rationals.
 
+A coefficient is an `int` when it is integral and a `Fraction` only once a
+denominator appears; no coefficient is ever a float.  Both types compare,
+hash and print alike for integers, so the rule is invisible in reports, and
+integral arithmetic never builds a `Fraction`.
+
 Every element is canonicalised through the embedding into the free
 associative algebra,
 
@@ -34,6 +39,16 @@ from .errors import InternalError, PreconditionError, TruncationError
 
 Word = tuple  # tuple of generator indices; a super-Lyndon word names its standard bracketing
 TensorVec = dict  # tensor word (tuple of generator indices) -> int or Fraction
+
+
+def _coeff(c):
+    """A coefficient in canonical type: int when integral, else Fraction.
+    Any other type is refused, so no rounded float becomes a coefficient."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise PreconditionError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
 @dataclass(frozen=True)
@@ -215,8 +230,16 @@ class FreeLieAlgebra:
         return out
 
     def _integral_tensor(self, element: "LieElement") -> tuple:
-        """(den * tensor expansion of the element, den) with integer entries."""
+        """(den * tensor expansion of the element, den) with integer entries.
+
+        A unit monomial returns the cached expansion itself, so callers must
+        not mutate the tensor.
+        """
         terms = element.terms
+        if len(terms) == 1:
+            ((w, c),) = terms.items()
+            if c == 1:
+                return self.expansion(w), 1
         den = lcm(*(c.denominator for c in terms.values()))
         out: TensorVec = {}
         for w, c in terms.items():
@@ -248,7 +271,7 @@ class FreeLieAlgebra:
 
     def gen(self, name: str) -> "LieElement":
         i = self.index(name)
-        return LieElement(self, self._degrees[i], {(i,): Fraction(1)})
+        return LieElement(self, self._degrees[i], {(i,): 1})
 
     def monomial(self, word: Word) -> "LieElement":
         """The basis element that a basis word names."""
@@ -279,14 +302,15 @@ class FreeLieAlgebra:
 
 
 class LieElement:
-    """Homogeneous element in canonical form: basis word -> coefficient."""
+    """Homogeneous element in canonical form: basis word -> nonzero coefficient,
+    an `int` when integral and otherwise a `Fraction`, never a float."""
 
     __slots__ = ("algebra", "degree", "terms")
 
     def __init__(self, algebra: FreeLieAlgebra, degree: int, terms: Mapping):
         self.algebra = algebra
         self.degree = degree
-        self.terms = {w: Fraction(c) for w, c in terms.items() if c}
+        self.terms = {w: c if type(c) is int else _coeff(c) for w, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -319,7 +343,7 @@ class LieElement:
         return self + (-other)
 
     def __mul__(self, scalar) -> "LieElement":
-        c = Fraction(scalar)
+        c = _coeff(scalar)
         if not c:
             return LieElement(self.algebra, self.degree, {})
         return LieElement(self.algebra, self.degree, {w: c * v for w, v in self.terms.items()})

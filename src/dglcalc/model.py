@@ -110,10 +110,7 @@ class DglModel:
     def d(self, element: LieElement) -> LieElement:
         if element.algebra is not self.algebra:
             raise PreconditionError("element is not in the source algebra")
-        out = self.algebra.zero(element.degree - 1)
-        for word, c in element.terms.items():
-            out = out + c * self._d_word(word)
-        return out
+        return _linear_extension(self._d_word, element, self.algebra, element.degree - 1)
 
     # -- validation -----------------------------------------------------------
 
@@ -253,10 +250,7 @@ class DglMorphism:
     def apply(self, element: LieElement) -> LieElement:
         if element.algebra is not self.source.algebra:
             raise PreconditionError("element is not in the source algebra")
-        out = self.target.algebra.zero(element.degree)
-        for word, c in element.terms.items():
-            out = out + c * self._apply_word(word)
-        return out
+        return _linear_extension(self._apply_word, element, self.target.algebra, element.degree)
 
     __call__ = apply
 
@@ -282,6 +276,15 @@ class DglMorphism:
 
     def __repr__(self):
         return f"<DglMorphism {self.name or ''} {self.source!r} -> {self.target!r}>"
+
+
+def _linear_extension(on_word, element: LieElement, algebra: FreeLieAlgebra, degree: int) -> LieElement:
+    """sum_w c_w on_word(w) over the terms of element, summed into one dict."""
+    terms = {}
+    for word, c in element.terms.items():
+        for w, v in on_word(word).terms.items():
+            terms[w] = terms.get(w, 0) + c * v
+    return LieElement(algebra, degree, terms)
 
 
 def zero_morphism(source: DglModel, target: DglModel) -> DglMorphism:

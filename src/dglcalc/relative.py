@@ -23,7 +23,6 @@ relative evaluation subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg
@@ -85,7 +84,7 @@ class RelComplex(ChainComplex):
             cols.append(self.join(n - 1, {k: -c for k, c in col.items()}, {}))
         dV = self.V.columns(n - 1)
         for j in range(self.V.dim(n - 1)):
-            vobj = self.V.from_vector(n - 1, {j: Fraction(1)})
+            vobj = self.V.from_vector(n - 1, {j: 1})
             wpart = self.W.to_vector(n - 1, self.phi(vobj))
             cols.append(self.join(n - 1, wpart, dV[j]))
         return cols
@@ -171,23 +170,31 @@ def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
     """
     V, W = rel.V, rel.W
     report = LesReport()
+    maps = {"phi": rel.phi_star, "J": rel.j_star, "P": rel.p_star}
+    eliminated = {}  # (map, degree) -> (columns, rank, kernel dim)
+
+    def eliminate(key):
+        # each map feeds two nodes but is eliminated once; no columns, no rref
+        out = eliminated.get(key)
+        if out is None:
+            cols = maps[key[0]](key[1])
+            rr = linalg.rref(cols) if cols else linalg.Rref()
+            out = eliminated[key] = (cols, rr.rank, len(rr.kernel))
+        return out
+
     for n in degrees:
         # exactness at a node: im(incoming) = ker(outgoing)
         nodes = (
-            ("V", V, rel.trusted(n + 1) and V.trusted(n) and W.trusted(n),
-             lambda: rel.p_star(n + 1), lambda: rel.phi_star(n)),
-            ("W", W, V.trusted(n) and W.trusted(n) and rel.trusted(n),
-             lambda: rel.phi_star(n), lambda: rel.j_star(n)),
-            ("Rel", rel, W.trusted(n) and rel.trusted(n) and V.trusted(n - 1),
-             lambda: rel.j_star(n), lambda: rel.p_star(n)),
+            ("V", V, rel.trusted(n + 1) and V.trusted(n) and W.trusted(n), ("P", n + 1), ("phi", n)),
+            ("W", W, V.trusted(n) and W.trusted(n) and rel.trusted(n), ("phi", n), ("J", n)),
+            ("Rel", rel, W.trusted(n) and rel.trusted(n) and V.trusted(n - 1), ("J", n), ("P", n)),
         )
         for position, cplx, trusted, incoming, outgoing in nodes:
             if not trusted:
                 report.nodes.append(LesNode(n, position, -1, -1, -1, None, False))
                 continue
-            inc_cols, out_cols = incoming(), outgoing()
-            inc = linalg.rref(inc_cols).rank
-            out_kernel = len(linalg.rref(out_cols).kernel)
+            inc_cols, inc, _ = eliminate(incoming)
+            out_cols, _, out_kernel = eliminate(outgoing)
             exact = inc == out_kernel and _composite_zero(inc_cols, out_cols)
             report.nodes.append(
                 LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, exact, True)

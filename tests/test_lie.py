@@ -227,3 +227,114 @@ def test_basis_word_is_the_bracket_of_its_standard_factors():
         if len(w) > 1:
             u, v = alg.split(w)
             assert alg.monomial(u).bracket(alg.monomial(v)) == alg.monomial(w), w
+
+
+# -- int and Fraction coefficients against the tensor oracle ---------------------
+
+# an integral coefficient may arrive as an int or as a Fraction with denominator 1
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+scalars = st.sampled_from([2, -3, F(2, 1), F(-3, 1), F(1, 2), F(-2, 3)])
+
+
+def _tree(alg, word):
+    """The bracket tree of names that a basis word stands for."""
+    if len(word) == 1:
+        return alg.generators[word[0]].name
+    u, v = alg.split(word)
+    return (_tree(alg, u), _tree(alg, v))
+
+
+def _oracle(alg, element):
+    """Naive tensor expansion of an element, through its bracket trees."""
+    degrees = {g.name: g.degree for g in alg.generators}
+    return oracles.combo_expand({_tree(alg, w): c for w, c in element.terms.items()}, degrees)
+
+
+def _assert_canonical(element):
+    for c in element.terms.values():
+        assert type(c) is int or (type(c) is F and c.denominator != 1), repr(c)
+
+
+@st.composite
+def mixed_elements(draw, count=2, max_degree=3):
+    gens = draw(gen_sets)
+    alg = FreeLieAlgebra(gens, truncation=7)
+    elements = []
+    for _ in range(count):
+        n = draw(st.integers(min_value=1, max_value=max_degree))
+        elements.append(LieElement(alg, n, {w: draw(coefficients) for w in alg.words(n)}))
+    return alg, elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_elements(count=2), scalars)
+def test_mixed_coefficient_arithmetic_matches_tensor_oracle(data, k):
+    alg, (a, b) = data
+    expansions = {w: dict(alg.expansion(w)) for n in range(1, 8) for w in alg.words(n)}
+    degrees = {g.name: g.degree for g in alg.generators}
+    if a.degree != b.degree:
+        b = alg.zero(a.degree)
+    ka = k * a
+    results = [a, b, a + b, ka, a - b]
+    assert _oracle(alg, ka) == {t: k * c for t, c in _oracle(alg, a).items()}
+    assert a * k == ka
+    total = dict(_oracle(alg, a))
+    for t, c in _oracle(alg, b).items():
+        total[t] = total.get(t, 0) + c
+    assert _oracle(alg, a + b) == {t: c for t, c in total.items() if c}
+    if a.degree + b.degree <= alg.truncation:
+        ab = a.bracket(b)
+        results.append(ab)
+        pairs = {(_tree(alg, u), _tree(alg, v)): cu * cv
+                 for u, cu in a.terms.items() for v, cv in b.terms.items()}
+        assert _oracle(alg, ab) == oracles.combo_expand(pairs, degrees)
+    for x in results:
+        _assert_canonical(x)
+        # coordinates of the oracle's tensor, integral entries as ints: a
+        # square ww with an odd coefficient divides an int by 2 exactly
+        tensor = {tuple(alg.index(g) for g in t): c.numerator if c.denominator == 1 else c
+                  for t, c in _oracle(alg, x).items()}
+        back = alg.from_tensor(x.degree, tensor)
+        assert back == x
+        _assert_canonical(back)
+    # brackets read the cached expansions in place and never change them
+    assert all(alg.expansion(w) == e for w, e in expansions.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_and_elements(count=1))
+def test_int_and_fraction_coefficients_are_equal_and_hash_alike(data):
+    alg, (a,) = data
+    as_fractions = LieElement(alg, a.degree, {w: F(c) for w, c in a.terms.items()})
+    assert as_fractions == a and hash(as_fractions) == hash(a)
+    assert all(type(c) is int for c in as_fractions.terms.values())
+    halved = a * F(1, 2)
+    assert halved * 2 == a and hash(halved * 2) == hash(a)
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
+def test_brackets_leave_the_cached_expansions_unchanged(gens):
+    # a unit monomial brackets through its cached expansion itself, unscaled
+    alg = FreeLieAlgebra(gens, truncation=7)
+    words = [w for n in range(1, 8) for w in alg.words(n)]
+    expansions = {w: dict(alg.expansion(w)) for w in words}
+    for u in words:
+        for v in words:
+            if alg.word_degree(u) + alg.word_degree(v) > alg.truncation:
+                continue
+            a, b = alg.monomial(u), alg.monomial(v)
+            for x, y in ((a, b), (a, 2 * b), (F(1, 2) * a, b)):
+                _assert_canonical(x.bracket(y))
+    assert all(alg.expansion(w) == e for w, e in expansions.items())
+
+
+def test_float_coefficients_are_refused(two_odd):
+    x = two_odd.gen("x")
+    with pytest.raises(PreconditionError):
+        LieElement(two_odd, 1, {(0,): 0.5})
+    with pytest.raises(PreconditionError):
+        x * 2.0
