@@ -490,6 +490,9 @@ def _main(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except UnicodeDecodeError as exc:
+        print(f"parse error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         ws = parse_workspace(text, truncation=args.max_degree)
         if args.command != "validate":

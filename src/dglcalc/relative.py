@@ -11,14 +11,16 @@ into the long exact homology sequence
     ... -> H_{n+1}(Rel) -P-> H_n(V) -phi-> H_n(W) -J-> H_n(Rel) -> ...
 
 The cone owns this sequence: `phi_star`, `j_star` and `p_star` give the three
-maps in class coordinates, each computed once per degree, and
-`assemble_les_of_chain_map` checks its exactness by reading them.  J and P
-act on vectors directly.
+maps in class coordinates, each computed once per degree, and `les_rref`
+gives the one elimination of each, which `assemble_les_of_chain_map` reads to
+check exactness.  J and P act on vectors directly.
 
-An evaluation context builds the cone of the adjoint map K -> Der(L, K; psi)
-of a DGL morphism, whose sequence is the long exact derivation homology
-sequence, and the cone of post-composition on derivation spaces used by the
-relative evaluation subgroups.
+An evaluation context builds, besides Rel(psi) and the cone of
+post-composition on derivation spaces, three adjoint cones whose phi_* are
+the maps the evaluation subgroups are kernels of: ad: L -> Der(L, L; 1),
+ad_psi: K -> Der(L, K; psi), whose sequence is the long exact derivation
+homology sequence, and (ad_psi, ad) between the first two cones.  Of the
+three, only Rel(ad_psi) ever assembles its own differential.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ class RelComplex(ChainComplex):
         self.name = name
         self.trunc = min(V.trunc, W.trunc)
         self._les_maps = {}
+        self._les_rrefs = {}
 
     def complete(self, n: int) -> bool:
         return self.W.complete(n) and self.V.complete(n - 1)
@@ -108,6 +111,22 @@ class RelComplex(ChainComplex):
             cols = self._les_maps[key] = build()
         return cols
 
+    def les_rref(self, name: str, n: int) -> linalg.Rref:
+        """The one elimination of the map `name` ("phi", "J" or "P") at degree n.
+
+        Its kernel and rows serve every reader; a map with no columns gets an
+        empty echelon form and no rref call.
+        """
+        rr = self._les_rrefs.get((name, n))
+        if rr is None:
+            cols = self.les_map(name, n)
+            rr = self._les_rrefs[name, n] = linalg.rref(cols) if cols else linalg.Rref()
+        return rr
+
+    def les_map(self, name: str, n: int) -> list:
+        """phi_star, j_star or p_star at degree n, by name: "phi", "J" or "P"."""
+        return {"phi": self.phi_star, "J": self.j_star, "P": self.p_star}[name](n)
+
     def phi_star(self, n: int) -> list:
         """phi_*: H_n(V) -> H_n(W), one column per class of H_n(V)."""
         return self._les_map(
@@ -170,18 +189,6 @@ def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
     """
     V, W = rel.V, rel.W
     report = LesReport()
-    maps = {"phi": rel.phi_star, "J": rel.j_star, "P": rel.p_star}
-    eliminated = {}  # (map, degree) -> (columns, rank, kernel dim)
-
-    def eliminate(key):
-        # each map feeds two nodes but is eliminated once; no columns, no rref
-        out = eliminated.get(key)
-        if out is None:
-            cols = maps[key[0]](key[1])
-            rr = linalg.rref(cols) if cols else linalg.Rref()
-            out = eliminated[key] = (cols, rr.rank, len(rr.kernel))
-        return out
-
     for n in degrees:
         # exactness at a node: im(incoming) = ker(outgoing)
         nodes = (
@@ -193,8 +200,9 @@ def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
             if not trusted:
                 report.nodes.append(LesNode(n, position, -1, -1, -1, None, False))
                 continue
-            inc_cols, inc, _ = eliminate(incoming)
-            out_cols, _, out_kernel = eliminate(outgoing)
+            inc = rel.les_rref(*incoming).rank
+            out_kernel = len(rel.les_rref(*outgoing).kernel)
+            inc_cols, out_cols = rel.les_map(*incoming), rel.les_map(*outgoing)
             exact = inc == out_kernel and _composite_zero(inc_cols, out_cols)
             report.nodes.append(
                 LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, exact, True)

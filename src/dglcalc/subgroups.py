@@ -8,14 +8,15 @@ All subgroups are kernels of maps induced on homology by adjoints:
   G^rel_n(K,L;psi)  = ker{ H(ad_psi, ad): H_{n-1}(Rel(psi)) -> H_{n-1}(Rel(psi_*)) }
 
 Degrees are topological on the reports (internal degree = topological - 1).
-An `EvaluationContext` builds the complexes of one morphism once, with three
-cones: Rel(psi), Rel(psi_*) and the adjoint cone Rel(ad_psi).  H(ad_psi) is
-the first map of the adjoint cone's long exact sequence, so the evaluation
-subgroup, the image that `g_vs_p` intersects and `les` all read one matrix
-per degree.  The G-sequence is the chain complex
-G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ... restricted from the long exact
-homology sequence of Rel(psi), whose maps it reads from that cone, and its
-omega-homology is measured at the G_n(L) term.
+An `EvaluationContext` builds the complexes of one morphism once, with the
+cones Rel(psi) and Rel(psi_*) and three adjoint cones, one per subgroup:
+Rel(ad), Rel(ad_psi) and Rel(ad_psi, ad).  Each subgroup is the kernel of the
+first map phi_* of its cone's long exact sequence, read from the cone's one
+elimination of that map, so the evaluation subgroup, the image that `g_vs_p`
+intersects and `les` all read one matrix and one elimination per degree.  The
+G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
+restricted from the long exact homology sequence of Rel(psi), whose maps it
+reads from that cone, and its omega-homology is measured at the G_n(L) term.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex, DglComplex, HomologySlice, induced_matrix
+from .complexes import ChainComplex, DglComplex, HomologySlice
 from .derivations import DerComplex, GenDerivation, adjoint
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import LieElement
@@ -99,12 +100,11 @@ class CoformalReport:
 class _Subgroup:
     """A kernel subspace of one homology group, in class coordinates."""
 
-    def __init__(self, cplx: ChainComplex, degree: int, vectors: list, trusted: bool, image: list):
+    def __init__(self, cplx: ChainComplex, degree: int, vectors: list, trusted: bool):
         self.cplx = cplx
         self.degree = degree
         self.vectors = vectors  # RREF rows over homology representative indices
         self.trusted = trusted
-        self.image = image  # RREF rows spanning the image of the map, if it was eliminated
 
     @property
     def dim(self) -> int:
@@ -124,9 +124,21 @@ class _Subgroup:
         """Coordinates of a homology-class vector over the subgroup basis."""
         return linalg.solve_columns(self.vectors, class_vec)
 
+    def report(self, top: int, checked_source_degrees: Optional[tuple] = None) -> SubspaceReport:
+        return SubspaceReport(
+            topological=top,
+            internal=self.degree,
+            ambient_dim=self.ambient().dim,
+            dimension=self.dim,
+            representatives=self.representatives() if self.dim else [],
+            trusted=self.trusted,
+            low_degree_caveat=self.degree <= 2,
+            checked_source_degrees=checked_source_degrees,
+        )
+
 
 class EvaluationContext:
-    """Caches the complexes attached to one morphism."""
+    """Caches the complexes attached to one morphism, with one adjoint cone per subgroup."""
 
     def __init__(self, psi: DglMorphism):
         self.psi = psi
@@ -135,7 +147,7 @@ class EvaluationContext:
         self.cL = DglComplex(self.L)
         self.cK = DglComplex(self.K)
         self.der_LK = DerComplex(psi)
-        self.identity = identity = DglMorphism.identity(self.L)
+        identity = DglMorphism.identity(self.L)
         self.der_LL = DerComplex(identity)
         # The maps below close over locals, never over self: a closure kept
         # on self would make every context a reference cycle.
@@ -147,62 +159,47 @@ class EvaluationContext:
 
         self.rel = RelComplex(self.cL, self.cK, psi.apply, name="rel")
         self.rel_star = RelComplex(self.der_LL, self.der_LK, post, name="rel-star")
-        self.rel_ad = RelComplex(
-            self.cK, self.der_LK, lambda y: adjoint(psi, y), name="rel-adjoint"
+        self.rel_ad_L = RelComplex(
+            self.cL, self.der_LL, lambda x: adjoint(identity, x), name="gottlieb"
         )
-        # (ad_psi, ad): Rel(psi) -> Rel(psi_star), (k, l) -> (ad_psi(k), ad(l))
-        self.pair_map = lambda pair: (adjoint(psi, pair[0]), adjoint(identity, pair[1]))
+        self.rel_ad = RelComplex(
+            self.cK, self.der_LK, lambda y: adjoint(psi, y), name="evaluation"
+        )
+        self.rel_ad_pair = RelComplex(
+            self.rel,
+            self.rel_star,
+            lambda pair: (adjoint(psi, pair[0]), adjoint(identity, pair[1])),
+            name="relative",
+        )
         self._kernels = {}
 
     # -- kernels of the three vertical maps ---------------------------------
 
-    def _kernel(self, kind: str, m: int) -> _Subgroup:
-        key = (kind, m)
+    def _kernel(self, cone: RelComplex, m: int) -> _Subgroup:
+        """ker phi_* in H_m of an adjoint cone's source, from phi_*'s one elimination."""
+        key = (cone, m)
         if key in self._kernels:
             return self._kernels[key]
-        if kind == "gottlieb":
-            src, dst, fn = self.cL, self.der_LL, lambda x: adjoint(self.identity, x)
-        elif kind == "evaluation":  # phi_* of the adjoint cone
-            src, dst, fn = self.cK, self.der_LK, None
-        elif kind == "relative":
-            src, dst, fn = self.rel, self.rel_star, self.pair_map
-        else:  # pragma: no cover
-            raise InternalError(f"unknown subgroup kind {kind}")
-        if m < 1 and kind != "relative":
-            group = _Subgroup(src, m, [], True, [])
+        src, dst = cone.V, cone.W
+        if m < 1 and isinstance(src, DglComplex):  # a DGL has no homology below degree 1
+            group = _Subgroup(src, m, [], True)
         elif not (src.computable(m) and dst.computable(m)):
             raise TruncationError(
-                f"{kind} subgroup at internal degree {m} is outside the computable window"
+                f"{cone.name} subgroup at internal degree {m} is outside the computable window"
             )
         else:
-            cols = induced_matrix(src, m, dst, m, fn) if fn else self.rel_ad.phi_star(m)
-            elimination = linalg.rref(cols)
-            trusted = src.trusted(m) and dst.trusted(m)
-            group = _Subgroup(src, m, elimination.kernel, trusted, elimination.rows)
+            kernel = cone.les_rref("phi", m).kernel
+            group = _Subgroup(src, m, kernel, src.trusted(m) and dst.trusted(m))
         self._kernels[key] = group
         return group
 
     # -- public subgroup reports ---------------------------------------------
 
-    def _report(self, kind: str, top: int) -> SubspaceReport:
-        m = top - 1
-        group = self._kernel(kind, m)
-        ambient_dim = group.ambient().dim if m >= 1 or kind == "relative" else 0
-        return SubspaceReport(
-            topological=top,
-            internal=m,
-            ambient_dim=ambient_dim,
-            dimension=group.dim,
-            representatives=group.representatives() if group.dim else [],
-            trusted=group.trusted,
-            low_degree_caveat=m <= 2,
-        )
-
     def evaluation_subgroup(self, top: int) -> SubspaceReport:
-        return self._report("evaluation", top)
+        return self._kernel(self.rel_ad, top - 1).report(top)
 
     def rel_evaluation_subgroup(self, top: int) -> SubspaceReport:
-        return self._report("relative", top)
+        return self._kernel(self.rel_ad_pair, top - 1).report(top)
 
     def les(self, degrees) -> LesReport:
         """The long exact derivation homology sequence, in internal degrees.
@@ -239,24 +236,14 @@ class EvaluationContext:
     def whitehead_center(self, top: int) -> SubspaceReport:
         m = top - 1
         if m < 1:
-            return SubspaceReport(top, m, 0, 0, [], True, True)
+            return _Subgroup(self.cK, m, [], True).report(top)
         if not self.cK.computable(m):
             raise TruncationError("center degree is outside the computable window")
         hK = self.cK.homology(m)
         ys = [self.cK.from_vector(m, row) for row in hK.rep_rows]
         bracket, apply = self.K.algebra.bracket, self.psi.apply
         vectors, j_max = self._pairing_kernel(m, ys, lambda y, xi: bracket(y, apply(xi)))
-        group = _Subgroup(self.cK, m, vectors, hK.trusted, [])
-        return SubspaceReport(
-            topological=top,
-            internal=m,
-            ambient_dim=hK.dim,
-            dimension=group.dim,
-            representatives=group.representatives(),
-            trusted=hK.trusted,
-            low_degree_caveat=m <= 2,
-            checked_source_degrees=(1, j_max),
-        )
+        return _Subgroup(self.cK, m, vectors, hK.trusted).report(top, (1, j_max))
 
     # -- the center/evaluation comparison ---------------------------------------
 
@@ -267,7 +254,7 @@ class EvaluationContext:
         quotient = ce.dimension - ev.dimension
         witness_rows, witnesses = [], []
         if m >= 1:  # the evaluation subgroup above checked that Der is computable
-            image_rows = self._kernel("evaluation", m).image
+            image_rows = self.rel_ad.les_rref("phi", m).rows
             hDer = self.der_LK.homology(m)
             thetas = [self.der_LK.from_vector(m, row) for row in hDer.rep_rows]
             ker_i_rows, _ = self._pairing_kernel(m, thetas, lambda theta, xi: theta.apply(xi))
@@ -313,11 +300,11 @@ class EvaluationContext:
         terms = {}
         for top in tops:
             m = top - 1
-            gl = self._kernel("gottlieb", m)
-            gk = self._kernel("evaluation", m)
-            grel = self._kernel("relative", m)
-            grel_up = self._kernel("relative", m + 1)
-            gl_down = self._kernel("gottlieb", m - 1)
+            gl = self._kernel(self.rel_ad_L, m)
+            gk = self._kernel(self.rel_ad, m)
+            grel = self._kernel(self.rel_ad_pair, m)
+            grel_up = self._kernel(self.rel_ad_pair, m + 1)
+            gl_down = self._kernel(self.rel_ad_L, m - 1)
 
             r_psi = self._restricted_map(gl, gk, self.rel.phi_star(m))
             r_j = self._restricted_map(gk, grel, self.rel.j_star(m))

@@ -119,7 +119,7 @@ def test_criterion_3_one_cell_attachment_exact():
         h3 = ctx.rel.homology(3)
         class_vec = h3.class_coords(ctx.rel.to_vector(3, (y, w)))
         assert class_vec, "the witness class must be nonzero"
-        group = ctx._kernel("relative", 3)
+        group = ctx._kernel(ctx.rel_ad_pair, 3)
         witness_coords = group.coords_of(class_vec)
         assert witness_coords is not None
         # H(P) sends it to <w>, which spans G_3 of the source: onto
@@ -131,7 +131,7 @@ def test_criterion_3_one_cell_attachment_exact():
         phi = GenDerivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
         assert phi.differential() == adjoint(incl, y)
         # hence (ad(y), ad(w)) = (ad(y), 0) bounds in the derivation cone
-        pair = ctx.pair_map((y, w))
+        pair = (adjoint(incl, y), adjoint(DglMorphism.identity(src), w))
         assert pair[1].is_zero()
         vec = ctx.rel_star.to_vector(3, pair)
         assert linalg.solve_columns(ctx.rel_star.d_columns(4), vec) is not None

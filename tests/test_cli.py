@@ -161,6 +161,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.dgl"
+    bad.write_bytes("model M { gen x : deg 2; } # caf\xe9".encode("latin-1"))
+    code, out, err = run(["validate", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
 def test_deep_bracket_nesting_is_a_parse_error(tmp_path, capsys):
     # nesting beyond the truncation is refused before the parser recurses
     deep = "x1"
@@ -223,6 +232,53 @@ def test_precondition_exit_code(capsys):
     )
     assert code == 3
     assert "precondition" in err
+
+
+@pytest.mark.parametrize(
+    "command, name, subgroup",
+    [
+        ("evsub", "f", "evaluation"),
+        ("gottlieb", "S4", "evaluation"),
+        ("grel", "f", "relative"),
+        ("gseq", "f", "gottlieb"),
+    ],
+)
+def test_subgroup_outside_the_window_names_the_subgroup(command, name, subgroup, capsys):
+    argv = [command, fixture("cp2_to_s4.dgl"), name, "--top-degree", "40"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == (
+        f"precondition error: {subgroup} subgroup at internal degree 39 "
+        "is outside the computable window\n"
+    )
+
+
+# dimensions of H(V), H(W), H(Rel) in the adjoint cone's LES below degree 1
+_LOW_LES = {1: [0, 1, 1], 0: [0, 0, 0], -1: [0, 0, 0]}
+
+
+@pytest.mark.parametrize("command", ["evsub", "gottlieb", "grel", "gseq", "les"])
+@pytest.mark.parametrize("top", [1, 0, -1])
+def test_degrees_below_two_report_zero_subgroups(command, top, capsys):
+    name = "S4" if command == "gottlieb" else "f"
+    argv = [command, fixture("cp2_to_s4.dgl"), name, "--top-degree", str(top)]
+    code, out, err = run_json(argv, capsys)
+    assert code == 0 and err == ""
+    entries = out["degrees"]
+    assert all(e["topological"] == top and e["internal"] == top - 1 for e in entries)
+    assert all(e["trusted"] is True and e["representatives"] == [] for e in entries)
+    if command == "les":
+        assert [e["position"] for e in entries] == ["V", "W", "Rel"]
+        assert [e["dimension"] for e in entries] == _LOW_LES[top]
+        assert out["all_exact"] is True
+        return
+    (entry,) = entries
+    assert entry["dimension"] == 0 and entry["low_degree_caveat"] is True
+    if command == "gseq":
+        dims = ("gottlieb_dim", "evaluation_dim", "relative_dim", "omega_dim")
+        assert [entry[k] for k in dims] == [0, 0, 0, 0] and entry["composites_zero"]
+    else:
+        assert entry["ambient_dim"] == 0
 
 
 @pytest.mark.parametrize("command", ["validate", "homology"])

@@ -88,7 +88,7 @@ def test_contractible_pair_star_boundary_identity():
     w = src.algebra.gen("w")
     ctx = EvaluationContext(incl)
     rel_star = ctx.rel_star
-    image = ctx.pair_map((y, w))
+    image = (adjoint(incl, y), adjoint(DglMorphism.identity(src), w))
     assert image[1].is_zero()  # ad(w) = 0 since |w| is even and L(w) abelian
     phi = GenDerivation(incl, 4, {"w": F(-1, 2) * y.bracket(y)})
     assert phi.differential() == image[0]

@@ -155,7 +155,7 @@ def test_rel_subgroup_contractible_pair_witness():
     h = ctx.rel.homology(3)
     vec = ctx.rel.to_vector(3, (y, w))
     coords = h.class_coords(vec)
-    group = ctx._kernel("relative", 3)
+    group = ctx._kernel(ctx.rel_ad_pair, 3)
     assert group.coords_of(coords) is not None
     # H(P)(<y, w>) = <w> spans G_3 of the source, so the restriction is onto
     gs = ctx.g_sequence([3, 4])
@@ -177,10 +177,15 @@ def test_rel_subgroup_pinch_dimensions_match_brute_force(pinch):
     from dglcalc.complexes import induced_matrix
     from dglcalc import linalg
 
+    identity = DglMorphism.identity(pinch.source)
+
+    def pair_map(pair):  # (ad_psi, ad): Rel(psi) -> Rel(psi_*)
+        return adjoint(pinch, pair[0]), adjoint(identity, pair[1])
+
     for top in range(2, 7):
         m = top - 1
         report = ctx.rel_evaluation_subgroup(top)
-        cols = induced_matrix(ctx.rel, m, ctx.rel_star, m, ctx.pair_map)
+        cols = induced_matrix(ctx.rel, m, ctx.rel_star, m, pair_map)
         assert report.dimension == ctx.rel.homology(m).dim - linalg.rref(cols).rank
 
 
@@ -222,13 +227,14 @@ def test_omega_representatives_are_independent_classes_killed_by_psi():
     checked = 0
     for psi in cases:
         ctx = EvaluationContext(psi)
+        identity = DglMorphism.identity(psi.source)
         for top, term in ctx.g_sequence(ctx.trusted_tops()).terms.items():
             m = top - 1
             reps = term.omega_representatives
             assert len(reps) == term.omega_dim
             for x in reps:
                 assert x.degree == m and ctx.L.d(x).is_zero()
-                ad = ctx.der_LL.to_vector(m, adjoint(ctx.identity, x))
+                ad = ctx.der_LL.to_vector(m, adjoint(identity, x))
                 assert _in_span(ad, ctx.der_LL.columns(m + 1), ctx.der_LL.dim(m))
                 assert _in_span(ctx.cK.to_vector(m, psi(x)), ctx.cK.columns(m + 1), ctx.cK.dim(m))
             grel_up = ctx.rel_evaluation_subgroup(top + 1).representatives
@@ -373,22 +379,39 @@ def test_g_sequence_builds_each_differential_once(monkeypatch):
 
 
 def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
-    # the evaluation kernel, the image that g_vs_p intersects and the LES all
-    # read H(ad_psi): H(K) -> H(Der(L,K;psi)) from the adjoint cone
+    # the three subgroups of the ladder, the image that g_vs_p intersects and
+    # the LES all read phi_* of an adjoint cone: each matrix is built and
+    # eliminated at most once per degree.  Only the LES, through H(Rel(ad_psi)),
+    # needs an adjoint cone's own differential.
     import sys
 
-    from dglcalc import complexes
+    from dglcalc import complexes, linalg
+    from dglcalc.relative import RelComplex
 
     original = complexes.induced_matrix
     calls = []
 
     def counted(src, n_src, dst, n_dst, fn):
-        calls.append((src, n_src, dst))
-        return original(src, n_src, dst, n_dst, fn)
+        cols = original(src, n_src, dst, n_dst, fn)
+        calls.append((src, n_src, dst, cols))
+        return cols
 
     for name, module in list(sys.modules.items()):
         if name.startswith("dglcalc") and getattr(module, "induced_matrix", None) is original:
             monkeypatch.setattr(module, "induced_matrix", counted)
+    eliminated, assembled = [], []
+    rref, d_columns = linalg.rref, RelComplex.d_columns
+
+    def counted_rref(rows, *args, **kwargs):
+        eliminated.append(rows)
+        return rref(rows, *args, **kwargs)
+
+    def counted_d_columns(cone, n):
+        assembled.append(cone)
+        return d_columns(cone, n)
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(RelComplex, "d_columns", counted_d_columns)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cp2_to_s4.dgl"
     psi = parse_workspace(fixture.read_text(), truncation=10).map("f")
     ctx = EvaluationContext(psi)
@@ -396,9 +419,22 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     for top in tops:
         ctx.evaluation_subgroup(top)
         ctx.g_vs_p(top)
+    ctx.g_sequence(tops)
+    cones = (ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair)
+    assert assembled and not [c for c in assembled if any(c is cone for cone in cones)]
     ctx.les([top - 1 for top in tops])
-    degrees = [n for src, n, dst in calls if src is ctx.cK and dst is ctx.der_LK]
+    assert {id(c) for c in assembled if any(c is cone for cone in cones)} == {id(ctx.rel_ad)}
+    degrees = [n for src, n, dst, _ in calls if src is ctx.cK and dst is ctx.der_LK]
     assert sorted(degrees) == sorted(set(degrees)) == [top - 1 for top in tops]
+    empty_maps = []
+    for cone in cones:
+        built = [(n, cols) for src, n, dst, cols in calls if src is cone.V and dst is cone.W]
+        degrees = [n for n, _ in built]
+        assert degrees and sorted(degrees) == sorted(set(degrees)), cone.name
+        counts = [sum(rows is cols for rows in eliminated) for _, cols in built]
+        assert max(counts) == 1, (cone.name, counts)
+        empty_maps += [c for (_, cols), c in zip(built, counts) if not cols]
+    assert empty_maps and not any(empty_maps)  # a map without columns is not eliminated
 
 
 def test_evaluation_context_is_freed_without_the_cycle_collector():
@@ -415,9 +451,10 @@ def test_evaluation_context_is_freed_without_the_cycle_collector():
         theta = ctx.der_LK.from_vector(2, {0: 1})
         theta.differential()
         assert psi._fox  # the Fox table is filled, and must not refer back to psi
-        refs = (weakref.ref(ctx), weakref.ref(ctx.rel_star), weakref.ref(ctx.rel_ad))
-        del ctx
-        assert [r() for r in refs] == [None, None, None]
+        cones = (ctx.rel_star, ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair)
+        refs = [weakref.ref(ctx)] + [weakref.ref(cone) for cone in cones]
+        del ctx, cones
+        assert [r() for r in refs] == [None] * 5
         refs = (weakref.ref(psi), weakref.ref(theta))
         del psi, theta
         assert [r() for r in refs] == [None, None]
