@@ -488,7 +488,8 @@ def _main(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        reason = exc.strerror or exc
+        print(f"precondition error: cannot read {args.file}: {reason}", file=sys.stderr)
         return EXIT_PRECONDITION
     except UnicodeDecodeError as exc:
         print(f"parse error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ elimination of d_n) that dimensions, conversions and homology read.  A
 homology slice is `linalg.quotient_basis` of two echelon forms already built,
 Z_n (the kernel of d_n's elimination) and B_n (the rows of d_{n+1}'s), so it
 eliminates only the reduced cycles.  Slices carry deterministic representative
-cycles and can express the class of any cycle in coordinates, which is all
-the downstream subgroup machinery needs.
+cycles and read the class coordinates of any cycle from their echelon form,
+which is all the downstream subgroup machinery needs.
 
 Truncation discipline: H_n needs C_{n-1}, C_n, C_{n+1}.  The first two are
 required to compute anything; if C_{n+1} is incomplete the slice is computed
@@ -67,9 +67,8 @@ class HomologySlice:
 
     def class_coords(self, vec) -> dict:
         """Coordinates of a cycle's class over the representative rows."""
-        residual, _ = self.boundaries.reduce(vec)
-        residual, coords = self.rep_rref.reduce(residual, track=True)
-        if residual:
+        coords = self.rep_rref.coords(self.boundaries.reduce(vec))
+        if coords is None:
             raise PreconditionError("vector is not a cycle of this slice")
         return coords
 

@@ -8,9 +8,10 @@ by its content, and back-substitution runs the same step before one rational
 normalisation per row.  Pivoting is deterministic: leftmost column first,
 smallest row index second, which makes every derived basis reproducible.
 
-An `Rref` is the one echelon form of a space: `kernel_space` gives the null
-space of its input rows as another, and `quotient_basis` takes two of them
-and eliminates only the reduced rows of the quotient.
+An `Rref` is the one echelon form of a space: `coords` reads a vector's
+coordinates at its pivots, `kernel_space` gives the null space of its input
+rows as another, and `quotient_basis` and `intersect` take two of them and
+eliminate neither again.
 """
 from __future__ import annotations
 
@@ -58,35 +59,36 @@ def _integerize(row: Vec) -> tuple[Vec, int]:
 class Rref:
     """Reduced row echelon form of a list of sparse rows.
 
-    rows[i] has a 1 at pivots[i] and zeros at every other pivot column.
-    combos[i] (when tracked) expresses rows[i] as a combination of the input
-    rows; kernel holds the input-row combinations that vanish, themselves in
-    reduced echelon form over the input indices.
+    rows[i] has a 1 at pivots[i] and zeros at every other pivot column, so a
+    vector of the span is sum_i vec[pivots[i]] * rows[i].  kernel holds the
+    input-row combinations that vanish, themselves in reduced echelon form
+    over the input indices.
     """
 
     rows: list = field(default_factory=list)
     pivots: list = field(default_factory=list)
-    combos: Optional[list] = None
     kernel: list = field(default_factory=list)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Vec, track: bool = False):
-        """Reduce vec against the echelon rows.
-
-        Returns (residual, coeffs) where vec = residual + sum coeffs[i]*rows[i].
-        """
+    def reduce(self, vec: Vec) -> Vec:
+        """The residual vec - sum_i vec[pivots[i]] * rows[i]; empty exactly
+        when vec lies in the span."""
         residual = {k: Fraction(v) for k, v in vec.items() if v}
-        coeffs: Vec = {}
-        for i, (p, row) in enumerate(zip(self.pivots, self.rows)):
+        for p, row in zip(self.pivots, self.rows):
             c = residual.get(p)
             if c:
                 residual = vec_add(residual, row, -c)
-                if track:
-                    coeffs[i] = c
-        return residual, coeffs
+        return residual
+
+    def coords(self, vec: Vec) -> Optional[Vec]:
+        """Coordinates of vec over the rows, its entries at the pivots, or
+        None when vec is outside the span."""
+        if self.reduce(vec):
+            return None
+        return {i: Fraction(vec[p]) for i, p in enumerate(self.pivots) if vec.get(p)}
 
     def kernel_space(self) -> "Rref":
         """The kernel as an echelon form: its rows come out reduced, so each
@@ -120,7 +122,7 @@ def _primitive(row: Vec, combo: Optional[Vec] = None) -> None:
                 combo[k] //= c
 
 
-def rref(rows: Sequence[Vec], track: bool = False) -> Rref:
+def rref(rows: Sequence[Vec]) -> Rref:
     """Sparse fraction-free elimination with deterministic pivoting."""
     work = []
     combos = []
@@ -137,7 +139,6 @@ def rref(rows: Sequence[Vec], track: bool = False) -> Rref:
     heapify(heap)
 
     pivot_rows: list[Vec] = []
-    pivot_combos: list[Vec] = []
     pivot_cols: list = []
     while heap:
         # the least leading column, led by its smallest row index
@@ -157,49 +158,26 @@ def rref(rows: Sequence[Vec], track: bool = False) -> Rref:
             else:
                 kernel_combos.append(c)
         pivot_rows.append(prow)
-        pivot_combos.append(pcomb)
         pivot_cols.append(col)
 
     # integer back-substitution, last row first, then unit pivots
     position = {col: i for i, col in enumerate(pivot_cols)}
     frows = [None] * len(pivot_rows)
-    fcombos = [None] * len(pivot_rows) if track else None
     for i in range(len(pivot_rows) - 1, -1, -1):
-        row, comb = pivot_rows[i], pivot_combos[i]
+        row = pivot_rows[i]
         for j in [position[k] for k in row if k in position and position[k] > i]:
             q, a = pivot_rows[j][pivot_cols[j]], row[pivot_cols[j]]
             row = _eliminate(q, row, a, pivot_rows[j])
-            if track:
-                comb = _eliminate(q, comb, a, pivot_combos[j])
-            _primitive(row, comb if track else None)
-        pivot_rows[i], pivot_combos[i] = row, comb
+            _primitive(row)
+        pivot_rows[i] = row
         p = row[pivot_cols[i]]
         frows[i] = {k: Fraction(v, p) for k, v in row.items()}
-        if track:
-            fcombos[i] = {k: Fraction(v, p) for k, v in comb.items()}
 
     kernel = []
     if kernel_combos:
         kr = rref(kernel_combos)
         kernel = kr.rows
-    return Rref(rows=frows, pivots=pivot_cols, combos=fcombos, kernel=kernel)
-
-
-def solve_columns(cols: Sequence[Vec], b: Vec) -> Optional[Vec]:
-    """Some x with sum_j x[j]*cols[j] = b, or None; free coordinates are 0."""
-    rr = rref(cols, track=True)
-    residual, coeffs = rr.reduce(b, track=True)
-    if residual:
-        return None
-    out: Vec = {}
-    for i, c in coeffs.items():
-        for j, v in rr.combos[i].items():
-            w = out.get(j, 0) + c * v
-            if w:
-                out[j] = w
-            else:
-                out.pop(j, None)
-    return out
+    return Rref(rows=frows, pivots=pivot_cols, kernel=kernel)
 
 
 def quotient_basis(sup: Rref, sub: Rref) -> Rref:
@@ -217,7 +195,7 @@ def quotient_basis(sup: Rref, sub: Rref) -> Rref:
     """
     reduced = []
     for row in sup.rows:
-        residual, _ = sub.reduce(row)
+        residual = sub.reduce(row)
         if residual:
             reduced.append(residual)
     out = rref(reduced)
@@ -226,17 +204,11 @@ def quotient_basis(sup: Rref, sub: Rref) -> Rref:
     return out
 
 
-def intersect(a: Sequence[Vec], b: Sequence[Vec]) -> list:
-    """Basis of span(a) & span(b)."""
-    ra = rref(a).rows
-    rb = rref(b).rows
-    stacked = list(ra) + list(rb)
-    out = []
-    for combo in rref(stacked).kernel:
-        vec: Vec = {}
-        for j, c in combo.items():
-            if j < len(ra):
-                vec = vec_add(vec, ra[j], c)
-        if vec:
-            out.append(vec)
+def intersect(a: Rref, b: Rref) -> list:
+    """Echelon basis of span(a) & span(b): both row lists are independent, so
+    the a-parts of a kernel basis of a's rows stacked on b's are a basis."""
+    out = [
+        combine({j: c for j, c in combo.items() if j < a.rank}, a.rows)
+        for combo in rref(a.rows + b.rows).kernel
+    ]
     return rref(out).rows

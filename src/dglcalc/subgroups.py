@@ -16,7 +16,9 @@ elimination of that map, so the evaluation subgroup, the image that `g_vs_p`
 intersects and `les` all read one matrix and one elimination per degree.  The
 G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
 restricted from the long exact homology sequence of Rel(psi), whose maps it
-reads from that cone, and its omega-homology is measured at the G_n(L) term.
+reads from that cone; a class's coordinates in a subgroup are its entries at
+the pivots of the kernel's echelon form.  The omega-homology of the sequence
+is measured at the G_n(L) term.
 """
 from __future__ import annotations
 
@@ -98,31 +100,31 @@ class CoformalReport:
 
 
 class _Subgroup:
-    """A kernel subspace of one homology group, in class coordinates."""
+    """A kernel subspace of one homology group: its echelon form in class coordinates."""
 
-    def __init__(self, cplx: ChainComplex, degree: int, vectors: list, trusted: bool):
+    def __init__(self, cplx: ChainComplex, degree: int, basis: linalg.Rref, trusted: bool):
         self.cplx = cplx
         self.degree = degree
-        self.vectors = vectors  # RREF rows over homology representative indices
+        self.basis = basis
         self.trusted = trusted
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.basis.rank
 
     def ambient(self) -> HomologySlice:
         return self.cplx.homology(self.degree)
 
     def element_vectors(self) -> list:
         h = self.ambient()
-        return [linalg.combine(v, h.rep_rows) for v in self.vectors]
+        return [linalg.combine(v, h.rep_rows) for v in self.basis.rows]
 
     def representatives(self) -> list:
         return [self.cplx.from_vector(self.degree, v) for v in self.element_vectors()]
 
     def coords_of(self, class_vec) -> Optional[dict]:
-        """Coordinates of a homology-class vector over the subgroup basis."""
-        return linalg.solve_columns(self.vectors, class_vec)
+        """Coordinates of a homology-class vector over the subgroup basis, or None."""
+        return self.basis.coords(class_vec)
 
     def report(self, top: int, checked_source_degrees: Optional[tuple] = None) -> SubspaceReport:
         return SubspaceReport(
@@ -182,13 +184,13 @@ class EvaluationContext:
             return self._kernels[key]
         src, dst = cone.V, cone.W
         if m < 1 and isinstance(src, DglComplex):  # a DGL has no homology below degree 1
-            group = _Subgroup(src, m, [], True)
+            group = _Subgroup(src, m, linalg.Rref(), True)
         elif not (src.computable(m) and dst.computable(m)):
             raise TruncationError(
                 f"{cone.name} subgroup at internal degree {m} is outside the computable window"
             )
         else:
-            kernel = cone.les_rref("phi", m).kernel
+            kernel = cone.les_rref("phi", m).kernel_space()
             group = _Subgroup(src, m, kernel, src.trusted(m) and dst.trusted(m))
         self._kernels[key] = group
         return group
@@ -211,7 +213,7 @@ class EvaluationContext:
     # -- Whitehead center -------------------------------------------------------
 
     def _pairing_kernel(self, m: int, elements: list, pair) -> tuple:
-        """Kernel of x -> (xi -> class of pair(x, xi) in H_{j+m}(K)), and the top j.
+        """Kernel space of x -> (xi -> class of pair(x, xi) in H_{j+m}(K)), and the top j.
 
         One column per element x, one block of rows per homology
         representative xi of H_j(L) for each testable source degree j.
@@ -231,19 +233,19 @@ class EvaluationContext:
                     for idx, c in hKjm.class_coords(value).items():
                         cols[k][offset + idx] = c
                 offset += hKjm.dim
-        return linalg.rref(cols).kernel, j_max
+        return linalg.rref(cols).kernel_space(), j_max
 
     def whitehead_center(self, top: int) -> SubspaceReport:
         m = top - 1
         if m < 1:
-            return _Subgroup(self.cK, m, [], True).report(top)
+            return _Subgroup(self.cK, m, linalg.Rref(), True).report(top)
         if not self.cK.computable(m):
             raise TruncationError("center degree is outside the computable window")
         hK = self.cK.homology(m)
         ys = [self.cK.from_vector(m, row) for row in hK.rep_rows]
         bracket, apply = self.K.algebra.bracket, self.psi.apply
-        vectors, j_max = self._pairing_kernel(m, ys, lambda y, xi: bracket(y, apply(xi)))
-        return _Subgroup(self.cK, m, vectors, hK.trusted).report(top, (1, j_max))
+        kernel, j_max = self._pairing_kernel(m, ys, lambda y, xi: bracket(y, apply(xi)))
+        return _Subgroup(self.cK, m, kernel, hK.trusted).report(top, (1, j_max))
 
     # -- the center/evaluation comparison ---------------------------------------
 
@@ -254,11 +256,11 @@ class EvaluationContext:
         quotient = ce.dimension - ev.dimension
         witness_rows, witnesses = [], []
         if m >= 1:  # the evaluation subgroup above checked that Der is computable
-            image_rows = self.rel_ad.les_rref("phi", m).rows
+            image = self.rel_ad.les_rref("phi", m)
             hDer = self.der_LK.homology(m)
             thetas = [self.der_LK.from_vector(m, row) for row in hDer.rep_rows]
-            ker_i_rows, _ = self._pairing_kernel(m, thetas, lambda theta, xi: theta.apply(xi))
-            witness_rows = linalg.intersect(image_rows, ker_i_rows)
+            ker_i, _ = self._pairing_kernel(m, thetas, lambda theta, xi: theta.apply(xi))
+            witness_rows = linalg.intersect(image, ker_i)
             witnesses = [
                 self.der_LK.from_vector(m, linalg.combine(row, hDer.rep_rows))
                 for row in witness_rows
@@ -288,7 +290,7 @@ class EvaluationContext:
     ) -> list:
         """Columns of a homology map restricted to subgroup coordinates."""
         out = []
-        for v in src_group.vectors:
+        for v in src_group.basis.rows:
             coords = dst_group.coords_of(linalg.combine(v, cols))
             if coords is None:
                 raise InternalError("ladder restriction failed; image leaves the subgroup")
@@ -367,7 +369,7 @@ def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols, cplx, m):
     reps = []
     h = group.ambient()
     for q in quotient.rows:
-        class_vec = linalg.combine(q, group.vectors)
+        class_vec = linalg.combine(q, group.basis.rows)
         reps.append(cplx.from_vector(m, linalg.combine(class_vec, h.rep_rows)))
     return quotient.rank, reps
 
@@ -378,7 +380,7 @@ def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols, cplx, m):
 def gottlieb(model: DglModel, tops) -> list:
     """Gottlieb subgroups, one report per top: evaluation subgroups along the identity."""
     ctx = EvaluationContext(DglMorphism.identity(model))
-    return [ctx.evaluation_subgroup(top) for top in tops]
+    return [ctx._kernel(ctx.rel_ad_L, top - 1).report(top) for top in tops]
 
 
 # -- coformality ------------------------------------------------------------------
@@ -477,13 +479,16 @@ def coformal_bounding_derivation(psi: DglMorphism, xi: LieElement) -> GenDerivat
         idx = [
             k for k, w in enumerate(words) if K.algebra.word_upper(w) == g.upper + 1
         ]
-        target = cK.to_vector(deg - 1, rhs)
-        sol = linalg.solve_columns([cols[k] for k in idx], target)
+        # a kernel vector (v, s) of [cols | -rhs] with s != 0 gives the solution v / s
+        minus_rhs = {k: -c for k, c in cK.to_vector(deg - 1, rhs).items()}
+        kernel = linalg.rref([cols[k] for k in idx] + [minus_rhs]).kernel
+        sol = next((v for v in kernel if len(idx) in v), None)
         if sol is None:
             raise PreconditionError(
                 f"no bounding value exists for generator {g.name} inside upper degree {g.upper + 1}"
             )
-        values[g.name] = cK.from_vector(deg, {idx[k]: c for k, c in sol.items()})
+        s = sol.pop(len(idx))
+        values[g.name] = cK.from_vector(deg, {idx[k]: c / s for k, c in sol.items()})
     theta = GenDerivation(psi, n + 1, values)
     if theta.differential() != adjoint(psi, xi):
         raise InternalError("constructed derivation does not bound the adjoint")

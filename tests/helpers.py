@@ -16,6 +16,8 @@ from dglcalc.complexes import DglComplex
 from dglcalc import linalg
 from dglcalc.modelfile import parse_workspace
 
+from .oracles import solve_columns
+
 NAMES = "abcdefgh"
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -132,7 +134,7 @@ def random_morphism(seed, src, dst):
         if g.degree > dst.truncation:
             return None
         target = cx.to_vector(g.degree - 1, rhs) if not rhs.is_zero() else {}
-        sol = linalg.solve_columns(cx.d_columns(g.degree), target)
+        sol = solve_columns(cx.d_columns(g.degree), target)
         if sol is None:
             return None
         value = cx.from_vector(g.degree, sol)

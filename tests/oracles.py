@@ -13,12 +13,15 @@ the reference for the generator-only d^2 check.  `tensor_derivation` and
 generator indices) and extend letter by letter, never bracketing a word.
 `bareiss_rref` is the package's earlier one-step Bareiss elimination, kept
 as the slow reference for the sparse `linalg.rref`; it shares only the
-`Rref` record and `vec_add`.  `les_by_objects` is the package's earlier
-long-exact-sequence check, which induces every map from domain objects, kept
-as the reference for the cone's class-coordinate maps.  `GenDerivation` is
-the package's earlier per-derivation evaluator, a Leibniz recursion with its
-own word cache, kept as the reference for derivations evaluated through a
-morphism's Fox table; it shares the basis, brackets and `DglMorphism.apply`.
+`Rref` record and `vec_add`.  `solve_columns` is the package's earlier
+solver, rebuilt on the combinations that `bareiss_rref` tracks; it also uses
+`Rref.reduce` as its membership test.  `les_by_objects` is the package's
+earlier long-exact-sequence check, which induces every map from domain
+objects, kept as the reference for the cone's class-coordinate maps.
+`GenDerivation` is the package's earlier per-derivation evaluator, a Leibniz
+recursion with its own word cache, kept as the reference for derivations
+evaluated through a morphism's Fox table; it shares the basis, brackets and
+`DglMorphism.apply`.
 """
 from __future__ import annotations
 
@@ -223,7 +226,7 @@ def two_elimination_homology(cplx, n):
     boundaries = linalg.rref(cplx.d_columns(n + 1) if trusted else [])
     reduced = []
     for row in cycles.rows:
-        residual, _ = boundaries.reduce(row)
+        residual = boundaries.reduce(row)
         if residual:
             reduced.append(residual)
     return cycles.rows, boundaries.rows, linalg.rref(reduced).rows, trusted
@@ -360,7 +363,9 @@ def _bareiss_integerize(row):
 
 def bareiss_rref(rows, track=False):
     """One-step Bareiss elimination with rational back-substitution: every
-    remaining row is rescaled at every pivot.  Same contract as `linalg.rref`."""
+    remaining row is rescaled at every pivot.  Same contract as `linalg.rref`;
+    with track it returns (Rref, combos), where combos[i] expresses the i-th
+    reduced row as a combination of the input rows."""
     from dglcalc.linalg import Rref, vec_add
 
     work = []
@@ -434,12 +439,27 @@ def bareiss_rref(rows, track=False):
     if kernel_combos:
         kr = bareiss_rref(kernel_combos)
         kernel = kr.rows
-    return Rref(
-        rows=frows,
-        pivots=pivot_cols,
-        combos=fcombos if track else None,
-        kernel=kernel,
-    )
+    rr = Rref(rows=frows, pivots=pivot_cols, kernel=kernel)
+    return (rr, fcombos) if track else rr
+
+
+def solve_columns(cols, b):
+    """Some x with sum_j x[j]*cols[j] = b, or None.
+
+    x is supported on the columns that become pivot rows: b's entry at each
+    pivot times the tracked combination of that reduced row.
+    """
+    from dglcalc.linalg import vec_add
+
+    rr, combos = bareiss_rref(cols, track=True)
+    if rr.reduce(b):
+        return None
+    out = {}
+    for p, combo in zip(rr.pivots, combos):
+        c = b.get(p)
+        if c:
+            out = vec_add(out, combo, Fraction(c))
+    return out
 
 
 # -- the long exact sequence of a chain map, object by object -------------------

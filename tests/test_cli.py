@@ -170,6 +170,22 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert "not UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda p: None, "No such file or directory"),
+        (lambda p: p.mkdir(), "Is a directory"),
+    ],
+    ids=["missing", "directory"],
+)
+def test_unreadable_model_file_is_a_precondition_error(tmp_path, make, reason, capsys):
+    path = tmp_path / "model.dgl"
+    make(path)
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"precondition error: cannot read {path}: {reason}\n"
+
+
 def test_deep_bracket_nesting_is_a_parse_error(tmp_path, capsys):
     # nesting beyond the truncation is refused before the parser recurses
     deep = "x1"
@@ -238,7 +254,7 @@ def test_precondition_exit_code(capsys):
     "command, name, subgroup",
     [
         ("evsub", "f", "evaluation"),
-        ("gottlieb", "S4", "evaluation"),
+        ("gottlieb", "S4", "gottlieb"),
         ("grel", "f", "relative"),
         ("gseq", "f", "gottlieb"),
     ],

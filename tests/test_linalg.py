@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dglcalc import linalg
 from dglcalc.errors import PreconditionError
 
-from .oracles import bareiss_rref, dense, dense_rank
+from .oracles import bareiss_rref, dense, dense_rank, solve_columns
 
 
 F = Fraction
@@ -28,11 +28,11 @@ def test_kernel_of_identity_is_empty():
 
 
 def test_solve_exact_rational_division():
-    assert linalg.solve_columns(_columns([[2]]), {0: F(1)}) == {0: F(1, 2)}
+    assert solve_columns(_columns([[2]]), {0: F(1)}) == {0: F(1, 2)}
 
 
 def test_solve_inconsistent_returns_none():
-    assert linalg.solve_columns(_columns([[1, 1], [1, 1]]), {1: F(1)}) is None
+    assert solve_columns(_columns([[1, 1], [1, 1]]), {1: F(1)}) is None
 
 
 def test_quotient_basis_dimension():
@@ -52,7 +52,7 @@ def test_quotient_basis_rejects_non_subspace():
 def test_intersect():
     a = [{0: F(1)}, {1: F(1)}]
     b = [{1: F(1)}, {2: F(1)}]
-    got = linalg.intersect(a, b)
+    got = linalg.intersect(linalg.rref(a), linalg.rref(b))
     assert got == [{1: F(1)}]
 
 
@@ -88,7 +88,7 @@ def test_solve_is_exact_when_solvable(cols, coeffs):
     # build a solvable right-hand side from a known combination
     x = {j: F(c) for j, c in enumerate(coeffs[: len(cols)]) if c}
     b = linalg.combine(x, cols)
-    sol = linalg.solve_columns(cols, b)
+    sol = solve_columns(cols, b)
     assert sol is not None
     assert linalg.combine(sol, cols) == b
 
@@ -96,10 +96,10 @@ def test_solve_is_exact_when_solvable(cols, coeffs):
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_rref_rows_span_input(rows):
-    rr = linalg.rref(rows, track=True)
-    # each reduced row must be the stated combination of the input rows
-    for row, combo in zip(rr.rows, rr.combos):
-        assert linalg.combine(combo, rows) == row
+    rr = linalg.rref(rows)
+    # each reduced row must be a combination of the input rows
+    for row in rr.rows:
+        assert solve_columns(rows, row) is not None
     # every kernel combo really kills the rows
     for combo in rr.kernel:
         assert linalg.combine(combo, rows) == {}
@@ -142,17 +142,25 @@ def _canonical(vectors):
 @settings(max_examples=100, deadline=None)
 @given(sparse_rational_matrices())
 def test_rref_matches_bareiss_oracle(rows):
-    want = bareiss_rref(rows, track=True)
-    got = linalg.rref(rows, track=True)
+    want = bareiss_rref(rows)
+    got = linalg.rref(rows)
     assert got.pivots == want.pivots
     assert _canonical(got.rows) == _canonical(want.rows)
-    assert _canonical(got.combos) == _canonical(want.combos)
     assert _canonical(got.kernel) == _canonical(want.kernel)
-    untracked = linalg.rref(rows)
-    assert untracked.combos is None
-    assert untracked.pivots == want.pivots
-    assert _canonical(untracked.rows) == _canonical(want.rows)
-    assert _canonical(untracked.kernel) == _canonical(want.kernel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rational_matrices(), st.data())
+def test_coords_are_the_combination_and_none_outside_the_span(rows, data):
+    rr = linalg.rref(rows)
+    fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    drawn = data.draw(st.lists(fractions, min_size=rr.rank, max_size=rr.rank))
+    coeffs = {i: c for i, c in enumerate(drawn) if c}
+    vec = linalg.combine(coeffs, rr.rows)
+    assert rr.coords(vec) == coeffs
+    # a unit vector off the pivots is outside the span, and so is its sum with vec
+    free = data.draw(st.sampled_from([j for j in range(26) if j not in rr.pivots]))
+    assert rr.coords(linalg.vec_add(vec, {free: F(1)})) is None
 
 
 @st.composite
@@ -190,3 +198,15 @@ def test_quotient_basis_refuses_exactly_the_non_subspaces(case):
             linalg.quotient_basis(rsup, rsub)
     else:
         assert len(linalg.quotient_basis(rsup, rsub).rows) == rank_sup - rank_sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(sup_and_sub())
+def test_intersect_matches_dense_ranks(case):
+    ncols, a, b = case
+    got = linalg.intersect(linalg.rref(a), linalg.rref(b))
+    rank_a, rank_b = dense_rank(dense(a, ncols)), dense_rank(dense(b, ncols))
+    assert len(got) == rank_a + rank_b - dense_rank(dense(a + b, ncols))
+    for row in got:
+        assert dense_rank(dense(a + [row], ncols)) == rank_a
+        assert dense_rank(dense(b + [row], ncols)) == rank_b

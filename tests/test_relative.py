@@ -95,7 +95,7 @@ def test_contractible_pair_star_boundary_identity():
     # and at the vector level the image is a boundary of Rel(psi_star)
     m = 3
     vec = rel_star.to_vector(m, image)
-    sol = linalg.solve_columns(rel_star.d_columns(m + 1), vec)
+    sol = oracles.solve_columns(rel_star.d_columns(m + 1), vec)
     assert sol is not None
 
 
