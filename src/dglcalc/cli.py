@@ -460,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="degree arguments and reports use internal degrees",
         )
         if name in ("homology", "gottlieb", "evsub", "center", "gvp", "grel", "gseq", "omega", "les"):
-            p.add_argument("--top-degree", type=int, help="single topological degree")
-            p.add_argument("--degrees", help="degree range A:B (topological)")
+            degrees = p.add_mutually_exclusive_group()
+            degrees.add_argument("--top-degree", type=int, help="single topological degree")
+            degrees.add_argument("--degrees", help="degree range A:B (topological)")
         if name == "product":
             p.add_argument("--spheres", required=True, help="comma-separated sphere dimensions")
         if name in ("product", "cylinder"):

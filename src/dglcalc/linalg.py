@@ -6,7 +6,9 @@ by leading column picks each pivot, only the rows with an entry in the pivot
 column are updated, each by a gcd-primitive integer step that is then divided
 by its content, and back-substitution runs the same step before one rational
 normalisation per row.  Pivoting is deterministic: leftmost column first,
-smallest row index second, which makes every derived basis reproducible.
+largest row index second.  So a row is only reduced by later rows, and a row
+that vanishes leaves a combination of itself and later pivot rows: the kernel
+comes out of the one pass already in reduced echelon form.
 
 An `Rref` is the one echelon form of a space: `coords` reads a vector's
 coordinates at its pivots, `kernel_space` gives the null space of its input
@@ -61,8 +63,8 @@ class Rref:
 
     rows[i] has a 1 at pivots[i] and zeros at every other pivot column, so a
     vector of the span is sum_i vec[pivots[i]] * rows[i].  kernel holds the
-    input-row combinations that vanish, themselves in reduced echelon form
-    over the input indices.
+    input-row combinations that vanish, in reduced echelon form over the
+    input indices as the same elimination leaves them.
     """
 
     rows: list = field(default_factory=list)
@@ -123,40 +125,40 @@ def _primitive(row: Vec, combo: Optional[Vec] = None) -> None:
 
 
 def rref(rows: Sequence[Vec]) -> Rref:
-    """Sparse fraction-free elimination with deterministic pivoting."""
+    """One sparse fraction-free elimination: rows, pivots and kernel."""
     work = []
     combos = []
-    heap = []  # (leading column, row index) of the rows still to reduce
-    kernel_combos: list[Vec] = []
+    heap = []  # (leading column, -row index) of the rows still to reduce
+    kernel_combos: list = []  # (row index, combination) of the rows that vanish
     for i, r in enumerate(rows):
         ir, mult = _integerize({k: v for k, v in r.items() if v})
         work.append(ir)
         combos.append({i: mult})
         if ir:
-            heap.append((min(ir), i))
+            heap.append((min(ir), -i))
         else:
-            kernel_combos.append(combos[i])
+            kernel_combos.append((i, combos[i]))
     heapify(heap)
 
     pivot_rows: list[Vec] = []
     pivot_cols: list = []
     while heap:
-        # the least leading column, led by its smallest row index
-        col, lead = heappop(heap)
-        prow, pcomb = work[lead], combos[lead]
+        # the least leading column, led by its largest row index
+        col, neg_lead = heappop(heap)
+        prow, pcomb = work[-neg_lead], combos[-neg_lead]
         p = prow[col]
-        # only the other rows led by col change; zero rows span the kernel
+        # only the other rows led by col change, each by the later pivot row
         while heap and heap[0][0] == col:
-            _, idx = heappop(heap)
+            idx = -heappop(heap)[1]
             a = work[idx][col]
             r = _eliminate(p, work[idx], a, prow)
             c = _eliminate(p, combos[idx], a, pcomb)
             if r:
                 _primitive(r, c)
                 work[idx], combos[idx] = r, c
-                heappush(heap, (min(r), idx))
+                heappush(heap, (min(r), -idx))
             else:
-                kernel_combos.append(c)
+                kernel_combos.append((idx, c))
         pivot_rows.append(prow)
         pivot_cols.append(col)
 
@@ -173,10 +175,7 @@ def rref(rows: Sequence[Vec]) -> Rref:
         p = row[pivot_cols[i]]
         frows[i] = {k: Fraction(v, p) for k, v in row.items()}
 
-    kernel = []
-    if kernel_combos:
-        kr = rref(kernel_combos)
-        kernel = kr.rows
+    kernel = [{k: Fraction(v, c[i]) for k, v in c.items()} for i, c in sorted(kernel_combos)]
     return Rref(rows=frows, pivots=pivot_cols, kernel=kernel)
 
 
@@ -205,10 +204,10 @@ def quotient_basis(sup: Rref, sub: Rref) -> Rref:
 
 
 def intersect(a: Rref, b: Rref) -> list:
-    """Echelon basis of span(a) & span(b): both row lists are independent, so
-    the a-parts of a kernel basis of a's rows stacked on b's are a basis."""
-    out = [
+    """Reduced echelon basis of span(a) & span(b), the a-parts of the kernel
+    of a's rows stacked on b's: the kernel's pivots lie in the a-block, as b's
+    rows are independent, and a is reduced, so the basis comes out reduced."""
+    return [
         combine({j: c for j, c in combo.items() if j < a.rank}, a.rows)
         for combo in rref(a.rows + b.rows).kernel
     ]
-    return rref(out).rows

@@ -315,6 +315,15 @@ def test_reversed_degree_range_is_a_precondition_error(capsys):
     assert "precondition" in err and out == ""
 
 
+def test_top_degree_and_degree_range_exclude_each_other(capsys):
+    argv = ["homology", fixture("spheres.dgl"), "S2", "--top-degree", "3", "--degrees", "2:5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --degrees: not allowed with argument --top-degree" in out.err
+
+
 @pytest.mark.parametrize(
     "exc", [InternalError("basis is inconsistent"), RecursionError("maximum recursion depth exceeded")]
 )

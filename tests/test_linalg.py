@@ -56,6 +56,29 @@ def test_intersect():
     assert got == [{1: F(1)}]
 
 
+def test_rref_and_intersect_eliminate_once(monkeypatch):
+    """The kernel comes out of rref's one pass already reduced, and intersect
+    reads its reduced result from one elimination of the stacked rows."""
+    rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {1: F(1)}, {0: F(3), 1: F(7)}]
+    a = linalg.rref([{0: F(1)}, {1: F(1)}, {2: F(1)}])
+    b = linalg.rref([{1: F(1), 3: F(1)}, {0: F(1), 2: F(2)}, {1: F(1), 2: F(1)}])
+    calls = []
+    real = linalg.rref
+
+    def counting(arg):
+        calls.append(len(arg))
+        return real(arg)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    rr = linalg.rref(rows)
+    assert calls == [4] and rr.rank == 2
+    assert rr.kernel == [{0: F(1), 2: F(1, 3), 3: F(-1, 3)}, {1: F(1), 2: F(2, 3), 3: F(-2, 3)}]
+    calls.clear()
+    got = linalg.intersect(a, b)
+    assert calls == [6]
+    assert got == [{0: F(1), 2: F(2)}, {1: F(1), 2: F(1)}]
+
+
 small_entries = st.integers(min_value=-6, max_value=6)
 
 
@@ -207,6 +230,7 @@ def test_intersect_matches_dense_ranks(case):
     got = linalg.intersect(linalg.rref(a), linalg.rref(b))
     rank_a, rank_b = dense_rank(dense(a, ncols)), dense_rank(dense(b, ncols))
     assert len(got) == rank_a + rank_b - dense_rank(dense(a + b, ncols))
+    assert _canonical(linalg.rref(got).rows) == _canonical(got)
     for row in got:
         assert dense_rank(dense(a + [row], ncols)) == rank_a
         assert dense_rank(dense(b + [row], ncols)) == rank_b
