@@ -59,15 +59,37 @@ def _parse_degrees(args, default_tops):
         return [args.top_degree + shift]
     ranged = getattr(args, "degrees", None)
     if ranged:
-        try:
-            lo, hi = ranged.split(":")
-            lo, hi = int(lo) + shift, int(hi) + shift
-        except ValueError:
-            raise PreconditionError(f"malformed degree range {ranged!r}; expected A:B") from None
+        lo, hi = _degree_range(ranged)
+        lo, hi = lo + shift, hi + shift
         if lo > hi:
             raise PreconditionError(f"empty degree range {ranged!r}; A must not exceed B")
         return list(range(lo, hi + 1))
     return list(default_tops)
+
+
+def _degree_range(text: str) -> tuple:
+    """(A, B) of a degree range A:B; ValueError when malformed."""
+    lo, hi = text.split(":")
+    return int(lo), int(hi)
+
+
+def _sphere_dims(text: str) -> list:
+    """The dimensions of a comma-separated list; ValueError when malformed."""
+    return [int(s) for s in text.split(",")]
+
+
+def _well_formed(parse, expected: str):
+    """An argparse type: text that parse refuses is a usage error (exit 2).
+    Accepted text is kept as given, so reports echo it."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed value {text!r}; expected {expected}") from None
+        return text
+
+    return check
 
 
 def _subgroup_report(args, command, reports):
@@ -279,11 +301,7 @@ def cmd_les(ws, args):
 
 def cmd_product(ws, args):
     model = ws.model(args.name)
-    try:
-        spheres = [int(s) for s in args.spheres.split(",")]
-    except (AttributeError, ValueError):
-        raise PreconditionError("--spheres expects a comma-separated list of integers, e.g. 2,3")
-    pm = product_model(model, spheres)
+    pm = product_model(model, _sphere_dims(args.spheres))
     report = pm.model.validate()
     out = {
         "command": "product",
@@ -462,9 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("homology", "gottlieb", "evsub", "center", "gvp", "grel", "gseq", "omega", "les"):
             degrees = p.add_mutually_exclusive_group()
             degrees.add_argument("--top-degree", type=int, help="single topological degree")
-            degrees.add_argument("--degrees", help="degree range A:B (topological)")
+            degrees.add_argument(
+                "--degrees", type=_well_formed(_degree_range, "A:B"), help="degree range A:B (topological)"
+            )
         if name == "product":
-            p.add_argument("--spheres", required=True, help="comma-separated sphere dimensions")
+            p.add_argument(
+                "--spheres",
+                required=True,
+                type=_well_formed(_sphere_dims, "a comma-separated list of integers, e.g. 2,3"),
+                help="comma-separated sphere dimensions",
+            )
         if name in ("product", "cylinder"):
             p.add_argument("--emit", action="store_true", help="print the constructed model file")
     return parser

@@ -8,9 +8,10 @@ class keeps one record per degree (the labels, their index and the single
 elimination of d_n) that dimensions, conversions and homology read.  A
 homology slice is `linalg.quotient_basis` of two echelon forms already built,
 Z_n (the kernel of d_n's elimination) and B_n (the rows of d_{n+1}'s), so it
-eliminates only the reduced cycles.  Slices carry deterministic representative
-cycles and read the class coordinates of any cycle from their echelon form,
-which is all the downstream subgroup machinery needs.
+eliminates nothing: its representatives are the rows of Z_n whose pivots are
+not pivots of B_n.  Slices carry these deterministic representative cycles
+and read the class coordinates of any cycle from their echelon form, which is
+all the downstream subgroup machinery needs.
 
 Truncation discipline: H_n needs C_{n-1}, C_n, C_{n+1}.  The first two are
 required to compute anything; if C_{n+1} is incomplete the slice is computed

@@ -24,6 +24,13 @@ subspace reduces to coordinates by one triangular sweep, with no
 elimination.  Bases and expansions are deterministic and cached on the
 algebra.
 
+A bracket is bilinear, so it is computed term pair by term pair.  Most pairs
+are standard: when (u, v) is the standard factorisation of the basis word uv,
+[b_u, b_v] is b_uv by definition (this covers the odd squares ww), and
+[b_v, b_u] = -(-1)^{|u||v|} b_uv, so neither is expanded.  Any other pair is
+expanded into tensors and swept once, and its coordinates are cached on the
+algebra.
+
 Only this module knows how a word is bracketed: evaluators elsewhere recurse
 on the factors that `FreeLieAlgebra.split` gives.
 """
@@ -32,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .errors import InternalError, PreconditionError, TruncationError
@@ -141,6 +147,7 @@ class FreeLieAlgebra:
         self._expansion_cache: dict = {}
         self._basis_cache: dict = {}
         self._split: dict = {}  # basis word of length >= 2 -> (u, v)
+        self._bracket_cache: dict = {}  # (u, v) of a non-standard pair -> terms of [b_u, b_v]
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -229,25 +236,6 @@ class FreeLieAlgebra:
         self._expansion_cache[word] = out
         return out
 
-    def _integral_tensor(self, element: "LieElement") -> tuple:
-        """(den * tensor expansion of the element, den) with integer entries.
-
-        A unit monomial returns the cached expansion itself, so callers must
-        not mutate the tensor.
-        """
-        terms = element.terms
-        if len(terms) == 1:
-            ((w, c),) = terms.items()
-            if c == 1:
-                return self.expansion(w), 1
-        den = lcm(*(c.denominator for c in terms.values()))
-        out: TensorVec = {}
-        for w, c in terms.items():
-            m = c.numerator * (den // c.denominator)
-            for t, v in self.expansion(w).items():
-                out[t] = out.get(t, 0) + m * v
-        return {t: v for t, v in out.items() if v}, den
-
     def _basis_data(self, degree: int) -> _BasisData:
         if degree in self._basis_cache:
             return self._basis_cache[degree]
@@ -295,10 +283,25 @@ class FreeLieAlgebra:
                 f"bracket of degrees {a.degree} and {b.degree} exceeds truncation {self.truncation}"
             )
         sign = -1 if (a.degree * b.degree) % 2 else 1
-        ta, da = self._integral_tensor(a)
-        tb, db = self._integral_tensor(b)
-        out = self.from_tensor(degree, _commutator(ta, tb, sign))
-        return out if da * db == 1 else out * Fraction(1, da * db)
+        self._basis_data(degree)  # fills _split up to this degree
+        split, cache = self._split, self._bracket_cache
+        out: dict = {}
+        for u, cu in a.terms.items():
+            for v, cv in b.terms.items():
+                c = cu * cv
+                uv, vu = u + v, v + u
+                if split.get(uv) == (u, v):  # [b_u, b_v] is the basis word uv
+                    out[uv] = out.get(uv, 0) + c
+                elif split.get(vu) == (v, u):  # -sign [b_v, b_u], the basis word vu
+                    out[vu] = out.get(vu, 0) - sign * c
+                else:
+                    terms = cache.get((u, v))
+                    if terms is None:
+                        tensor = _commutator(self.expansion(u), self.expansion(v), sign)
+                        terms = cache[(u, v)] = self.from_tensor(degree, tensor).terms
+                    for w, x in terms.items():
+                        out[w] = out.get(w, 0) + c * x
+        return LieElement(self, degree, out)
 
 
 class LieElement:
@@ -377,8 +380,11 @@ class LieElement:
         )
 
     def tensor_expansion(self) -> TensorVec:
-        tensor, den = self.algebra._integral_tensor(self)
-        return {t: Fraction(v, den) for t, v in tensor.items()}
+        out: TensorVec = {}
+        for w, c in self.terms.items():
+            for t, v in self.algebra.expansion(w).items():
+                out[t] = out.get(t, 0) + c * v
+        return {t: Fraction(v) for t, v in out.items() if v}
 
     def __str__(self) -> str:
         if not self.terms:

@@ -12,8 +12,8 @@ comes out of the one pass already in reduced echelon form.
 
 An `Rref` is the one echelon form of a space: `coords` reads a vector's
 coordinates at its pivots, `kernel_space` gives the null space of its input
-rows as another, and `quotient_basis` and `intersect` take two of them and
-eliminate neither again.
+rows as another, `quotient_basis` reads a quotient off two of them with no
+elimination at all, and `intersect` eliminates their stacked rows once.
 """
 from __future__ import annotations
 
@@ -180,26 +180,23 @@ def rref(rows: Sequence[Vec]) -> Rref:
 
 
 def quotient_basis(sup: Rref, sub: Rref) -> Rref:
-    """Echelon representatives of span(sup)/span(sub), from two echelon forms.
+    """Echelon representatives of span(sup)/span(sub), from two reduced
+    echelon forms, with no elimination.
 
-    Neither input is eliminated again: the rows of sup are reduced by sub's
-    rows and only the residuals are eliminated.  Reducing by a reduced echelon
-    form is linear, v -> v - sum v[p_i] sub_i over sub's pivots p_i, with
-    kernel span(sub), so the residuals span a space of dimension
-    rank(sup) - dim(span(sup) & span(sub)).  That is rank(sup) - rank(sub)
-    exactly when span(sub) <= span(sup), so the count check below is also the
-    containment check.  The residuals then lie in span(sup), and no nonzero
-    combination of them lies in span(sub), since reducing it again changes
-    nothing.
+    A vector of span(sup) is sum_q v[q] * sup_q over sup's pivots q, so the
+    rows of sup whose pivot is not a pivot of sub span the vectors of
+    span(sup) that vanish on sub's pivots: a complement of span(sub), already
+    in reduced echelon form.  A row r of sub with pivot p lies in span(sup)
+    exactly when p is a pivot of sup and r - sup_p, which vanishes on sub's
+    pivots, reduces to zero by that complement; any other sub raises.
     """
-    reduced = []
-    for row in sup.rows:
-        residual = sub.reduce(row)
-        if residual:
-            reduced.append(residual)
-    out = rref(reduced)
-    if out.rank != sup.rank - sub.rank:
-        raise PreconditionError("quotient_basis: subspace is not contained in the ambient space")
+    at = dict(zip(sup.pivots, sup.rows))
+    taken = set(sub.pivots)
+    out = Rref(rows=[r for q, r in at.items() if q not in taken],
+               pivots=[q for q in at if q not in taken])
+    for p, row in zip(sub.pivots, sub.rows):
+        if p not in at or out.reduce(vec_add(row, at[p], -1)):
+            raise PreconditionError("quotient_basis: subspace is not contained in the ambient space")
     return out
 
 

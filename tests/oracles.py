@@ -15,7 +15,10 @@ generator indices) and extend letter by letter, never bracketing a word.
 as the slow reference for the sparse `linalg.rref`; it shares only the
 `Rref` record and `vec_add`.  `solve_columns` is the package's earlier
 solver, rebuilt on the combinations that `bareiss_rref` tracks; it also uses
-`Rref.reduce` as its membership test.  `les_by_objects` is the package's
+`Rref.reduce` as its membership test.  `quotient_basis` is the package's earlier
+quotient of echelon forms, which reduces every row of the ambient space and
+eliminates the residuals, kept as the reference for the elimination-free one;
+it shares `linalg.rref` and `Rref.reduce`.  `les_by_objects` is the package's
 earlier long-exact-sequence check, which induces every map from domain
 objects, kept as the reference for the cone's class-coordinate maps.
 `GenDerivation` is the package's earlier per-derivation evaluator, a Leibniz
@@ -224,12 +227,25 @@ def two_elimination_homology(cplx, n):
     cycles = linalg.rref(linalg.rref(cplx.d_columns(n)).kernel)
     trusted = cplx.complete(n + 1)
     boundaries = linalg.rref(cplx.d_columns(n + 1) if trusted else [])
+    return cycles.rows, boundaries.rows, quotient_basis(cycles, boundaries).rows, trusted
+
+
+def quotient_basis(sup, sub):
+    """Echelon representatives of span(sup)/span(sub) by elimination: each row
+    of sup is reduced by sub and the nonzero residuals are row-reduced.  Their
+    rank is rank(sup) - rank(sub) exactly when span(sub) <= span(sup)."""
+    from dglcalc import linalg
+    from dglcalc.errors import PreconditionError
+
     reduced = []
-    for row in cycles.rows:
-        residual = boundaries.reduce(row)
+    for row in sup.rows:
+        residual = sub.reduce(row)
         if residual:
             reduced.append(residual)
-    return cycles.rows, boundaries.rows, linalg.rref(reduced).rows, trusted
+    out = linalg.rref(reduced)
+    if out.rank != sup.rank - sub.rank:
+        raise PreconditionError("quotient_basis: subspace is not contained in the ambient space")
+    return out
 
 
 def d_squared_sweep(model):

@@ -325,6 +325,38 @@ def test_top_degree_and_degree_range_exclude_each_other(capsys):
 
 
 @pytest.mark.parametrize(
+    "option, value, command",
+    [
+        ("--degrees", "2", "homology"),
+        ("--degrees", "a:b", "homology"),
+        ("--degrees", "2:3:4", "evsub"),
+        ("--degrees", "", "gseq"),
+        ("--spheres", "2,,3", "product"),
+        ("--spheres", "x", "product"),
+        ("--spheres", "2.5", "product"),
+    ],
+)
+def test_malformed_degree_range_or_sphere_list_is_a_usage_error(option, value, command, capsys):
+    name = "S4" if command in ("homology", "product") else "f"
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture("cp2_to_s4.dgl"), name, option, value])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument {option}: malformed value {value!r}; expected" in out.err
+
+
+def test_sphere_dimension_below_two_is_a_precondition_error_and_spheres_echo_as_given(capsys):
+    code, out, err = run(["product", fixture("cp2_to_s4.dgl"), "S4", "--spheres", "2,1"], capsys)
+    assert code == 3 and out == ""
+    assert err == "precondition error: sphere dimensions must be at least 2\n"
+    code, out, err = run_json(["product", fixture("cp2_to_s4.dgl"), "S4", "--spheres", "02, 3",
+                               "--max-degree", "6"], capsys)
+    assert code == 0 and out["inputs"]["spheres"] == "02, 3"
+    degrees = {g["name"]: g["degree"] for g in out["result"]["generators"]}
+    assert (degrees["v1"], degrees["v2"]) == (1, 2)
+
+
+@pytest.mark.parametrize(
     "exc", [InternalError("basis is inconsistent"), RecursionError("maximum recursion depth exceeded")]
 )
 def test_unexpected_errors_exit_4_without_traceback(exc, monkeypatch, capsys):

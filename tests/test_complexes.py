@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from dglcalc import linalg
+from dglcalc.complexes import DglComplex
 from dglcalc.subgroups import EvaluationContext
 from dglcalc.modelfile import parse_workspace
 
@@ -38,3 +40,27 @@ def test_single_elimination_homology_matches_two_eliminations(psi):
             assert h.trusted == trusted, (cplx, n)
             checked += 1
     assert checked
+
+
+def test_homology_eliminates_only_the_two_differentials(monkeypatch):
+    """A slice reads its quotient off the echelon forms of d_n and d_{n+1}:
+    those two eliminations are the only ones, and quotient_basis runs none."""
+    ws = parse_workspace((FIXTURES / "one_cell_attachment.dgl").read_text(), truncation=8)
+    cplx = DglComplex(ws.model("Y"))
+    calls = []
+    real = linalg.rref
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for n, dims in ((5, (2, 1, 1)), (7, (4, 3, 1))):
+        calls.clear()
+        h = cplx.homology(n)
+        assert (h.cycles.rank, h.boundaries.rank, h.dim) == dims
+        assert len(calls) == 2
+        assert calls[0] is cplx.columns(n) and calls[1] is cplx.columns(n + 1)
+        calls.clear()
+        linalg.quotient_basis(h.cycles, h.boundaries)
+        assert calls == []

@@ -338,3 +338,49 @@ def test_float_coefficients_are_refused(two_odd):
         LieElement(two_odd, 1, {(0,): 0.5})
     with pytest.raises(PreconditionError):
         x * 2.0
+
+
+def _basis_words(alg, top):
+    return [w for n in range(1, top + 1) for w in alg.words(n)]
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
+def test_every_pair_of_basis_words_brackets_to_the_tensor_oracle(gens):
+    # squares included; a second pass reads the cache and leaves it unchanged
+    alg = FreeLieAlgebra(gens, truncation=7)
+    degrees = dict(gens)
+    words = _basis_words(alg, 6)
+    pairs = [(u, v) for u in words for v in words
+             if alg.word_degree(u) + alg.word_degree(v) <= 7]
+    first = {}
+    for u, v in pairs:
+        got = alg.monomial(u).bracket(alg.monomial(v))
+        _assert_canonical(got)
+        assert _oracle(alg, got) == oracles.expand((_tree(alg, u), _tree(alg, v)), degrees), (u, v)
+        first[u, v] = got
+    cached = {pair: dict(terms) for pair, terms in alg._bracket_cache.items()}
+    for u, v in pairs:
+        assert alg.monomial(u).bracket(F(-1, 2) * alg.monomial(v)) == F(-1, 2) * first[u, v]
+    assert alg._bracket_cache == cached
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
+def test_a_standard_pair_is_its_own_basis_word(gens, monkeypatch):
+    """[b_u, b_v] for the standard factors (u, v) of a basis word w is b_w,
+    and [b_v, b_u] is -(-1)^{|u||v|} b_w: neither is reduced from tensors."""
+    alg = FreeLieAlgebra(gens, truncation=7)
+
+    def refuse(*args):
+        raise AssertionError("a standard pair was expanded into tensors")
+
+    monkeypatch.setattr(alg, "from_tensor", refuse)
+    for w in _basis_words(alg, 7):
+        if len(w) < 2:
+            continue
+        u, v = alg.split(w)
+        a, b = alg.monomial(u), alg.monomial(v)
+        sign = (-1) ** (a.degree * b.degree)
+        assert a.bracket(b) == alg.monomial(w)
+        assert b.bracket(a) == -sign * alg.monomial(w)
+        assert (3 * a).bracket(F(1, 3) * b).terms == {w: 1}
+    assert alg._bracket_cache == {}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dglcalc import linalg
 from dglcalc.errors import PreconditionError
 
+from . import oracles
 from .oracles import bareiss_rref, dense, dense_rank, solve_columns
 
 
@@ -221,6 +222,35 @@ def test_quotient_basis_refuses_exactly_the_non_subspaces(case):
             linalg.quotient_basis(rsup, rsub)
     else:
         assert len(linalg.quotient_basis(rsup, rsub).rows) == rank_sup - rank_sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(sup_and_sub())
+def test_quotient_basis_matches_the_eliminating_oracle(case):
+    ncols, sup, sub = case
+    rank_sup = dense_rank(dense(sup, ncols))
+    sub = [row for row in sub if dense_rank(dense(sup + [row], ncols)) == rank_sup]
+    rsup, rsub = linalg.rref(sup), linalg.rref(sub)
+    got, want = linalg.quotient_basis(rsup, rsub), oracles.quotient_basis(rsup, rsub)
+    assert got.pivots == want.pivots
+    assert _canonical(got.rows) == _canonical(want.rows)
+
+
+def test_quotient_basis_reads_the_rows_off_sup(monkeypatch):
+    """The rows of sup at pivots outside sub's are the quotient's rows as
+    they are, and nothing is eliminated."""
+    sup = linalg.rref([{0: F(1), 2: F(1)}, {1: F(1), 3: F(2)}, {2: F(1), 3: F(1)}])
+    sub = linalg.rref([{0: F(1), 1: F(1), 2: F(2), 3: F(3)}])  # the sum of sup's input rows
+    # sub's pivot is one of sup's, but the rest of the row leaves the span
+    outside = linalg.rref([{0: F(1), 3: F(1)}])
+    calls = []
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows))
+    q = linalg.quotient_basis(sup, sub)
+    assert calls == []
+    assert q.pivots == [1, 2] and q.rows == [sup.rows[1], sup.rows[2]]
+    with pytest.raises(PreconditionError):
+        linalg.quotient_basis(sup, outside)
+    assert calls == []
 
 
 @settings(max_examples=200, deadline=None)
