@@ -35,7 +35,7 @@ def _rep_str(rep) -> str:
     if isinstance(rep, tuple):
         return "(" + ", ".join(_rep_str(r) for r in rep) + ")"
     if isinstance(rep, GenDerivation):
-        parts = [f"{g} -> {v}" for g, v in rep.values.items() if not v.is_zero()]
+        parts = [f"{g} -> {v}" for g, v in rep.values.items()]
         return "{" + "; ".join(parts) + "}" if parts else "{0}"
     return str(rep)
 
@@ -521,6 +521,8 @@ def _main(args) -> int:
         print(f"parse error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        if args.max_degree < 1:  # refused before the model file can be blamed
+            raise PreconditionError(f"--max-degree must be at least 1, got {args.max_degree}")
         ws = parse_workspace(text, truncation=args.max_degree)
         if args.command != "validate":
             # every model must validate before any computation runs on it

@@ -5,9 +5,11 @@ raising degree by n with
 
     theta([a, b]) = [theta(a), psi(b)] + (-1)^{n|a|} [psi(a), theta(b)],
 
-determined by its values on free generators and evaluated through psi's Fox
-table (`DglMorphism.fox`), which skips the letters where theta vanishes.  The
-differential, with d_K from the target's per-word cache (`DglModel.d`), is
+determined by its values on free generators.  A `GenDerivation` stores only
+its nonzero values, so a generator without one is sent to zero, and it is
+evaluated through psi's Fox table (`DglMorphism.fox`), which visits only the
+letters where theta has a value.  The differential, with d_K read word by
+word from the target's cache (`DglModel._d_word`), is
 
     D(theta) = d_K o theta - (-1)^{|theta|} theta o d_L.
 
@@ -26,7 +28,9 @@ from .model import DglMorphism, DglModel
 
 
 class GenDerivation:
-    """A derivation along a morphism, stored by its values on generators."""
+    """A derivation along a morphism, stored by its nonzero values: `values`
+    maps generator names, in generator order, to nonzero target elements, and
+    a generator that has no value is sent to zero."""
 
     def __init__(self, along: DglMorphism, degree: int, values: Mapping = None):
         self.along = along
@@ -37,7 +41,6 @@ class GenDerivation:
         for g in along.source.generators:
             v = values.get(g.name)
             if v is None or v.is_zero():
-                self.values[g.name] = target.zero(g.degree + degree)
                 continue
             if v.algebra is not target:
                 raise PreconditionError(f"value for {g.name} lives outside the target algebra")
@@ -55,6 +58,14 @@ class GenDerivation:
     def target(self) -> DglModel:
         return self.along.target
 
+    def value(self, name: str) -> LieElement:
+        """The value on a generator, the zero of its degree where none is stored."""
+        v = self.values.get(name)
+        if v is not None:
+            return v
+        src = self.source.algebra
+        return self.target.algebra.zero(src.generators[src.index(name)].degree + self.degree)
+
     def apply(self, element: LieElement) -> LieElement:
         if element.algebra is not self.source.algebra:
             raise PreconditionError("element is not in the source algebra")
@@ -63,8 +74,8 @@ class GenDerivation:
         terms = {}
         for word, c in element.terms.items():
             for g, chains in self.along.fox(word).items():
-                value = self.values[g]
-                if value.is_zero():
+                value = self.values.get(g)
+                if value is None:
                     continue
                 for ops, parity in chains:
                     x = value
@@ -78,20 +89,28 @@ class GenDerivation:
     __call__ = apply
 
     def differential(self) -> "GenDerivation":
-        """D(theta) = d_K o theta - (-1)^{|theta|} theta o d_L."""
+        """D(theta) = d_K o theta - (-1)^{|theta|} theta o d_L, both summed
+        into one term dict per generator."""
         sign = 1 if self.degree % 2 else -1  # the coefficient of theta o d_L
+        d_word, diff = self.target._d_word, self.source.diff
+        tgt = self.target.algebra
         values = {}
         for g in self.source.generators:
-            value = self.values[g.name]
-            if not value.is_zero():  # a basis derivation is zero on all generators but one
-                value = self.target.d(value)
-            if g.name in self.source.diff:
-                value = value + sign * self.apply(self.source.diff[g.name])
-            values[g.name] = value
+            terms = {}
+            value = self.values.get(g.name)
+            if value is not None:
+                for word, c in value.terms.items():
+                    for w, v in d_word(word).terms.items():
+                        terms[w] = terms.get(w, 0) + c * v
+            if g.name in diff:
+                for w, v in self.apply(diff[g.name]).terms.items():
+                    terms[w] = terms.get(w, 0) + sign * v
+            if terms:
+                values[g.name] = LieElement(tgt, g.degree + self.degree - 1, terms)
         return GenDerivation(self.along, self.degree - 1, values)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values.values())
+        return not self.values
 
     def __add__(self, other: "GenDerivation") -> "GenDerivation":
         if other.along is not self.along or other.degree != self.degree:
@@ -100,10 +119,9 @@ class GenDerivation:
             if other.is_zero():
                 return self
             raise PreconditionError("cannot add derivations of different kinds")
+        names = self.values.keys() | other.values.keys()
         return GenDerivation(
-            self.along,
-            self.degree,
-            {g: self.values[g] + other.values[g] for g in self.values},
+            self.along, self.degree, {g: self.value(g) + other.value(g) for g in names}
         )
 
     def __mul__(self, scalar) -> "GenDerivation":
@@ -120,11 +138,11 @@ class GenDerivation:
             self.along.source is other.along.source
             and self.along.target is other.along.target
             and self.degree == other.degree
-            and all(self.values[g] == other.values[g] for g in self.values)
+            and self.values == other.values
         )
 
     def __repr__(self):
-        vals = ", ".join(f"{g} -> {v}" for g, v in self.values.items() if not v.is_zero())
+        vals = ", ".join(f"{g} -> {v}" for g, v in self.values.items())
         return f"<GenDerivation deg {self.degree}: {vals or '0'}>"
 
 
@@ -174,10 +192,10 @@ class DerComplex(ChainComplex):
         return GenDerivation(self.psi, n, values)
 
     def to_vector(self, n: int, theta: GenDerivation) -> dict:
-        index = self.record(n).index
+        index, gen_index = self.record(n).index, self.psi.source.algebra.index
         vec = {}
-        for gi, g in enumerate(self.psi.source.generators):
-            value = theta.values[g.name]
+        for name, value in theta.values.items():
+            gi = gen_index(name)
             for word, c in value.terms.items():
                 vec[index[(gi, word)]] = c
         return vec
@@ -186,6 +204,8 @@ class DerComplex(ChainComplex):
         gens, tgt = self.psi.source.generators, self.psi.target.algebra
         cols = []
         for gi, word in self.record(n).labels:
-            theta = GenDerivation(self.psi, n, {gens[gi].name: tgt.monomial(word)})
+            g = gens[gi]
+            basis_value = LieElement(tgt, g.degree + n, {word: 1})
+            theta = GenDerivation(self.psi, n, {g.name: basis_value})
             cols.append(self.to_vector(n - 1, theta.differential()))
         return cols

@@ -1,9 +1,9 @@
 """Exact arithmetic in free graded Lie algebras over the rationals.
 
-A coefficient is an `int` when it is integral and a `Fraction` only once a
-denominator appears; no coefficient is ever a float.  Both types compare,
-hash and print alike for integers, so the rule is invisible in reports, and
-integral arithmetic never builds a `Fraction`.
+A coefficient follows the package's coefficient rule, whose one home is
+`dglcalc.linalg` (`coeff`, and `div` for an exact quotient): an `int` when
+it is integral and a `Fraction` only once a denominator appears, never a
+float.
 
 Every element is canonicalised through the embedding into the free
 associative algebra,
@@ -42,19 +42,10 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional
 
 from .errors import InternalError, PreconditionError, TruncationError
+from .linalg import coeff, div
 
 Word = tuple  # tuple of generator indices; a super-Lyndon word names its standard bracketing
 TensorVec = dict  # tensor word (tuple of generator indices) -> int or Fraction
-
-
-def _coeff(c):
-    """A coefficient in canonical type: int when integral, else Fraction.
-    Any other type is refused, so no rounded float becomes a coefficient."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise PreconditionError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,7 @@ class _BasisData:
             row = expansion(w)
             lead = row[w]
             if lead != 1:  # a square ww, whose lead coefficient is 2
-                c = c // lead if type(c) is int and not c % lead else Fraction(c) / lead
+                c = div(c, lead)
             coords[w] = c
             # words of P_w are >= w, and w itself is cleared, so every word
             # already popped stays at zero
@@ -313,7 +304,7 @@ class LieElement:
     def __init__(self, algebra: FreeLieAlgebra, degree: int, terms: Mapping):
         self.algebra = algebra
         self.degree = degree
-        self.terms = {w: c if type(c) is int else _coeff(c) for w, c in terms.items() if c}
+        self.terms = {w: c if type(c) is int else coeff(c) for w, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -346,7 +337,7 @@ class LieElement:
         return self + (-other)
 
     def __mul__(self, scalar) -> "LieElement":
-        c = _coeff(scalar)
+        c = coeff(scalar)
         if not c:
             return LieElement(self.algebra, self.degree, {})
         return LieElement(self.algebra, self.degree, {w: c * v for w, v in self.terms.items()})

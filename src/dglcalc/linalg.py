@@ -1,11 +1,19 @@
 """Exact linear algebra over the rationals on sparse vectors.
 
-A vector is a dict mapping column index to a nonzero Fraction.  The
+This module is the one home of the package's coefficient rule: a coefficient
+is an `int` when it is integral and a `Fraction` otherwise, never a float.
+`coeff` puts a number in that type and refuses any other, and `div` is the
+one exact quotient, an `int` when the division is exact.  Both types compare,
+hash and print alike for integers, so the rule is invisible in reports, and
+integral arithmetic never builds a `Fraction`.
+
+A vector is a dict mapping column index to a nonzero coefficient.  The
 elimination is sparse and fraction-free on integer-scaled rows: a heap keyed
 by leading column picks each pivot, only the rows with an entry in the pivot
 column are updated, each by a gcd-primitive integer step that is then divided
 by its content, and back-substitution runs the same step before one rational
-normalisation per row.  Pivoting is deterministic: leftmost column first,
+normalisation per row, by `div`, so the rows and kernel of an echelon form
+follow the coefficient rule.  Pivoting is deterministic: leftmost column first,
 largest row index second.  So a row is only reduced by later rows, and a row
 that vanishes leaves a combination of itself and later pivot rows: the kernel
 comes out of the one pass already in reduced echelon form.
@@ -25,7 +33,24 @@ from typing import Optional, Sequence
 
 from .errors import PreconditionError
 
-Vec = dict  # index -> nonzero Fraction (or int during elimination)
+Vec = dict  # index -> nonzero coefficient: int when integral, else Fraction
+
+
+def coeff(c):
+    """c in canonical type: int when integral, else Fraction.  Any other type
+    is refused, so no rounded float becomes a coefficient."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise PreconditionError(f"coefficient {c!r} is neither an int nor a Fraction")
+
+
+def div(v, d):
+    """The exact quotient v / d of two coefficients, in canonical type."""
+    if type(v) is int and type(d) is int:
+        return v // d if not v % d else Fraction(v, d)
+    return coeff(Fraction(v, d))
 
 
 def vec_add(a: Vec, b: Vec, scale: Fraction = 1) -> Vec:
@@ -49,10 +74,11 @@ def combine(coeffs: Vec, vectors: Sequence[Vec]) -> Vec:
 
 
 def _integerize(row: Vec) -> tuple[Vec, int]:
-    """Scale a rational row to integers; returns (row, positive multiplier)."""
-    denoms = [v.denominator for v in row.values() if isinstance(v, Fraction)]
+    """Scale a rational row to integers; returns (row, positive multiplier).
+    A row of ints is returned as it is."""
+    denoms = [v.denominator for v in row.values() if type(v) is not int]
     if not denoms:
-        return {k: int(v) for k, v in row.items()}, 1
+        return row, 1
     m = lcm(*denoms) if len(denoms) > 1 else denoms[0]
     return {k: int(v * m) for k, v in row.items()}, m
 
@@ -78,7 +104,7 @@ class Rref:
     def reduce(self, vec: Vec) -> Vec:
         """The residual vec - sum_i vec[pivots[i]] * rows[i]; empty exactly
         when vec lies in the span."""
-        residual = {k: Fraction(v) for k, v in vec.items() if v}
+        residual = {k: v for k, v in vec.items() if v}
         for p, row in zip(self.pivots, self.rows):
             c = residual.get(p)
             if c:
@@ -90,7 +116,7 @@ class Rref:
         None when vec is outside the span."""
         if self.reduce(vec):
             return None
-        return {i: Fraction(vec[p]) for i, p in enumerate(self.pivots) if vec.get(p)}
+        return {i: vec[p] for i, p in enumerate(self.pivots) if vec.get(p)}
 
     def kernel_space(self) -> "Rref":
         """The kernel as an echelon form: its rows come out reduced, so each
@@ -173,9 +199,9 @@ def rref(rows: Sequence[Vec]) -> Rref:
             _primitive(row)
         pivot_rows[i] = row
         p = row[pivot_cols[i]]
-        frows[i] = {k: Fraction(v, p) for k, v in row.items()}
+        frows[i] = {k: div(v, p) for k, v in row.items()}
 
-    kernel = [{k: Fraction(v, c[i]) for k, v in c.items()} for i, c in sorted(kernel_combos)]
+    kernel = [{k: div(v, c[i]) for k, v in c.items()} for i, c in sorted(kernel_combos)]
     return Rref(rows=frows, pivots=pivot_cols, kernel=kernel)
 
 
@@ -204,7 +230,8 @@ def intersect(a: Rref, b: Rref) -> list:
     """Reduced echelon basis of span(a) & span(b), the a-parts of the kernel
     of a's rows stacked on b's: the kernel's pivots lie in the a-block, as b's
     rows are independent, and a is reduced, so the basis comes out reduced."""
-    return [
-        combine({j: c for j, c in combo.items() if j < a.rank}, a.rows)
-        for combo in rref(a.rows + b.rows).kernel
-    ]
+    out = []
+    for combo in rref(a.rows + b.rows).kernel:
+        row = combine({j: c for j, c in combo.items() if j < a.rank}, a.rows)
+        out.append({k: coeff(v) for k, v in row.items()})
+    return out

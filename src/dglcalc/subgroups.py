@@ -488,7 +488,7 @@ def coformal_bounding_derivation(psi: DglMorphism, xi: LieElement) -> GenDerivat
                 f"no bounding value exists for generator {g.name} inside upper degree {g.upper + 1}"
             )
         s = sol.pop(len(idx))
-        values[g.name] = cK.from_vector(deg, {idx[k]: c / s for k, c in sol.items()})
+        values[g.name] = cK.from_vector(deg, {idx[k]: linalg.div(c, s) for k, c in sol.items()})
     theta = GenDerivation(psi, n + 1, values)
     if theta.differential() != adjoint(psi, xi):
         raise InternalError("constructed derivation does not bound the adjoint")

@@ -309,6 +309,14 @@ def test_truncation_below_one_is_a_precondition_error(command, tmp_path, capsys)
         assert err.startswith("precondition error:") and err.count("\n") == 1
 
 
+def test_truncation_below_one_names_the_flag_not_the_model(capsys):
+    # a model with generators used to be blamed for exceeding truncation 0
+    for n in ("0", "-2"):
+        code, out, err = run(["homology", fixture("spheres.dgl"), "S2", "--max-degree", n], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"precondition error: --max-degree must be at least 1, got {n}\n"
+
+
 def test_reversed_degree_range_is_a_precondition_error(capsys):
     code, out, err = run(["homology", fixture("spheres.dgl"), "S2", "--degrees", "5:2"], capsys)
     assert code == 3

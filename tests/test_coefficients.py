@@ -2,9 +2,9 @@
 
 Every report of every fixture morphism is walked, with the differential and
 homology vectors of each complex its context builds.  A coefficient of a
-`LieElement` must be an `int` when it is integral; a vector entry comes out of
-the elimination (`linalg.rref` rows stay `Fraction`) and must only not be a
-float.
+`LieElement`, and an entry of a differential column or of a homology
+representative row (rows of `linalg.rref`), must be an `int` when it is
+integral.
 """
 import dataclasses
 from fractions import Fraction
@@ -45,6 +45,7 @@ def _walk(obj, where, seen):
         for k, v in obj.items():
             if isinstance(v, (int, float, Fraction)):
                 _check_number(v, f"{where}[{k!r}]")
+                assert type(v) is int or v.denominator != 1, f"{where}[{k!r}]: integral {v!r} is not an int"
             else:
                 count += _walk(v, where, seen)
         return count

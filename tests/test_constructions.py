@@ -204,7 +204,7 @@ def test_verify_homotopy_injectivity_witness():
         {
             "x": tgt_alg.gen("u"),
             "v": tgt_alg.zero(n - 1),
-            "x'": dtheta.values["x"],
+            "x'": dtheta.value("x"),
         },
         name="start",
     )

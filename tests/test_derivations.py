@@ -28,8 +28,40 @@ F = Fraction
 def test_adjoint_on_pinch_map(pinch):
     u3 = pinch.target.algebra.gen("u3")
     theta = adjoint(pinch, u3)
-    assert theta.values["x1"].is_zero()
+    assert theta.value("x1").is_zero() and theta.value("x1").degree == 1 + theta.degree
     assert theta.values["x3"] == u3.bracket(u3)
+
+
+def test_zero_values_are_not_stored(pinch):
+    # a derivation given explicit zero values is the one given none
+    tgt = pinch.target.algebra
+    u3 = tgt.gen("u3")
+    bare = GenDerivation(pinch, 0, {"x3": u3})
+    padded = GenDerivation(pinch, 0, {"x1": tgt.zero(1), "x3": u3})
+    assert list(padded.values) == list(bare.values) == ["x3"]
+    assert repr(padded) == repr(bare) and padded == bare
+    cx = DerComplex(pinch)
+    assert cx.to_vector(0, padded) == cx.to_vector(0, bare) != {}
+    assert padded.value("x1") == tgt.zero(1) and padded.value("x1").degree == 1
+
+
+@pytest.mark.parametrize("path, name", FIXTURE_MAPS)
+def test_der_columns_build_no_zero_element(path, name, monkeypatch):
+    # a basis derivation holds its one nonzero value, and D of it only the
+    # generators where it is nonzero
+    psi = fixture_map(path, name, truncation=11)
+    tgt = psi.target
+    for g in tgt.generators:  # d of a letter is cached on the model, zero or not
+        tgt.d(tgt.algebra.gen(g.name))
+    calls = []
+    real = FreeLieAlgebra.zero
+    monkeypatch.setattr(
+        FreeLieAlgebra, "zero", lambda alg, degree: calls.append(degree) or real(alg, degree)
+    )
+    cx = DerComplex(psi)
+    top = cx.trunc - psi.source.max_generator_degree
+    columns = sum(len(cx.columns(n)) for n in range(1 - psi.source.max_generator_degree, top + 1))
+    assert columns and calls == []
 
 
 def test_adjoint_of_zero_morphism(cp2, s4):
@@ -104,7 +136,7 @@ def test_adjoint_is_a_lie_map():
     x, y = alg.gen("x"), alg.gen("y")
     ad_x, ad_y = adjoint(ident, x), adjoint(ident, y)
     sign = -1 if (ad_x.degree * ad_y.degree) % 2 else 1
-    values = {g: ad_x(ad_y.values[g]) - sign * ad_y(ad_x.values[g]) for g in ad_x.values}
+    values = {g.name: ad_x(ad_y.value(g.name)) - sign * ad_y(ad_x.value(g.name)) for g in alg.generators}
     lhs = GenDerivation(ident, ad_x.degree + ad_y.degree, values)
     rhs = adjoint(ident, x.bracket(y))
     assert lhs == rhs
@@ -267,7 +299,7 @@ def test_word_evaluators_match_tensor_oracle(seed):
             for theta in thetas:
                 if n + theta.degree > top:
                     continue
-                values = [theta.values[g.name].tensor_expansion() for g in src.generators]
+                values = [theta.value(g.name).tensor_expansion() for g in src.generators]
                 want = oracles.tensor_derivation(e, theta.degree, values, images, degrees)
                 assert theta.apply(w).tensor_expansion() == want, (word, theta.degree)
     # D(theta)(g) = d_K(theta(g)) - (-1)^n theta(d_L g), each side extended
@@ -279,13 +311,13 @@ def test_word_evaluators_match_tensor_oracle(seed):
     for theta in thetas:
         if theta.degree + max(degrees) > top:
             continue
-        values = [theta.values[g.name].tensor_expansion() for g in src.generators]
+        values = [theta.value(g.name).tensor_expansion() for g in src.generators]
         sign = -1 if theta.degree % 2 else 1
         d_theta = theta.differential()
         assert d_theta.degree == theta.degree - 1
         for g in src.generators:
             d_value = oracles.tensor_derivation(
-                theta.values[g.name].tensor_expansion(), -1, d_letters, ids, tgt_degrees
+                theta.value(g.name).tensor_expansion(), -1, d_letters, ids, tgt_degrees
             )
             value_of_d = oracles.tensor_derivation(
                 psi.source.diff_of(g.name).tensor_expansion(), theta.degree, values, images, degrees
@@ -293,7 +325,7 @@ def test_word_evaluators_match_tensor_oracle(seed):
             want = {t: d_value.get(t, 0) - sign * value_of_d.get(t, 0)
                     for t in set(d_value) | set(value_of_d)}
             want = {t: c for t, c in want.items() if c}
-            assert d_theta.values[g.name].tensor_expansion() == want, (g.name, theta.degree)
+            assert d_theta.value(g.name).tensor_expansion() == want, (g.name, theta.degree)
 
 
 # -- the complex's columns against the per-derivation evaluator -----------------------

@@ -163,14 +163,26 @@ def _canonical(vectors):
     return [[(k, type(v).__name__, v) for k, v in sorted(vec.items())] for vec in vectors]
 
 
+def _by_rule(vectors):
+    """The oracle's Fraction entries in the coefficient rule's type: an int
+    when integral, else the Fraction."""
+    return [{k: v.numerator if v.denominator == 1 else v for k, v in vec.items()}
+            for vec in vectors]
+
+
+def _follows_rule(v) -> bool:
+    """An int exactly when integral, a Fraction otherwise, never a float."""
+    return type(v) is int or (type(v) is F and v.denominator != 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_rational_matrices())
 def test_rref_matches_bareiss_oracle(rows):
     want = bareiss_rref(rows)
     got = linalg.rref(rows)
     assert got.pivots == want.pivots
-    assert _canonical(got.rows) == _canonical(want.rows)
-    assert _canonical(got.kernel) == _canonical(want.kernel)
+    assert _canonical(got.rows) == _canonical(_by_rule(want.rows))
+    assert _canonical(got.kernel) == _canonical(_by_rule(want.kernel))
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,7 +245,7 @@ def test_quotient_basis_matches_the_eliminating_oracle(case):
     rsup, rsub = linalg.rref(sup), linalg.rref(sub)
     got, want = linalg.quotient_basis(rsup, rsub), oracles.quotient_basis(rsup, rsub)
     assert got.pivots == want.pivots
-    assert _canonical(got.rows) == _canonical(want.rows)
+    assert _canonical(got.rows) == _canonical(_by_rule(want.rows))
 
 
 def test_quotient_basis_reads_the_rows_off_sup(monkeypatch):
@@ -264,3 +276,26 @@ def test_intersect_matches_dense_ranks(case):
     for row in got:
         assert dense_rank(dense(a + [row], ncols)) == rank_a
         assert dense_rank(dense(b + [row], ncols)) == rank_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(sup_and_sub(), st.data())
+def test_echelon_entries_are_int_exactly_when_integral(case, data):
+    """Every echelon form, quotient, intersection and coordinate vector
+    follows the coefficient rule, though every input entry is a Fraction."""
+    ncols, sup, sub = case
+    rsup, rsub = linalg.rref(sup), linalg.rref(sub)
+    inside = linalg.rref([row for row in sub if not rsup.reduce(row)])
+    fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    drawn = data.draw(st.lists(fractions, min_size=rsup.rank, max_size=rsup.rank))
+    coeffs = {i: c for i, c in enumerate(drawn) if c}
+    vec = _by_rule([linalg.combine(coeffs, rsup.rows)])[0]
+    coords = rsup.coords(vec)
+    assert coords == coeffs
+    vectors = [
+        *rsup.rows, *rsup.kernel, *rsub.rows, *rsub.kernel,
+        *rsup.kernel_space().rows, *linalg.quotient_basis(rsup, inside).rows,
+        *linalg.intersect(rsup, rsub), coords,
+    ]
+    bad = [(vec, v) for vec in vectors for v in vec.values() if not _follows_rule(v)]
+    assert not bad
