@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Randomized audit of the long exact sequence and the product construction.
+"""Randomized audit of the long exact sequence, the product construction and
+the free-Lie bracket.
 
 Draws seeded random models and morphisms, assembles the long exact derivation
 homology sequence, and checks exactness at every trusted node; then builds
-random product models and checks the homology additivity they must satisfy.
+random product models and checks the homology additivity they must satisfy;
+then draws random generator sets (odd and even, degrees 1-3) and checks the
+bracket of every pair of basis words against the tensor-embedding oracle.
 
     python3 scripts/random_exactness_audit.py [--morphisms 50] [--products 20]
-        [--max-generators 4] [--truncation 8] [--seed-offset 0]
+        [--brackets 20] [--max-generators 4] [--truncation 8] [--seed-offset 0]
 
-Exits 1 if either audit finds a failure; both audits always run.
+Exits 1 if any audit finds a failure; all three audits always run.
 """
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -21,10 +25,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from dglcalc import EvaluationContext
+from dglcalc import EvaluationContext, FreeLieAlgebra
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import product_model, sphere_wedge_model
 
+from tests import oracles
 from tests.helpers import random_model, random_validated_morphism
 
 
@@ -32,6 +37,7 @@ from tests.helpers import random_model, random_validated_morphism
 class Config:
     morphisms: int = 50
     products: int = 20
+    brackets: int = 20
     max_generators: int = 4
     truncation: int = 8
     seed_offset: int = 0
@@ -73,6 +79,27 @@ def audit_products(cfg: Config):
     return not failures
 
 
+def audit_brackets(cfg: Config):
+    pairs = 0
+    failures = []
+    for seed in range(cfg.seed_offset, cfg.seed_offset + cfg.brackets):
+        rng = random.Random(seed)
+        count = rng.randint(1, cfg.max_generators)
+        alg = FreeLieAlgebra([(f"g{i}", rng.randint(1, 3)) for i in range(count)], cfg.truncation)
+        words = [w for n in range(1, cfg.truncation) for w in alg.words(n)]
+        for u in words:
+            for v in words:
+                if alg.word_degree(u) + alg.word_degree(v) > cfg.truncation:
+                    continue
+                pairs += 1
+                got = alg.monomial(u).bracket(alg.monomial(v)).terms
+                want = oracles.swept_bracket(alg, u, v)
+                if [(w, type(c), c) for w, c in got.items()] != [(w, int, c) for w, c in want.items()]:
+                    failures.append((seed, u, v))
+    print(f"brackets: {cfg.brackets} generator sets, {pairs} pairs, {len(failures)} failures")
+    return not failures
+
+
 def parse_config(argv=None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for f in fields(Config):
@@ -85,7 +112,8 @@ def main(argv=None):
     cfg = parse_config(argv)
     start = time.perf_counter()
     les_ok = audit_les(cfg)
-    ok = audit_products(cfg) and les_ok
+    products_ok = audit_products(cfg)
+    ok = audit_brackets(cfg) and les_ok and products_ok
     print(f"total {time.perf_counter() - start:.2f}s")
     sys.exit(0 if ok else 1)
 

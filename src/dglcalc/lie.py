@@ -5,31 +5,22 @@ A coefficient follows the package's coefficient rule, whose one home is
 it is integral and a `Fraction` only once a denominator appears, never a
 float.
 
-Every element is canonicalised through the embedding into the free
-associative algebra,
-
-    i([a, b]) = i(a)i(b) - (-1)^{|a||b|} i(b)i(a),
-
-which is injective over a field of characteristic zero, so equality and all
-linear algebra reduce to sparse exact vector arithmetic on tensor words.
-
-The basis of each degree is indexed by super-Lyndon words (Reutenauer, *Free
-Lie Algebras*, ch. 4-5; Bokut-Kang-Lee-Malcolmson, J. Algebra 217, 1999):
-the Lyndon words in generator-index order, plus ww for each Lyndon word w of
-odd degree.  A Lyndon word w of length >= 2 names the bracket [u, v] of its
-standard factorisation w = uv, where v is the longest proper Lyndon suffix;
-ww names [w, w].  The tensor expansion P_w of that bracketing has w as its
-least word, with coefficient 1 (2 for ww), so any tensor vector in the Lie
-subspace reduces to coordinates by one triangular sweep, with no
-elimination.  Bases and expansions are deterministic and cached on the
-algebra.
+An element is held by its coordinates in the super-Lyndon basis of its
+degree (Reutenauer, *Free Lie Algebras*, ch. 4-5; Bokut-Kang-Lee-Malcolmson,
+J. Algebra 217, 1999): the Lyndon words in generator-index order, plus ww
+for each Lyndon word w of odd degree.  A Lyndon word w of length >= 2 names
+the bracket [u, v] of its standard factorisation w = uv, where v is the
+longest proper Lyndon suffix; ww names [w, w].  Coordinates are unique, so
+equality and all linear algebra are sparse exact vector arithmetic on basis
+words.  Bases are deterministic and cached on the algebra.
 
 A bracket is bilinear, so it is computed term pair by term pair.  Most pairs
 are standard: when (u, v) is the standard factorisation of the basis word uv,
 [b_u, b_v] is b_uv by definition (this covers the odd squares ww), and
-[b_v, b_u] = -(-1)^{|u||v|} b_uv, so neither is expanded.  Any other pair is
-expanded into tensors and swept once, and its coordinates are cached on the
-algebra.
+[b_v, b_u] = -(-1)^{|u||v|} b_uv.  Any other pair is rewritten in the basis
+by graded antisymmetry and the Jacobi identity on the standard factors
+(`FreeLieAlgebra._pair`), which never divides, so its coordinates are
+integers; they are cached on the algebra.
 
 Only this module knows how a word is bracketed: evaluators elsewhere recurse
 on the factors that `FreeLieAlgebra.split` gives.
@@ -37,15 +28,12 @@ on the factors that `FreeLieAlgebra.split` gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional
 
 from .errors import InternalError, PreconditionError, TruncationError
-from .linalg import coeff, div
+from .linalg import coeff
 
 Word = tuple  # tuple of generator indices; a super-Lyndon word names its standard bracketing
-TensorVec = dict  # tensor word (tuple of generator indices) -> int or Fraction
 
 
 @dataclass(frozen=True)
@@ -69,42 +57,6 @@ class _BasisData:
     def __init__(self, words: list):
         self.words = words
         self.members = frozenset(words)
-
-    def reduce(self, tensor: TensorVec, expansion) -> dict:
-        """Coordinates (basis word -> coefficient) of a tensor vector.
-
-        One triangular sweep: the least word of the residual must be a basis
-        word w, whose expansion P_w = expansion(w) has w as its least word;
-        subtract the multiple of P_w that clears it.  Raises InternalError if
-        the vector is not in the Lie subspace.
-        """
-        residual = dict(tensor)
-        heap = list(residual)
-        heapify(heap)
-        coords = {}
-        members = self.members
-        while heap:
-            w = heappop(heap)
-            c = residual[w]
-            if not c:
-                continue
-            if w not in members:
-                raise InternalError("tensor vector is outside the Lie subspace")
-            row = expansion(w)
-            lead = row[w]
-            if lead != 1:  # a square ww, whose lead coefficient is 2
-                c = div(c, lead)
-            coords[w] = c
-            # words of P_w are >= w, and w itself is cleared, so every word
-            # already popped stays at zero
-            for k, v in row.items():
-                x = residual.get(k)
-                if x is None:
-                    residual[k] = -c * v
-                    heappush(heap, k)
-                else:
-                    residual[k] = x - c * v
-        return coords
 
 
 class FreeLieAlgebra:
@@ -135,7 +87,6 @@ class FreeLieAlgebra:
         self._degrees = tuple(g.degree for g in gens)
         self._uppers = tuple(g.upper for g in gens)
         self._words_cache: dict = {}
-        self._expansion_cache: dict = {}
         self._basis_cache: dict = {}
         self._split: dict = {}  # basis word of length >= 2 -> (u, v)
         self._bracket_cache: dict = {}  # (u, v) of a non-standard pair -> terms of [b_u, b_v]
@@ -178,7 +129,7 @@ class FreeLieAlgebra:
     def max_generator_degree(self) -> int:
         return max(self._degrees, default=0)
 
-    # -- tensor expansion ---------------------------------------------------
+    # -- the basis -----------------------------------------------------------
 
     def words(self, degree: int) -> list:
         """The super-Lyndon words of the given degree, in (len, word) order.
@@ -210,21 +161,6 @@ class FreeLieAlgebra:
                 out.append(w + w)
         out.sort(key=_word_key)
         self._words_cache[degree] = out
-        return out
-
-    def expansion(self, word: Word) -> TensorVec:
-        """Tensor expansion P_w of the bracket a basis word names; integer
-        coefficients, least word w with coefficient 1 (2 for a square ww)."""
-        cached = self._expansion_cache.get(word)
-        if cached is not None:
-            return cached
-        if len(word) == 1:
-            out = {word: 1}
-        else:
-            u, v = self.split(word)
-            sign = -1 if (self.word_degree(u) * self.word_degree(v)) % 2 else 1
-            out = _commutator(self.expansion(u), self.expansion(v), sign)
-        self._expansion_cache[word] = out
         return out
 
     def _basis_data(self, degree: int) -> _BasisData:
@@ -259,10 +195,6 @@ class FreeLieAlgebra:
             raise PreconditionError(f"{self.word_names(word)} is not a basis word")
         return LieElement(self, degree, {word: 1})
 
-    def from_tensor(self, degree: int, tensor: TensorVec) -> "LieElement":
-        coords = self._basis_data(degree).reduce(tensor, self.expansion)
-        return LieElement(self, degree, coords)
-
     def bracket(self, a: "LieElement", b: "LieElement") -> "LieElement":
         if a.algebra is not self or b.algebra is not self:
             raise PreconditionError("bracket arguments belong to different algebras")
@@ -288,11 +220,69 @@ class FreeLieAlgebra:
                 else:
                     terms = cache.get((u, v))
                     if terms is None:
-                        tensor = _commutator(self.expansion(u), self.expansion(v), sign)
-                        terms = cache[(u, v)] = self.from_tensor(degree, tensor).terms
+                        terms = self._pair(u, v)
                     for w, x in terms.items():
                         out[w] = out.get(w, 0) + c * x
         return LieElement(self, degree, out)
+
+    def _pair(self, u: Word, v: Word) -> dict:
+        """Coordinates of [b_u, b_v] for basis words u and v, with `int`
+        coefficients, in word order.
+
+        A standard pair is its basis word.  Otherwise [w, w] of even degree
+        and the odd cube [w, [w, w]] vanish, graded antisymmetry puts the
+        smaller word first, and the Jacobi identity moves the bracket onto
+        the standard factors (a, b) of the left word,
+
+            [[a, b], v] = [a, [b, v]] - (-1)^{|a||b|} [b, [a, v]],
+
+        unless the left word is a letter or its right factor is >= v.  Then
+        uv would be standard if v were Lyndon, so v is a square ww, and
+
+            [u, [w, w]] = 2 (-1)^{|u||w|} [w, [u, w]].
+
+        Each non-standard pair is filled once into `_bracket_cache`, whose
+        dicts are read and never changed.
+        """
+        split, deg = self._split, self.word_degree
+        if split.get(u + v) == (u, v):
+            return {u + v: 1}
+        odd = deg(u) * deg(v) % 2
+        if split.get(v + u) == (v, u):
+            return {v + u: 1 if odd else -1}
+        cache = self._bracket_cache
+        terms = cache.get((u, v))
+        if terms is not None:
+            return terms
+        if u == v or split.get(v) == (u, u):  # [w, w] of even degree, or [w, [w, w]]
+            terms = {}
+        elif u > v:
+            terms = {w: c if odd else -c for w, c in self._pair(v, u).items()}
+        else:
+            out: dict = {}
+            ab = split.get(u)
+            if ab is not None and (ab[0] == ab[1] or ab[1] < v):
+                a, b = ab
+                self._add_nested(out, a, self._pair(b, v), 1)
+                self._add_nested(out, b, self._pair(a, v), 1 if deg(a) * deg(b) % 2 else -1)
+            else:
+                ab = split.get(v)
+                if ab is None or ab[0] != ab[1]:
+                    raise InternalError(
+                        f"no rewriting of the bracket of {self.word_names(u)} "
+                        f"and {self.word_names(v)}"
+                    )
+                w = ab[0]
+                self._add_nested(out, w, self._pair(u, w), -2 if deg(u) * deg(w) % 2 else 2)
+            terms = {w: c for w, c in sorted(out.items()) if c}
+        cache[(u, v)] = terms
+        return terms
+
+    def _add_nested(self, out: dict, a: Word, terms: dict, scale: int) -> None:
+        """out += scale * [b_a, sum of c * b_w over the (w, c) of terms]."""
+        for w, c in terms.items():
+            for t, x in self._pair(a, w).items():
+                out[t] = out.get(t, 0) + scale * c * x
 
 
 class LieElement:
@@ -370,13 +360,6 @@ class LieElement:
             self.algebra, self.degree, {w: c for w, c in self.terms.items() if len(w) == 1}
         )
 
-    def tensor_expansion(self) -> TensorVec:
-        out: TensorVec = {}
-        for w, c in self.terms.items():
-            for t, v in self.algebra.expansion(w).items():
-                out[t] = out.get(t, 0) + c * v
-        return {t: Fraction(v) for t, v in out.items() if v}
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -398,19 +381,6 @@ class LieElement:
 
     def __repr__(self) -> str:
         return f"<LieElement {self}>"
-
-
-def _commutator(a: TensorVec, b: TensorVec, sign: int) -> TensorVec:
-    """ab - sign * ba in the tensor algebra."""
-    out: TensorVec = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            c = ca * cb
-            k = ta + tb
-            out[k] = out.get(k, 0) + c
-            k = tb + ta
-            out[k] = out.get(k, 0) - sign * c
-    return {k: v for k, v in out.items() if v}
 
 
 def _word_str(algebra: FreeLieAlgebra, word: Word) -> str:

@@ -24,11 +24,18 @@ objects, kept as the reference for the cone's class-coordinate maps.
 `GenDerivation` is the package's earlier per-derivation evaluator, a Leibniz
 recursion with its own word cache, kept as the reference for derivations
 evaluated through a morphism's Fox table; it shares the basis, brackets and
-`DglMorphism.apply`.
+`DglMorphism.apply`.  `expansion`, `from_tensor`, `swept_bracket` and
+`tensor_expansion` are the package's earlier canonicalisation through the
+tensor embedding, kept as the reference for brackets rewritten in the basis;
+they share the basis words and their standard factors
+(`FreeLieAlgebra.split`), and `from_tensor` builds its result as a
+`LieElement`.
 """
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 
@@ -170,6 +177,92 @@ def super_lyndon_words(degrees, n):
         if is_lyndon(key) or (square and is_lyndon(half)):
             out.append(word)
     return sorted(out, key=lambda w: (len(w), tuple(rank[x] for x in w)))
+
+
+# -- the package's basis in the tensor algebra ---------------------------------
+
+_EXPANSIONS = weakref.WeakKeyDictionary()  # algebra -> {basis word: P_w}
+
+
+def _commutator(a, b, sign):
+    """ab - sign * ba in the tensor algebra."""
+    out = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            c = ca * cb
+            out[ta + tb] = out.get(ta + tb, 0) + c
+            out[tb + ta] = out.get(tb + ta, 0) - sign * c
+    return {k: v for k, v in out.items() if v}
+
+
+def expansion(alg, word):
+    """Tensor expansion P_w of the bracket a basis word names, memoised per
+    algebra; integer coefficients, least word w with coefficient 1 (2 for a
+    square ww).  Callers must not change the dict it returns."""
+    cache = _EXPANSIONS.setdefault(alg, {})
+    out = cache.get(word)
+    if out is None:
+        if len(word) == 1:
+            out = {word: 1}
+        else:
+            u, v = alg.split(word)
+            sign = (-1) ** (alg.word_degree(u) * alg.word_degree(v))
+            out = _commutator(expansion(alg, u), expansion(alg, v), sign)
+        cache[word] = out
+    return out
+
+
+def from_tensor(alg, degree, tensor):
+    """The element of `alg` whose tensor expansion is `tensor`, by one
+    triangular sweep: the least word of the residual must be a basis word w,
+    and P_w, whose least word is w, clears it.  Coordinates come out in word
+    order.  Raises InternalError if the vector is not in the Lie subspace."""
+    from dglcalc import LieElement
+    from dglcalc.errors import InternalError
+
+    members = alg._basis_data(degree).members
+    residual = dict(tensor)
+    heap = list(residual)
+    heapify(heap)
+    coords = {}
+    while heap:
+        w = heappop(heap)
+        c = residual[w]
+        if not c:
+            continue
+        if w not in members:
+            raise InternalError("tensor vector is outside the Lie subspace")
+        row = expansion(alg, w)
+        if row[w] != 1:  # a square ww, whose lead coefficient is 2
+            c = Fraction(c, row[w])
+        coords[w] = c
+        # words of P_w are >= w, and w itself is cleared, so every word
+        # already popped stays at zero
+        for k, v in row.items():
+            x = residual.get(k)
+            if x is None:
+                residual[k] = -c * v
+                heappush(heap, k)
+            else:
+                residual[k] = x - c * v
+    return LieElement(alg, degree, coords)
+
+
+def swept_bracket(alg, u, v):
+    """Coordinates of [b_u, b_v] for basis words u and v: the sweep of
+    P_u P_v - (-1)^{|u||v|} P_v P_u."""
+    sign = (-1) ** (alg.word_degree(u) * alg.word_degree(v))
+    tensor = _commutator(expansion(alg, u), expansion(alg, v), sign)
+    return from_tensor(alg, alg.word_degree(u + v), tensor).terms
+
+
+def tensor_expansion(element):
+    """The tensor vector of a package element, with `Fraction` values."""
+    out = {}
+    for w, c in element.terms.items():
+        for t, v in expansion(element.algebra, w).items():
+            out[t] = out.get(t, 0) + c * v
+    return {t: Fraction(v) for t, v in out.items() if v}
 
 
 # -- differentials and homology ------------------------------------------------

@@ -282,50 +282,52 @@ def test_word_evaluators_match_tensor_oracle(seed):
         alg = model.algebra
         degrees = [g.degree for g in alg.generators]
         ids = [{(i,): F(1)} for i in range(len(degrees))]
-        d_letters = [model.diff_of(g.name).tensor_expansion() for g in alg.generators]
+        d_letters = [oracles.tensor_expansion(model.diff_of(g.name)) for g in alg.generators]
         for n in range(1, alg.truncation + 1):
             for word in alg.words(n):
-                want = oracles.tensor_derivation(alg.expansion(word), -1, d_letters, ids, degrees)
-                assert model.d(alg.monomial(word)).tensor_expansion() == want, word
+                e = oracles.expansion(alg, word)
+                want = oracles.tensor_derivation(e, -1, d_letters, ids, degrees)
+                assert oracles.tensor_expansion(model.d(alg.monomial(word))) == want, word
     src = psi.source.algebra
     top = min(src.truncation, psi.target.truncation)
     degrees = [g.degree for g in src.generators]
-    images = [psi.values[g.name].tensor_expansion() for g in src.generators]
+    images = [oracles.tensor_expansion(psi.values[g.name]) for g in src.generators]
     thetas = [GenDerivation(psi, k, _random_values(rng, psi, k)) for k in range(-1, 3)]
     for n in range(1, top + 1):
         for word in src.words(n):
-            w, e = src.monomial(word), src.expansion(word)
-            assert psi.apply(w).tensor_expansion() == oracles.tensor_morphism(e, images)
+            w, e = src.monomial(word), oracles.expansion(src, word)
+            assert oracles.tensor_expansion(psi.apply(w)) == oracles.tensor_morphism(e, images)
             for theta in thetas:
                 if n + theta.degree > top:
                     continue
-                values = [theta.value(g.name).tensor_expansion() for g in src.generators]
+                values = [oracles.tensor_expansion(theta.value(g.name)) for g in src.generators]
                 want = oracles.tensor_derivation(e, theta.degree, values, images, degrees)
-                assert theta.apply(w).tensor_expansion() == want, (word, theta.degree)
+                assert oracles.tensor_expansion(theta.apply(w)) == want, (word, theta.degree)
     # D(theta)(g) = d_K(theta(g)) - (-1)^n theta(d_L g), each side extended
     # letter by letter to the tensor algebra
     tgt = psi.target.algebra
-    d_letters = [psi.target.diff_of(g.name).tensor_expansion() for g in tgt.generators]
+    d_letters = [oracles.tensor_expansion(psi.target.diff_of(g.name)) for g in tgt.generators]
     ids = [{(i,): F(1)} for i in range(len(tgt.generators))]
     tgt_degrees = [g.degree for g in tgt.generators]
     for theta in thetas:
         if theta.degree + max(degrees) > top:
             continue
-        values = [theta.value(g.name).tensor_expansion() for g in src.generators]
+        values = [oracles.tensor_expansion(theta.value(g.name)) for g in src.generators]
         sign = -1 if theta.degree % 2 else 1
         d_theta = theta.differential()
         assert d_theta.degree == theta.degree - 1
         for g in src.generators:
             d_value = oracles.tensor_derivation(
-                theta.value(g.name).tensor_expansion(), -1, d_letters, ids, tgt_degrees
+                oracles.tensor_expansion(theta.value(g.name)), -1, d_letters, ids, tgt_degrees
             )
             value_of_d = oracles.tensor_derivation(
-                psi.source.diff_of(g.name).tensor_expansion(), theta.degree, values, images, degrees
+                oracles.tensor_expansion(psi.source.diff_of(g.name)),
+                theta.degree, values, images, degrees,
             )
             want = {t: d_value.get(t, 0) - sign * value_of_d.get(t, 0)
                     for t in set(d_value) | set(value_of_d)}
             want = {t: c for t, c in want.items() if c}
-            assert d_theta.value(g.name).tensor_expansion() == want, (g.name, theta.degree)
+            assert oracles.tensor_expansion(d_theta.value(g.name)) == want, (g.name, theta.degree)
 
 
 # -- the complex's columns against the per-derivation evaluator -----------------------

@@ -30,7 +30,7 @@ def test_odd_square_survives(one_odd):
     x = one_odd.gen("x")
     sq = x.bracket(x)
     assert not sq.is_zero()
-    assert sq.tensor_expansion() == {(0, 0): F(2)}
+    assert oracles.tensor_expansion(sq) == {(0, 0): F(2)}
 
 
 def test_even_square_dies(one_even):
@@ -70,7 +70,7 @@ def test_coordinates_resolve_reordered_brackets(two_odd):
     expected = oracles.combo_expand(
         {("x", "y"): 3, ("y", "x"): -2}, {"x": 1, "y": 1}
     )
-    got = {two_odd.word_names(w): c for w, c in e.tensor_expansion().items()}
+    got = {two_odd.word_names(w): c for w, c in oracles.tensor_expansion(e).items()}
     assert got == expected
     assert e.terms == {(two_odd.index("x"), two_odd.index("y")): F(1)}
 
@@ -193,7 +193,7 @@ def test_basis_word_is_least_word_of_its_expansion(gens):
     alg = FreeLieAlgebra(gens, truncation=8)
     for n in range(1, 9):
         for w in alg.words(n):
-            e = alg.expansion(w)
+            e = oracles.expansion(alg, w)
             half = w[: len(w) // 2]
             square = len(w) > 1 and w == half + half
             assert min(e) == w and e[w] == (2 if square else 1), w
@@ -209,14 +209,14 @@ def test_left_normed_words_reduce_and_expand_back(gens):
     for n in range(1, 8):
         for names in oracles.all_words(degrees, n):
             tensor = _oracle_tensor(alg, oracles.expand(oracles.left_normed(names), degrees))
-            element = alg.from_tensor(n, tensor)
-            assert element.tensor_expansion() == tensor, names
+            element = oracles.from_tensor(alg, n, tensor)
+            assert oracles.tensor_expansion(element) == tensor, names
 
 
 def test_tensor_outside_the_lie_subspace_is_an_internal_error(two_odd):
     # xy clears against [x,y] = xy + yx, and leaves yx, which is not a basis word
     with pytest.raises(InternalError):
-        two_odd.from_tensor(2, {(0, 1): F(1)})
+        oracles.from_tensor(two_odd, 2, {(0, 1): F(1)})
 
 
 def test_basis_word_is_the_bracket_of_its_standard_factors():
@@ -274,7 +274,6 @@ def mixed_elements(draw, count=2, max_degree=3):
 @given(mixed_elements(count=2), scalars)
 def test_mixed_coefficient_arithmetic_matches_tensor_oracle(data, k):
     alg, (a, b) = data
-    expansions = {w: dict(alg.expansion(w)) for n in range(1, 8) for w in alg.words(n)}
     degrees = {g.name: g.degree for g in alg.generators}
     if a.degree != b.degree:
         b = alg.zero(a.degree)
@@ -292,17 +291,19 @@ def test_mixed_coefficient_arithmetic_matches_tensor_oracle(data, k):
         pairs = {(_tree(alg, u), _tree(alg, v)): cu * cv
                  for u, cu in a.terms.items() for v, cv in b.terms.items()}
         assert _oracle(alg, ab) == oracles.combo_expand(pairs, degrees)
+        # brackets read the cached terms in place and never change them
+        cached = {pair: dict(terms) for pair, terms in alg._bracket_cache.items()}
+        assert ka.bracket(b) == k * ab
+        assert alg._bracket_cache == cached
     for x in results:
         _assert_canonical(x)
         # coordinates of the oracle's tensor, integral entries as ints: a
         # square ww with an odd coefficient divides an int by 2 exactly
         tensor = {tuple(alg.index(g) for g in t): c.numerator if c.denominator == 1 else c
                   for t, c in _oracle(alg, x).items()}
-        back = alg.from_tensor(x.degree, tensor)
+        back = oracles.from_tensor(alg, x.degree, tensor)
         assert back == x
         _assert_canonical(back)
-    # brackets read the cached expansions in place and never change them
-    assert all(alg.expansion(w) == e for w, e in expansions.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,18 +319,21 @@ def test_int_and_fraction_coefficients_are_equal_and_hash_alike(data):
 
 @pytest.mark.parametrize("gens", GEN_SETS)
 def test_brackets_leave_the_cached_expansions_unchanged(gens):
-    # a unit monomial brackets through its cached expansion itself, unscaled
+    # the cached expansions are the bracket terms of the non-standard pairs:
+    # unit monomials fill them, and scaled monomials read them in place and
+    # never change them
     alg = FreeLieAlgebra(gens, truncation=7)
     words = [w for n in range(1, 8) for w in alg.words(n)]
-    expansions = {w: dict(alg.expansion(w)) for w in words}
-    for u in words:
-        for v in words:
-            if alg.word_degree(u) + alg.word_degree(v) > alg.truncation:
-                continue
-            a, b = alg.monomial(u), alg.monomial(v)
-            for x, y in ((a, b), (a, 2 * b), (F(1, 2) * a, b)):
-                _assert_canonical(x.bracket(y))
-    assert all(alg.expansion(w) == e for w, e in expansions.items())
+    pairs = [(alg.monomial(u), alg.monomial(v)) for u in words for v in words
+             if alg.word_degree(u) + alg.word_degree(v) <= alg.truncation]
+    for a, b in pairs:
+        _assert_canonical(a.bracket(b))
+    cached = {pair: dict(terms) for pair, terms in alg._bracket_cache.items()}
+    assert cached
+    for a, b in pairs:
+        for x, y in ((a, 2 * b), (F(1, 2) * a, b), (-a, F(-3, 2) * b)):
+            _assert_canonical(x.bracket(y))
+    assert alg._bracket_cache == cached
 
 
 def test_float_coefficients_are_refused(two_odd):
@@ -367,13 +371,13 @@ def test_every_pair_of_basis_words_brackets_to_the_tensor_oracle(gens):
 @pytest.mark.parametrize("gens", GEN_SETS)
 def test_a_standard_pair_is_its_own_basis_word(gens, monkeypatch):
     """[b_u, b_v] for the standard factors (u, v) of a basis word w is b_w,
-    and [b_v, b_u] is -(-1)^{|u||v|} b_w: neither is reduced from tensors."""
+    and [b_v, b_u] is -(-1)^{|u||v|} b_w: neither is rewritten."""
     alg = FreeLieAlgebra(gens, truncation=7)
 
     def refuse(*args):
-        raise AssertionError("a standard pair was expanded into tensors")
+        raise AssertionError("a standard pair was rewritten")
 
-    monkeypatch.setattr(alg, "from_tensor", refuse)
+    monkeypatch.setattr(alg, "_pair", refuse)
     for w in _basis_words(alg, 7):
         if len(w) < 2:
             continue
@@ -384,3 +388,84 @@ def test_a_standard_pair_is_its_own_basis_word(gens, monkeypatch):
         assert b.bracket(a) == -sign * alg.monomial(w)
         assert (3 * a).bracket(F(1, 3) * b).terms == {w: 1}
     assert alg._bracket_cache == {}
+
+
+# -- non-standard pairs rewritten in the basis, against the tensor sweep ---------
+
+REWRITE_SETS = [
+    ((("x", 1), ("y", 1)), 10),
+    ((("x", 1), ("y", 1), ("z", 1)), 7),
+    ((("x", 1), ("a", 2), ("u", 3)), 11),
+    ((("a", 2), ("b", 3), ("c", 5)), 16),
+]
+
+
+@pytest.mark.parametrize("gens, top", REWRITE_SETS)
+def test_every_basis_pair_rewrites_to_the_tensor_sweep(gens, top):
+    # value, int type and word order of [b_u, b_v], against the coordinates
+    # that the oracle's triangular sweep finds
+    alg = FreeLieAlgebra(gens, truncation=top)
+    words = _basis_words(alg, top - 1)
+    for u in words:
+        for v in words:
+            if alg.word_degree(u) + alg.word_degree(v) > top:
+                continue
+            got = alg.monomial(u).bracket(alg.monomial(v)).terms
+            want = oracles.swept_bracket(alg, u, v)
+            assert [(w, type(c), c) for w, c in got.items()] == \
+                [(w, int, c) for w, c in want.items()], (u, v)
+
+
+@st.composite
+def basis_triples(draw, top=10):
+    gens, _ = draw(st.sampled_from(REWRITE_SETS))
+    alg = FreeLieAlgebra(gens, truncation=top)
+    low = min(d for _, d in gens)
+    elements = []
+    room = top
+    for left in (2, 1, 0):  # elements still to draw after this one
+        n = draw(st.sampled_from([n for n in range(low, room - left * low + 1) if alg.dim(n)]))
+        words = draw(st.lists(st.sampled_from(alg.words(n)), min_size=1, max_size=3))
+        elements.append(LieElement(alg, n, {w: draw(st.integers(-3, 3)) for w in words}))
+        room -= n
+    return alg, elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_triples())
+def test_graded_jacobi_on_deep_words(data):
+    # [a, [b, c]] = [[a, b], c] + (-1)^{|a||b|} [b, [a, c]] up to degree 10
+    alg, (a, b, c) = data
+    sign = (-1) ** (a.degree * b.degree)
+    assert a.bracket(b.bracket(c)) == a.bracket(b).bracket(c) + sign * b.bracket(a.bracket(c))
+
+
+def test_rewriting_recursion_stays_shallow(monkeypatch):
+    alg = FreeLieAlgebra([("x", 1), ("y", 1)], truncation=12)
+    rewrite = FreeLieAlgebra._pair
+    depth = deepest = 0
+
+    def counted(u, v):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return rewrite(alg, u, v)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(alg, "_pair", counted)
+    words = _basis_words(alg, 11)
+    for u in words:
+        for v in words:
+            if alg.word_degree(u) + alg.word_degree(v) <= 12:
+                alg.monomial(u).bracket(alg.monomial(v))
+    assert 1 < deepest < 50
+
+
+def test_a_pair_with_no_rewriting_is_an_internal_error(two_odd):
+    # x < yx, x is a letter and yx is neither Lyndon nor a square: no rule
+    # applies to a word outside the basis
+    two_odd.dim(3)
+    with pytest.raises(InternalError):
+        two_odd._pair((0,), (1, 0))
