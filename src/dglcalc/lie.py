@@ -209,6 +209,8 @@ class FreeLieAlgebra:
         self._basis_data(degree)  # fills _split up to this degree
         split, cache = self._split, self._bracket_cache
         out: dict = {}
+        # _pair's first rules and cache lookup, inlined: calling _pair for
+        # every term pair costs gseq-onecell about 2.5% of its ops_per_s
         for u, cu in a.terms.items():
             for v, cv in b.terms.items():
                 c = cu * cv

@@ -291,10 +291,7 @@ def test_mixed_coefficient_arithmetic_matches_tensor_oracle(data, k):
         pairs = {(_tree(alg, u), _tree(alg, v)): cu * cv
                  for u, cu in a.terms.items() for v, cv in b.terms.items()}
         assert _oracle(alg, ab) == oracles.combo_expand(pairs, degrees)
-        # brackets read the cached terms in place and never change them
-        cached = {pair: dict(terms) for pair, terms in alg._bracket_cache.items()}
         assert ka.bracket(b) == k * ab
-        assert alg._bracket_cache == cached
     for x in results:
         _assert_canonical(x)
         # coordinates of the oracle's tensor, integral entries as ints: a
@@ -348,24 +345,41 @@ def _basis_words(alg, top):
     return [w for n in range(1, top + 1) for w in alg.words(n)]
 
 
-@pytest.mark.parametrize("gens", GEN_SETS)
-def test_every_pair_of_basis_words_brackets_to_the_tensor_oracle(gens):
-    # squares included; a second pass reads the cache and leaves it unchanged
-    alg = FreeLieAlgebra(gens, truncation=7)
+# -- every pair of basis words, against the tensor oracles ----------------------
+
+REWRITE_SETS = [
+    ((("x", 1), ("y", 1)), 10),
+    ((("x", 1), ("y", 1), ("z", 1)), 7),
+    ((("x", 1), ("a", 2), ("u", 3)), 11),
+    ((("a", 2), ("b", 3), ("c", 5)), 16),
+]
+
+
+EVERY_PAIR_SETS = [(g, 7) for g in GEN_SETS] + REWRITE_SETS
+
+
+@pytest.mark.parametrize("gens, top", EVERY_PAIR_SETS,
+                         ids=[f"gens{i}" for i in range(len(EVERY_PAIR_SETS))])
+def test_every_pair_of_basis_words_brackets_to_the_tensor_oracle(gens, top):
+    # squares included: value against the expanded tree, and value, int type
+    # and word order against the coordinates of the oracle's triangular
+    # sweep; a second pass brackets scaled monomials
+    alg = FreeLieAlgebra(gens, truncation=top)
     degrees = dict(gens)
-    words = _basis_words(alg, 6)
+    words = _basis_words(alg, top - 1)
     pairs = [(u, v) for u in words for v in words
-             if alg.word_degree(u) + alg.word_degree(v) <= 7]
+             if alg.word_degree(u) + alg.word_degree(v) <= top]
     first = {}
     for u, v in pairs:
         got = alg.monomial(u).bracket(alg.monomial(v))
         _assert_canonical(got)
         assert _oracle(alg, got) == oracles.expand((_tree(alg, u), _tree(alg, v)), degrees), (u, v)
+        want = oracles.swept_bracket(alg, u, v)
+        assert [(w, type(c), c) for w, c in got.terms.items()] == \
+            [(w, int, c) for w, c in want.items()], (u, v)
         first[u, v] = got
-    cached = {pair: dict(terms) for pair, terms in alg._bracket_cache.items()}
     for u, v in pairs:
         assert alg.monomial(u).bracket(F(-1, 2) * alg.monomial(v)) == F(-1, 2) * first[u, v]
-    assert alg._bracket_cache == cached
 
 
 @pytest.mark.parametrize("gens", GEN_SETS)
@@ -388,32 +402,6 @@ def test_a_standard_pair_is_its_own_basis_word(gens, monkeypatch):
         assert b.bracket(a) == -sign * alg.monomial(w)
         assert (3 * a).bracket(F(1, 3) * b).terms == {w: 1}
     assert alg._bracket_cache == {}
-
-
-# -- non-standard pairs rewritten in the basis, against the tensor sweep ---------
-
-REWRITE_SETS = [
-    ((("x", 1), ("y", 1)), 10),
-    ((("x", 1), ("y", 1), ("z", 1)), 7),
-    ((("x", 1), ("a", 2), ("u", 3)), 11),
-    ((("a", 2), ("b", 3), ("c", 5)), 16),
-]
-
-
-@pytest.mark.parametrize("gens, top", REWRITE_SETS)
-def test_every_basis_pair_rewrites_to_the_tensor_sweep(gens, top):
-    # value, int type and word order of [b_u, b_v], against the coordinates
-    # that the oracle's triangular sweep finds
-    alg = FreeLieAlgebra(gens, truncation=top)
-    words = _basis_words(alg, top - 1)
-    for u in words:
-        for v in words:
-            if alg.word_degree(u) + alg.word_degree(v) > top:
-                continue
-            got = alg.monomial(u).bracket(alg.monomial(v)).terms
-            want = oracles.swept_bracket(alg, u, v)
-            assert [(w, type(c), c) for w, c in got.items()] == \
-                [(w, int, c) for w, c in want.items()], (u, v)
 
 
 @st.composite
@@ -440,8 +428,8 @@ def test_graded_jacobi_on_deep_words(data):
     assert a.bracket(b.bracket(c)) == a.bracket(b).bracket(c) + sign * b.bracket(a.bracket(c))
 
 
-def test_rewriting_recursion_stays_shallow(monkeypatch):
-    alg = FreeLieAlgebra([("x", 1), ("y", 1)], truncation=12)
+def _rewrite_depth(alg, monkeypatch, pairs):
+    """Deepest nesting of `_pair` calls while bracketing the given pairs."""
     rewrite = FreeLieAlgebra._pair
     depth = deepest = 0
 
@@ -455,12 +443,25 @@ def test_rewriting_recursion_stays_shallow(monkeypatch):
             depth -= 1
 
     monkeypatch.setattr(alg, "_pair", counted)
-    words = _basis_words(alg, 11)
-    for u in words:
-        for v in words:
-            if alg.word_degree(u) + alg.word_degree(v) <= 12:
-                alg.monomial(u).bracket(alg.monomial(v))
-    assert 1 < deepest < 50
+    for u, v in pairs:
+        alg.monomial(u).bracket(alg.monomial(v))
+    return deepest
+
+
+def test_rewriting_recursion_stays_shallow(monkeypatch):
+    # warm: every pair in turn on one algebra, so most sub-pairs are cached;
+    # cold: each top-degree pair of a word of length <= 2 and a long word, the
+    # deepest kind, alone on a fresh algebra
+    gens, top = [("x", 1), ("y", 1)], 12
+    alg = FreeLieAlgebra(gens, truncation=top)
+    words = _basis_words(alg, top - 1)
+    pairs = [(u, v) for u in words for v in words
+             if alg.word_degree(u) + alg.word_degree(v) <= top]
+    assert 1 < _rewrite_depth(alg, monkeypatch, pairs) < 50
+    cold = max(_rewrite_depth(FreeLieAlgebra(gens, truncation=top), monkeypatch, [(u, v)])
+               for u, v in pairs
+               if alg.word_degree(u) + alg.word_degree(v) == top and min(len(u), len(v)) <= 2)
+    assert 1 < cold < 50
 
 
 def test_a_pair_with_no_rewriting_is_an_internal_error(two_odd):

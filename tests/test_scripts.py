@@ -25,9 +25,8 @@ def test_run_fixture_reports():
 
 def test_random_exactness_audit():
     lines = _run(
-        "random_exactness_audit.py", "--morphisms", "3", "--products", "2", "--brackets", "3",
-        "--truncation", "6",
+        "random_exactness_audit.py", "--morphisms", "3", "--products", "2", "--truncation", "6"
     )
     assert lines[0].startswith("long exact sequence: ") and lines[0].endswith(" 0 failures")
     assert lines[1] == "product models: 2 checked, 0 failures"
-    assert lines[2].startswith("brackets: 3 generator sets, ") and lines[2].endswith(" 0 failures")
+    assert lines[2].startswith("brackets: 20 generator sets, ") and lines[2].endswith(" 0 failures")
