@@ -11,7 +11,10 @@ Z_n (the kernel of d_n's elimination) and B_n (the rows of d_{n+1}'s), so it
 eliminates nothing: its representatives are the rows of Z_n whose pivots are
 not pivots of B_n.  Slices carry these deterministic representative cycles
 and read the class coordinates of any cycle from their echelon form, which is
-all the downstream subgroup machinery needs.
+all the downstream subgroup machinery needs.  It is the package's one quotient
+of cycles by boundaries: long exact sequence nodes and G-sequence terms read
+their homology from it too, and boundaries that are not cycles (d^2 != 0, or
+a nonzero composite) are an `InternalError` wherever they appear.
 
 Truncation discipline: H_n needs C_{n-1}, C_n, C_{n+1}.  The first two are
 required to compute anything; if C_{n+1} is incomplete the slice is computed
@@ -49,7 +52,9 @@ class HomologyReport:
 
 
 class HomologySlice:
-    """Homology of one degree of a complex, with class-coordinate access."""
+    """ker/im at one place: the cycles and boundaries as echelon forms in one
+    coordinate system, with class-coordinate access.  Boundaries outside the
+    cycles raise `InternalError`."""
 
     def __init__(self, degree: int, cycles: linalg.Rref, boundaries: linalg.Rref, trusted: bool):
         self.degree = degree

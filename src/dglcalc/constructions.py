@@ -206,11 +206,6 @@ def cylinder(source: DglModel) -> CylinderModel:
     )
 
 
-def exp_automorphism(cyl: CylinderModel, element: LieElement, inverse: bool = False) -> LieElement:
-    theta = cyl.conjugation if not inverse else -1 * cyl.conjugation
-    return _exp_apply(theta, element, cyl.exp_cap)
-
-
 # -- homotopy verification -------------------------------------------------------------
 
 

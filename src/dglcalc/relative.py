@@ -12,8 +12,10 @@ into the long exact homology sequence
 
 The cone owns this sequence: `phi_star`, `j_star` and `p_star` give the three
 maps in class coordinates, each computed once per degree, and `les_rref`
-gives the one elimination of each, which `assemble_les_of_chain_map` reads to
-check exactness.  J and P act on vectors directly.
+gives the one elimination of each.  `assemble_les_of_chain_map` checks
+exactness at a node by reading ker(outgoing)/im(incoming) as a homology slice
+of the two eliminations: the node is exact when the slice is zero, and a
+nonzero composite is an `InternalError`.  J and P act on vectors directly.
 
 An evaluation context builds, besides Rel(psi) and the cone of
 post-composition on derivation spaces, three adjoint cones whose phi_* are
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import linalg
-from .complexes import ChainComplex, induced_matrix
+from .complexes import ChainComplex, HomologySlice, induced_matrix
 
 
 class RelComplex(ChainComplex):
@@ -119,13 +121,9 @@ class RelComplex(ChainComplex):
         """
         rr = self._les_rrefs.get((name, n))
         if rr is None:
-            cols = self.les_map(name, n)
+            cols = {"phi": self.phi_star, "J": self.j_star, "P": self.p_star}[name](n)
             rr = self._les_rrefs[name, n] = linalg.rref(cols) if cols else linalg.Rref()
         return rr
-
-    def les_map(self, name: str, n: int) -> list:
-        """phi_star, j_star or p_star at degree n, by name: "phi", "J" or "P"."""
-        return {"phi": self.phi_star, "J": self.j_star, "P": self.p_star}[name](n)
 
     def phi_star(self, n: int) -> list:
         """phi_*: H_n(V) -> H_n(W), one column per class of H_n(V)."""
@@ -185,7 +183,9 @@ def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
 
     For each requested degree n the three nodes H_n(V), H_n(W), H_n(Rel) are
     examined; a node is trusted only when its own homology and both neighbours
-    in the sequence are boundary-complete under the truncation.
+    in the sequence are boundary-complete under the truncation.  A trusted
+    node's homology is the slice of the outgoing map's kernel by the incoming
+    map's rows, which raises `InternalError` when their composite is nonzero.
     """
     V, W = rel.V, rel.W
     report = LesReport()
@@ -200,16 +200,11 @@ def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
             if not trusted:
                 report.nodes.append(LesNode(n, position, -1, -1, -1, None, False))
                 continue
-            inc = rel.les_rref(*incoming).rank
-            out_kernel = len(rel.les_rref(*outgoing).kernel)
-            inc_cols, out_cols = rel.les_map(*incoming), rel.les_map(*outgoing)
-            exact = inc == out_kernel and _composite_zero(inc_cols, out_cols)
+            h = HomologySlice(
+                n, rel.les_rref(*outgoing).kernel_space(), rel.les_rref(*incoming), True
+            )
+            inc, out_kernel = h.boundaries.rank, h.cycles.rank
             report.nodes.append(
-                LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, exact, True)
+                LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, not h.dim, True)
             )
     return report
-
-
-def _composite_zero(cols_first: list, cols_second_mat: list) -> bool:
-    """True when (second o first) = 0, with maps given by class-coordinate columns."""
-    return not any(linalg.combine(col, cols_second_mat) for col in cols_first)

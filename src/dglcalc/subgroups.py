@@ -17,8 +17,10 @@ intersects and `les` all read one matrix and one elimination per degree.  The
 G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
 restricted from the long exact homology sequence of Rel(psi), whose maps it
 reads from that cone; a class's coordinates in a subgroup are its entries at
-the pivots of the kernel's echelon form.  The omega-homology of the sequence
-is measured at the G_n(L) term.
+the pivots of the kernel's echelon form.  The homology at each term is a
+`HomologySlice` in subgroup coordinates, so a nonzero composite through a term
+is an `InternalError` and every returned term has `composites_zero` true.  The
+omega-homology of the sequence is measured at the G_n(L) term.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .derivations import DerComplex, GenDerivation, adjoint
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import LieElement
 from .model import DglModel, DglMorphism
-from .relative import LesReport, RelComplex, _composite_zero, assemble_les_of_chain_map
+from .relative import LesReport, RelComplex, assemble_les_of_chain_map
 
 
 @dataclass
@@ -115,12 +117,9 @@ class _Subgroup:
     def ambient(self) -> HomologySlice:
         return self.cplx.homology(self.degree)
 
-    def element_vectors(self) -> list:
-        h = self.ambient()
-        return [linalg.combine(v, h.rep_rows) for v in self.basis.rows]
-
     def representatives(self) -> list:
-        return [self.cplx.from_vector(self.degree, v) for v in self.element_vectors()]
+        reps = self.ambient().rep_rows
+        return [self.cplx.from_vector(self.degree, linalg.combine(v, reps)) for v in self.basis.rows]
 
     def coords_of(self, class_vec) -> Optional[dict]:
         """Coordinates of a homology-class vector over the subgroup basis, or None."""
@@ -313,14 +312,11 @@ class EvaluationContext:
             r_p = self._restricted_map(grel, gl_down, self.rel.p_star(m))
             r_p_up = self._restricted_map(grel_up, gl, self.rel.p_star(m + 1))
 
-            comp1 = _composite_zero(r_psi, r_j)
-            comp2 = _composite_zero(r_j, r_p)
-            comp3 = _composite_zero(r_p_up, r_psi)
-
-            # homology of the kernel sequence at each term
-            omega_dim, omega_reps = _term_homology(gl, r_p_up, r_psi, self.cL, m)
-            h_eval, _ = _term_homology(gk, r_psi, r_j, self.cK, m)
-            h_rel, _ = _term_homology(grel, r_j, r_p, self.rel, m)
+            # homology of the kernel sequence at each term; each slice checks
+            # that the composite through its term vanishes
+            omega_dim, omega_reps = _term_homology(gl, r_p_up, r_psi)
+            h_eval, _ = _term_homology(gk, r_psi, r_j)
+            h_rel, _ = _term_homology(grel, r_j, r_p)
 
             trusted = gl.trusted and gk.trusted and grel.trusted and grel_up.trusted
             terms[top] = GSequenceTerm(
@@ -332,7 +328,7 @@ class EvaluationContext:
                 omega_dim=omega_dim,
                 homology_at_evaluation=h_eval,
                 homology_at_relative=h_rel,
-                composites_zero=comp1 and comp2 and comp3,
+                composites_zero=True,
                 omega_representatives=omega_reps,
                 trusted=trusted,
                 low_degree_caveat=m <= 2,
@@ -360,18 +356,13 @@ class EvaluationContext:
         return self._tops(ChainComplex.trusted)
 
 
-def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols, cplx, m):
+def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols):
     """ker(outgoing)/im(incoming) inside a subgroup, with representatives."""
-    kernel = linalg.rref(outgoing_cols).kernel_space()  # over group coordinates
-    if not kernel.rank:
-        return 0, []
-    quotient = linalg.quotient_basis(kernel, linalg.rref(incoming_cols))
-    reps = []
-    h = group.ambient()
-    for q in quotient.rows:
-        class_vec = linalg.combine(q, group.basis.rows)
-        reps.append(cplx.from_vector(m, linalg.combine(class_vec, h.rep_rows)))
-    return quotient.rank, reps
+    h = HomologySlice(  # over group coordinates
+        group.degree, linalg.rref(outgoing_cols).kernel_space(), linalg.rref(incoming_cols), True
+    )
+    rows = [linalg.combine(q, group.basis.rows) for q in h.rep_rows]
+    return h.dim, _Subgroup(group.cplx, group.degree, linalg.Rref(rows), True).representatives()
 
 
 # -- public operations ---------------------------------------------------------
@@ -387,7 +378,12 @@ def gottlieb(model: DglModel, tops) -> list:
 
 
 def coformal_check(subject) -> CoformalReport:
-    """Coformality verdict for a bigraded model or a morphism of such."""
+    """Coformality verdict for a bigraded model or a morphism of such.
+
+    As d lowers the upper degree by one, elimination never mixes upper
+    degrees, so each homology representative lies in the upper degree of its
+    pivot word.  A broken grading makes the verdict false whatever that reads.
+    """
     if isinstance(subject, DglMorphism):
         src = coformal_check(subject.source)
         dst = coformal_check(subject.target)
@@ -406,28 +402,13 @@ def coformal_check(subject) -> CoformalReport:
     bigraded_ok = bool(report.bigraded_ok)
     cx = DglComplex(model)
     window = [n for n in range(1, model.truncation) if cx.trusted(n)]
-    upper_ok = True
-    alg = model.algebra
-    for n in window:
-        words_n = cx.record(n).labels
-        cols_n = cx.columns(n)
-        words_up = cx.record(n + 1).labels
-        cols_up = cx.columns(n + 1)
-        uppers = sorted({alg.word_upper(w) for w in words_n if alg.word_upper(w)})
-        for i in uppers:
-            idx = [k for k, w in enumerate(words_n) if alg.word_upper(w) == i]
-            cycles = linalg.rref([cols_n[k] for k in idx]).kernel
-            bnd = [
-                cols_up[k]
-                for k, w in enumerate(words_up)
-                if alg.word_upper(w) == i + 1
-            ]
-            h_dim = len(cycles) - linalg.rref(bnd).rank
-            if h_dim:
-                upper_ok = False
-                failures.append(
-                    f"upper-degree-{i} homology is nonzero in internal degree {n}"
-                )
+    upper_ok = report.d_squared_ok  # with d^2 != 0 there is no homology to read
+    for n in window if upper_ok else ():
+        labels = cx.record(n).labels
+        pivots = cx.homology(n).rep_rref.pivots
+        for i in sorted({model.algebra.word_upper(labels[p]) for p in pivots} - {0}):
+            upper_ok = False
+            failures.append(f"upper-degree-{i} homology is nonzero in internal degree {n}")
     return CoformalReport(
         bigraded_ok=bigraded_ok,
         upper_homology_ok=upper_ok,

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from dglcalc import DglModel, DglMorphism, FreeLieAlgebra
+from dglcalc import DglModel, DglMorphism, FreeLieAlgebra, LieElement
 from dglcalc.complexes import DglComplex
+from dglcalc.constructions import _exp_apply
 from dglcalc import linalg
 from dglcalc.modelfile import parse_workspace
 
@@ -92,6 +93,30 @@ def random_model(seed, max_gens=3, truncation=8, min_degree=2, max_degree=4,
     return DglModel(alg, diff)
 
 
+def random_upper_grading(seed, model, broken=0.1):
+    """The model with a seeded upper grading on its generators.
+
+    A generator with d = 0 gets upper degree 0, 1 or 2.  Any other gets one
+    more than the upper degree of its differential when that is homogeneous,
+    so that d lowers the upper degree by one.  With probability `broken`, or
+    when the differential is not homogeneous, a generator gets a random upper
+    degree instead, which usually breaks the bigrading.
+    """
+    rng = random.Random(seed)
+    uppers = []
+    for g in model.generators:  # sorted by degree, so d(g) has graded letters
+        ups = {sum(uppers[i] for i in w) for w in model.diff_of(g.name).terms}
+        if len(ups) > 1 or rng.random() < broken:
+            uppers.append(rng.randint(0, 3))
+        else:
+            uppers.append(ups.pop() + 1 if ups else rng.randint(0, 2))
+    gens = [(g.name, g.degree, u) for g, u in zip(model.generators, uppers)]
+    alg = FreeLieAlgebra(gens, truncation=model.truncation)
+    for v in model.diff.values():
+        alg.monomial(next(iter(v.terms)))  # builds the basis words of v's degree
+    return DglModel(alg, {g: LieElement(alg, v.degree, v.terms) for g, v in model.diff.items()})
+
+
 def extend_to_supermodel(seed, base, extra=1, max_degree=5):
     """A model containing the base's generators plus a few new ones."""
     rng = random.Random(seed)
@@ -166,3 +191,9 @@ def random_validated_morphism(seed, max_gens=3, truncation=8):
 
         return zero_morphism(src, dst)
     return phi
+
+
+def exp_automorphism(cyl, element, inverse=False):
+    """exp of the cylinder's conjugation derivation, or of its negative, on an element."""
+    theta = cyl.conjugation if not inverse else -1 * cyl.conjugation
+    return _exp_apply(theta, element, cyl.exp_cap)

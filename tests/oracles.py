@@ -29,7 +29,11 @@ evaluated through a morphism's Fox table; it shares the basis, brackets and
 tensor embedding, kept as the reference for brackets rewritten in the basis;
 they share the basis words and their standard factors
 (`FreeLieAlgebra.split`), and `from_tensor` builds its result as a
-`LieElement`.
+`LieElement`.  `coformal_slices` is the package's earlier upper-homology
+check, which eliminates the cycles and the boundaries of every upper degree
+on their own, kept as the reference for the check that reads upper degrees
+off the pivots of one homology slice; it shares `DglComplex` and
+`linalg.rref`.
 """
 from __future__ import annotations
 
@@ -629,3 +633,34 @@ def les_by_objects(V, W, phi, degrees):
                 LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, exact, True)
             )
     return report
+
+
+# -- coformality, one upper degree at a time -------------------------------------
+
+
+def coformal_slices(model):
+    """(failures, upper_homology_ok) of the package's earlier `coformal_check`.
+
+    For each internal degree n of the trusted window and each nonzero upper
+    degree i, dim H_n in upper degree i is the kernel dimension of d on the
+    upper-i words of degree n minus the rank of d on the upper-(i+1) words of
+    degree n + 1, each slice eliminated on its own.  The failures start with
+    the model's validation problems, as the package's do.
+    """
+    from dglcalc import linalg
+    from dglcalc.complexes import DglComplex
+
+    alg = model.algebra
+    failures = list(model.validate().problems)
+    cx = DglComplex(model)
+    upper_ok = True
+    for n in (n for n in range(1, model.truncation) if cx.trusted(n)):
+        words_n, cols_n = cx.record(n).labels, cx.d_columns(n)
+        words_up, cols_up = cx.record(n + 1).labels, cx.d_columns(n + 1)
+        for i in sorted({alg.word_upper(w) for w in words_n} - {0}):
+            cycles = linalg.rref([c for c, w in zip(cols_n, words_n) if alg.word_upper(w) == i])
+            bnd = [c for c, w in zip(cols_up, words_up) if alg.word_upper(w) == i + 1]
+            if len(cycles.kernel) - linalg.rref(bnd).rank:
+                upper_ok = False
+                failures.append(f"upper-degree-{i} homology is nonzero in internal degree {n}")
+    return failures, upper_ok

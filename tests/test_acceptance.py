@@ -20,7 +20,6 @@ from dglcalc import (
 from dglcalc.cli import build_parser, run_command
 from dglcalc.constructions import (
     cylinder,
-    exp_automorphism,
     product_model,
     sphere_wedge_model,
 )
@@ -33,7 +32,7 @@ from dglcalc.subgroups import (
 )
 
 from .conftest import make_sphere_model
-from .helpers import random_model, random_validated_morphism
+from .helpers import exp_automorphism, random_model, random_validated_morphism
 from .oracles import solve_columns
 
 F = Fraction

@@ -14,10 +14,9 @@ import pytest
 from dglcalc import (
     DglModel, DglMorphism, EvaluationContext, GenDerivation, LieElement, cylinder, product_model,
 )
-from dglcalc.constructions import exp_automorphism
 from dglcalc.modelfile import parse_workspace
 
-from .helpers import FIXTURE_MAPS, FIXTURES, fixture_map
+from .helpers import FIXTURE_MAPS, FIXTURES, exp_automorphism, fixture_map
 
 
 def _check_number(c, where):

@@ -11,7 +11,6 @@ from dglcalc import (
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import (
     cylinder,
-    exp_automorphism,
     product_model,
     sphere_wedge_model,
     verify_homotopy,
@@ -20,7 +19,7 @@ from dglcalc.derivations import adjoint
 
 from . import oracles
 from .conftest import make_cp2_model, make_sphere_model
-from .helpers import random_model
+from .helpers import exp_automorphism, random_model
 
 F = Fraction
 

@@ -1,5 +1,7 @@
-"""Source hygiene: every module-level import is used, and the export list is sound."""
+"""Source hygiene: every module-level import is used, every private function is
+referenced, and the export list is sound."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,39 @@ def test_star_import_binds_every_listed_name():
     exec("from dglcalc import *", namespace)
     missing = [name for name in dglcalc.__all__ if name not in namespace]
     assert not missing
+
+
+def _private_functions(tree: ast.Module):
+    """The private functions of a module, at module level or in a class."""
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if item.name.startswith("_") and not item.name.endswith("__"):
+                    yield item
+
+
+def _references(node) -> Counter:
+    """Names that a subtree reads: bare names, attributes and imported names."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def test_every_private_function_is_referenced():
+    """A retired helper must be deleted, not left defined and never called.
+    A function's references to itself, as in recursion, do not count."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{name}:{fn.name}"
+        for name, tree in trees.items()
+        for fn in _private_functions(tree)
+        if used[fn.name] - _references(fn)[fn.name] <= 0
+    ]
+    assert not unused, f"private functions nothing references: {unused}"

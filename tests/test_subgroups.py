@@ -30,8 +30,15 @@ from .conftest import (
     make_s4_model,
     make_sphere_model,
 )
-from .helpers import FIXTURE_MAPS, fixture_map, random_validated_morphism
-from .oracles import dense, dense_rank
+from .helpers import (
+    FIXTURE_MAPS,
+    FIXTURES,
+    fixture_map,
+    random_model,
+    random_upper_grading,
+    random_validated_morphism,
+)
+from .oracles import coformal_slices, dense, dense_rank
 
 F = Fraction
 
@@ -292,6 +299,45 @@ def test_noncoformal_fixture():
     report = coformal_check(model)
     assert report.bigraded_ok
     assert not report.coformal
+
+
+def _bigraded_fixture_models():
+    for path in sorted(FIXTURES.glob("*.dgl")):
+        ws = parse_workspace(path.read_text(), truncation=10)
+        yield from (m for m in ws.models.values() if m.bigraded)
+
+
+def test_coformal_check_matches_the_slice_oracle():
+    """Upper degrees read off one homology slice's pivots give the failures
+    and verdict of eliminating each upper degree on its own.  With a broken
+    grading the slices are not subcomplexes, so there only the verdict holds."""
+    fixtures = list(_bigraded_fixture_models())
+    assert len(fixtures) == 5
+    graded, failing, broken = 0, 0, 0
+    models = fixtures + [
+        random_upper_grading(seed, random_model(seed, max_gens=4), broken=0.3)
+        for seed in range(600)
+    ]
+    for model in models:
+        report = coformal_check(model)
+        if report.bigraded_ok:
+            assert (report.failures, report.upper_homology_ok) == coformal_slices(model)
+            graded += 1
+            failing += bool(report.failures)
+        else:
+            assert not report.coformal
+            broken += 1
+    assert graded >= 205 and failing >= 100 and broken >= 20, (graded, failing, broken)
+
+
+def test_coformal_check_reads_no_homology_when_d_squared_is_not_zero():
+    # d(d(c)) = [a, a]: the grading is sound but there is no homology to read
+    alg = FreeLieAlgebra([("a", 1, 0), ("b", 3, 1), ("c", 4, 2)], truncation=7)
+    a = alg.gen("a")
+    model = DglModel(alg, {"b": a.bracket(a), "c": alg.gen("b")})
+    report = coformal_check(model)
+    assert report.bigraded_ok and not report.upper_homology_ok and not report.coformal
+    assert report.failures == model.validate().problems
 
 
 def test_coformal_check_requires_uppers():
