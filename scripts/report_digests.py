@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Digest every report of the benchmark's ops, to check that a change leaves
+them byte-identical.
+
+    python3 scripts/report_digests.py [--root CHECKOUT] [--workload W ...] --out FILE
+    python3 scripts/report_digests.py --compare A B
+
+Runs every distinct op of the benchmark workloads in-process, through the
+`dglcalc` of CHECKOUT (default: this checkout), plus `gseq --format json` of
+`one_cell_attachment.dgl i` at N=13-21 (the pseudo-workload `gseq-scaling`).
+Writes one md5 of (exit code, stdout, stderr) per op to FILE as JSON.  The
+generated inputs and emitted models go under CHECKOUT/.bench_work/, as the
+benchmark writes them.  --compare prints the keys whose digests differ, or
+that only one file has, and exits 1 if there are any.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+SCALING = "gseq-scaling"
+
+
+def scaling_ops(wl) -> list:
+    f = f"{wl.FIXTURES}/one_cell_attachment.dgl"
+    return [wl.Op(("gseq", f, "i", "--max-degree", str(n), "--format", "json")) for n in range(13, 22)]
+
+
+def run_op(main, argv) -> tuple:
+    """(md5 of exit code, stdout and stderr; stdout) of one CLI op."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    except SystemExit as exc:  # argparse errors
+        code = exc.code
+    except Exception as exc:  # a traceback is a report too; it must not change
+        code = f"traceback: {type(exc).__name__}: {exc}"
+    record = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.md5(record.encode()).hexdigest(), out.getvalue()
+
+
+def digests(root: Path, names) -> dict:
+    sys.path[:0] = [str(root / "bench"), str(root / "src")]
+    import workloads as wl
+    from dglcalc.cli import main
+
+    names = names or [*wl.WORKLOADS, SCALING]
+    unknown = [n for n in names if n not in wl.WORKLOADS and n != SCALING]
+    if unknown:
+        raise SystemExit(f"unknown workload: {', '.join(unknown)}")
+    os.chdir(root)  # ops name their files relative to the checkout
+    wl.write_inputs(root, wl.all_inputs())
+    out = {}
+    for name in names:
+        for op in scaling_ops(wl) if name == SCALING else wl.WORKLOADS[name].all_ops():
+            if op.key in out:
+                continue
+            if op.emit:  # a later op reads this op's model, never an older one
+                Path(op.emit).unlink(missing_ok=True)
+            out[op.key], stdout = run_op(main, op.argv)
+            if op.emit:
+                path = Path(op.emit)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.loads(stdout)["model_text"])
+    return out
+
+
+def compare(a: Path, b: Path) -> int:
+    left, right = json.loads(a.read_text()), json.loads(b.read_text())
+    differ = sorted(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+    for key in differ:
+        print(key)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--workload", action="append", help=f"default: every workload and {SCALING}")
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        parser.error("--out or --compare is required")
+    out = args.out.resolve()
+    result = digests(args.root.resolve(), args.workload)
+    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"{len(result)} ops digested")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

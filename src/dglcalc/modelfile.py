@@ -11,8 +11,9 @@ Grammar (whitespace-insensitive, ';'-terminated statements):
     rational := INT [ '/' INT ]
     monomial := generator-name | '[' element ',' element ']'
 
-Omitted d-lines mean the differential vanishes on that generator; omitted map
-lines are an error.  An smap block assigns degree-raising values (|g| + 1)
+Every gen line of a model comes before its d lines, so each element is parsed
+straight into the model's free Lie algebra.  Omitted d-lines mean the
+differential vanishes on that generator; omitted map lines are an error.  An smap block assigns degree-raising values (|g| + 1)
 used as suspension data by homotopy verification; it is not a DGL map.
 Pretty-printing a workspace and re-parsing yields an identical workspace.
 """
@@ -107,14 +108,15 @@ class Workspace:
     def __eq__(self, other):
         if not isinstance(other, Workspace):
             return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.models == other.models
-            and {k: (m.source.name, m.target.name, {g: v.terms for g, v in m.values.items()}) for k, m in self.maps.items()}
-            == {k: (m.source.name, m.target.name, {g: v.terms for g, v in m.values.items()}) for k, m in other.maps.items()}
-            and {k: (s.source.name, s.target.name, {g: v.terms for g, v in s.values.items()}) for k, s in self.smaps.items()}
-            == {k: (s.source.name, s.target.name, {g: v.terms for g, v in s.values.items()}) for k, s in other.smaps.items()}
-        )
+
+        def key(ws):
+            stores = [
+                {k: (m.source.name, m.target.name, {g: v.terms for g, v in m.values.items()}) for k, m in store.items()}
+                for store in (ws.maps, ws.smaps)
+            ]
+            return ws.truncation, ws.models, stores
+
+        return key(self) == key(other)
 
 
 # -- element expressions --------------------------------------------------------
@@ -154,22 +156,29 @@ class _Parser:
             raise ParseError(f"expected an integer, found {tok.text!r}", tok.line, tok.column)
         return int(tok.text)
 
-    # element AST: ("zero",), ("gen", name, tok), ("bracket", a, b),
-    #              ("scale", Fraction, node), ("sum", [nodes])
-    def element(self):
-        tok = self.peek()
-        nodes = []
+    # Elements are evaluated as they are parsed; None stands for zero.  Value
+    # errors other than an unknown generator are reported at `where`, the
+    # generator token of the statement.
+    def element(self, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieElement]:
         sign = 1
-        if tok.text == "-":
+        if self.peek().text == "-":
             self.next()
             sign = -1
-        nodes.append(self.term(sign))
+        total = self.term(sign, algebra, where)
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            nodes.append(self.term(1 if op == "+" else -1))
-        return ("sum", nodes) if len(nodes) > 1 else nodes[0]
+            value = self.term(1 if self.next().text == "+" else -1, algebra, where)
+            if value is None:
+                continue
+            if total is None:
+                total = value
+            else:
+                try:
+                    total = total + value
+                except PreconditionError:
+                    raise ParseError("element is not homogeneous", where.line, where.column) from None
+        return total
 
-    def term(self, sign: int):
+    def term(self, sign: int, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieElement]:
         tok = self.peek()
         coeff = Fraction(sign)
         if tok.kind == "int":
@@ -184,14 +193,14 @@ class _Parser:
             else:
                 coeff *= num
             if num == 0:
-                return ("zero",)
+                return None
             nxt = self.peek()
             if nxt.kind != "ident" and nxt.text != "[":
                 raise ParseError("a coefficient must be followed by a monomial", nxt.line, nxt.column)
-        mono = self.monomial()
-        return mono if coeff == 1 else ("scale", coeff, mono)
+        mono = self.monomial(algebra, where)
+        return mono if mono is None or coeff == 1 else coeff * mono
 
-    def monomial(self):
+    def monomial(self, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieElement]:
         tok = self.peek()
         if tok.text == "[":
             # a bracket nested k deep has degree at least k + 1; refuse deeper
@@ -204,56 +213,24 @@ class _Parser:
                 )
             self.next()
             self.depth += 1
-            a = self.element()
+            a = self.element(algebra, where)
             self.expect(",")
-            b = self.element()
+            b = self.element(algebra, where)
             self.expect("]")
             self.depth -= 1
-            return ("bracket", a, b)
+            if a is None or b is None:
+                return None
+            try:
+                return algebra.bracket(a, b)
+            except TruncationError as exc:
+                raise ParseError(str(exc), where.line, where.column) from None
         if tok.kind == "ident":
             self.next()
-            return ("gen", tok.text, tok)
+            try:
+                return algebra.gen(tok.text)
+            except PreconditionError:
+                raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.column) from None
         raise ParseError(f"expected a monomial, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-
-
-def _eval_element(node, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieElement]:
-    """Evaluate an element AST; None encodes the zero element."""
-    kind = node[0]
-    if kind == "zero":
-        return None
-    if kind == "gen":
-        _, name, tok = node
-        try:
-            return algebra.gen(name)
-        except PreconditionError:
-            raise ParseError(f"unknown generator {name!r}", tok.line, tok.column) from None
-    if kind == "scale":
-        inner = _eval_element(node[2], algebra, where)
-        return None if inner is None else node[1] * inner
-    if kind == "bracket":
-        a = _eval_element(node[1], algebra, where)
-        b = _eval_element(node[2], algebra, where)
-        if a is None or b is None:
-            return None
-        try:
-            return algebra.bracket(a, b)
-        except TruncationError as exc:
-            raise ParseError(str(exc), where.line, where.column) from None
-    if kind == "sum":
-        total = None
-        for sub in node[1]:
-            val = _eval_element(sub, algebra, where)
-            if val is None:
-                continue
-            if total is None:
-                total = val
-            else:
-                try:
-                    total = total + val
-                except PreconditionError:
-                    raise ParseError("element is not homogeneous", where.line, where.column) from None
-        return total
-    raise ParseError("malformed element", where.line, where.column)
 
 
 # -- blocks -------------------------------------------------------------------------
@@ -288,55 +265,52 @@ def _parse_model(parser: _Parser, ws: Workspace):
     parser.expect("{")
     gens = []
     seen = set()
-    d_decls = []
+    while parser.peek().text == "gen":
+        parser.next()
+        gtok = parser.expect_ident("a generator name")
+        if gtok.text in seen:
+            raise ParseError(f"duplicate generator {gtok.text!r}", gtok.line, gtok.column)
+        if gtok.text in KEYWORDS:
+            raise ParseError(f"{gtok.text!r} is reserved", gtok.line, gtok.column)
+        seen.add(gtok.text)
+        parser.expect(":")
+        kw = parser.expect_ident()
+        if kw.text != "deg":
+            raise ParseError("expected 'deg'", kw.line, kw.column)
+        degree = parser.expect_int()
+        upper = None
+        if parser.peek().text == "upper":
+            parser.next()
+            upper = parser.expect_int()
+        parser.expect(";")
+        if degree < 1:
+            raise ParseError(f"generator {gtok.text!r} must have degree >= 1", gtok.line, gtok.column)
+        if degree > ws.truncation:
+            raise ParseError(
+                f"generator {gtok.text!r} exceeds the truncation degree {ws.truncation}",
+                gtok.line,
+                gtok.column,
+            )
+        gens.append(Generator(gtok.text, degree, upper))
+    algebra = FreeLieAlgebra(gens, truncation=ws.truncation)
+    diff = {}
     while parser.peek().text != "}":
         stmt = parser.expect_ident("'gen' or 'd'")
         if stmt.text == "gen":
-            gtok = parser.expect_ident("a generator name")
-            if gtok.text in seen:
-                raise ParseError(f"duplicate generator {gtok.text!r}", gtok.line, gtok.column)
-            if gtok.text in KEYWORDS:
-                raise ParseError(f"{gtok.text!r} is reserved", gtok.line, gtok.column)
-            seen.add(gtok.text)
-            parser.expect(":")
-            kw = parser.expect_ident()
-            if kw.text != "deg":
-                raise ParseError("expected 'deg'", kw.line, kw.column)
-            degree = parser.expect_int()
-            upper = None
-            if parser.peek().text == "upper":
-                parser.next()
-                upper = parser.expect_int()
-            parser.expect(";")
-            if degree < 1:
-                raise ParseError(f"generator {gtok.text!r} must have degree >= 1", gtok.line, gtok.column)
-            if degree > ws.truncation:
-                raise ParseError(
-                    f"generator {gtok.text!r} exceeds the truncation degree {ws.truncation}",
-                    gtok.line,
-                    gtok.column,
-                )
-            gens.append(Generator(gtok.text, degree, upper))
-        elif stmt.text == "d":
-            gtok = parser.expect_ident("a generator name")
-            eq = parser.expect("=")
-            node = parser.element()
-            parser.expect(";")
-            d_decls.append((gtok, node))
-        else:
+            raise ParseError("'gen' after a 'd' line; declare every generator first", stmt.line, stmt.column)
+        if stmt.text != "d":
             raise ParseError(f"expected 'gen' or 'd', found {stmt.text!r}", stmt.line, stmt.column)
-    parser.expect("}")
-    algebra = FreeLieAlgebra(gens, truncation=ws.truncation)
-    diff = {}
-    for gtok, node in d_decls:
+        gtok = parser.expect_ident("a generator name")
+        parser.expect("=")
         if gtok.text not in seen:
             raise ParseError(f"unknown generator {gtok.text!r}", gtok.line, gtok.column)
         if gtok.text in diff:
             raise ParseError(f"duplicate differential for {gtok.text!r}", gtok.line, gtok.column)
-        value = _eval_element(node, algebra, gtok)
-        g = algebra.generators[algebra.index(gtok.text)]
+        value = parser.element(algebra, gtok)
+        parser.expect(";")
         if value is None:
             continue
+        g = gens[algebra.index(gtok.text)]
         if value.degree != g.degree - 1:
             raise ParseError(
                 f"d {gtok.text} must have degree {g.degree - 1}, got degree {value.degree}",
@@ -344,6 +318,7 @@ def _parse_model(parser: _Parser, ws: Workspace):
                 gtok.column,
             )
         diff[gtok.text] = value
+    parser.expect("}")
     ws.models[name] = DglModel(algebra, diff, name=name)
 
 
@@ -367,15 +342,15 @@ def _parse_map(parser: _Parser, ws: Workspace, suspension: bool):
     shift = 1 if suspension else 0
     while parser.peek().text != "}":
         gtok = parser.expect_ident("a generator name")
-        if gtok.text not in {g.name for g in source.generators}:
-            raise ParseError(f"unknown generator {gtok.text!r}", gtok.line, gtok.column)
+        try:
+            g = source.generators[source.algebra.index(gtok.text)]
+        except PreconditionError:
+            raise ParseError(f"unknown generator {gtok.text!r}", gtok.line, gtok.column) from None
         if gtok.text in values:
             raise ParseError(f"duplicate value for {gtok.text!r}", gtok.line, gtok.column)
         parser.expect("->")
-        node = parser.element()
+        value = parser.element(target.algebra, gtok)
         parser.expect(";")
-        value = _eval_element(node, target.algebra, gtok)
-        g = source.generators[source.algebra.index(gtok.text)]
         if value is None:
             value = target.algebra.zero(g.degree + shift)
         elif value.degree != g.degree + shift:

@@ -307,10 +307,11 @@ class EvaluationContext:
             grel_up = self._kernel(self.rel_ad_pair, m + 1)
             gl_down = self._kernel(self.rel_ad_L, m - 1)
 
-            r_psi = self._restricted_map(gl, gk, self.rel.phi_star(m))
-            r_j = self._restricted_map(gk, grel, self.rel.j_star(m))
-            r_p = self._restricted_map(grel, gl_down, self.rel.p_star(m))
-            r_p_up = self._restricted_map(grel_up, gl, self.rel.p_star(m + 1))
+            # each restricted map is eliminated once, for both terms it touches
+            r_psi = linalg.rref(self._restricted_map(gl, gk, self.rel.phi_star(m)))
+            r_j = linalg.rref(self._restricted_map(gk, grel, self.rel.j_star(m)))
+            r_p = linalg.rref(self._restricted_map(grel, gl_down, self.rel.p_star(m)))
+            r_p_up = linalg.rref(self._restricted_map(grel_up, gl, self.rel.p_star(m + 1)))
 
             # homology of the kernel sequence at each term; each slice checks
             # that the composite through its term vanishes
@@ -356,11 +357,10 @@ class EvaluationContext:
         return self._tops(ChainComplex.trusted)
 
 
-def _term_homology(group: _Subgroup, incoming_cols, outgoing_cols):
-    """ker(outgoing)/im(incoming) inside a subgroup, with representatives."""
-    h = HomologySlice(  # over group coordinates
-        group.degree, linalg.rref(outgoing_cols).kernel_space(), linalg.rref(incoming_cols), True
-    )
+def _term_homology(group: _Subgroup, incoming: linalg.Rref, outgoing: linalg.Rref):
+    """ker(outgoing)/im(incoming) inside a subgroup, with representatives; both
+    maps come eliminated, in group coordinates."""
+    h = HomologySlice(group.degree, outgoing.kernel_space(), incoming, True)
     rows = [linalg.combine(q, group.basis.rows) for q in h.rep_rows]
     return h.dim, _Subgroup(group.cplx, group.degree, linalg.Rref(rows), True).representatives()
 

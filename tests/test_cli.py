@@ -161,6 +161,47 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+_M = "model M { gen a : deg 2; gen c : deg 3; gen b : deg 4; "
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (_M + "d c = [a,q]; }", "1:65", "unknown generator 'q'"),
+        ("model M { gen a : deg 2; } map f : M -> M { a -> q; }", "1:50", "unknown generator 'q'"),
+        (_M + "d z = c; }", "1:58", "unknown generator 'z'"),
+        ("model M { gen a : deg 7; gen b : deg 12; d b = [a,a]; }", "1:44",
+         "bracket of degrees 7 and 7 exceeds truncation 12"),
+        (_M + "d b = c + a; }", "1:58", "element is not homogeneous"),
+        (_M + "d b = 1/0 c; }", "1:62", "zero denominator"),
+        (_M + "d b = 2 ; }", "1:64", "a coefficient must be followed by a monomial"),
+        (_M + "d b = ; }", "1:62", "expected a monomial, found ';'"),
+        (_M + "d b = a; }", "1:58", "d b must have degree 3, got degree 2"),
+        (_M + "d b = c; d b = c; }", "1:67", "duplicate differential for 'b'"),
+        ("model M { gen a : deg 1; gen b : deg 2; d b = " + "[" * 13 + "a" + ",a]" * 13 + "; }",
+         "1:59", "brackets nested deeper than the truncation degree 12"),
+    ],
+    ids=[
+        "unknown-in-d", "unknown-in-map", "undeclared-d", "bracket-past-n", "not-homogeneous",
+        "zero-denominator", "coefficient-alone", "missing-monomial", "wrong-degree",
+        "duplicate-d", "too-deep",
+    ],
+)
+def test_element_error_is_one_positioned_line(tmp_path, text, where, message, capsys):
+    path = tmp_path / "bad.dgl"
+    path.write_text(text)
+    code, out, err = run(["validate", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"parse error: {where}: {message}\n")
+
+
+def test_generator_after_a_differential_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "late.dgl"
+    path.write_text("model M { gen a : deg 2; d a = 0; gen b : deg 3; }")
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "parse error: 1:35: 'gen' after a 'd' line; declare every generator first\n"
+
+
 def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "latin1.dgl"
     bad.write_bytes("model M { gen x : deg 2; } # caf\xe9".encode("latin-1"))

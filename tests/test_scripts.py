@@ -1,4 +1,5 @@
 """Smoke tests: the scripts under scripts/ run against the current package."""
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,13 @@ def test_random_exactness_audit():
     assert lines[0].startswith("long exact sequence: ") and lines[0].endswith(" 0 failures")
     assert lines[1] == "product models: 2 checked, 0 failures"
     assert lines[2].startswith("brackets: 20 generator sets, ") and lines[2].endswith(" 0 failures")
+
+
+def test_report_digests_agree_between_runs(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        assert _run("report_digests.py", "--workload", "gseq-onecell", "--out", str(out)) == [
+            "3 ops digested"
+        ]
+    assert all(key.startswith("gseq fixtures/") for key in json.loads(a.read_text()))
+    assert _run("report_digests.py", "--compare", str(a), str(b)) == []
