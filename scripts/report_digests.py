@@ -8,6 +8,8 @@ them byte-identical.
 Runs every distinct op of the benchmark workloads in-process, through the
 `dglcalc` of CHECKOUT (default: this checkout), plus `gseq --format json` of
 `one_cell_attachment.dgl i` at N=13-21 (the pseudo-workload `gseq-scaling`).
+Every op that does not --emit runs a second time without `--format json`, so
+the default text rendering is digested too, under the key of that argv.
 Writes one md5 of (exit code, stdout, stderr) per op to FILE as JSON.  The
 generated inputs and emitted models go under CHECKOUT/.bench_work/, as the
 benchmark writes them.  --compare prints the keys whose digests differ, or
@@ -30,6 +32,12 @@ SCALING = "gseq-scaling"
 def scaling_ops(wl) -> list:
     f = f"{wl.FIXTURES}/one_cell_attachment.dgl"
     return [wl.Op(("gseq", f, "i", "--max-degree", str(n), "--format", "json")) for n in range(13, 22)]
+
+
+def text_argv(argv) -> tuple:
+    """argv without its `--format json`: the same op with the text report."""
+    i = argv.index("--format")
+    return argv[:i] + argv[i + 2:]
 
 
 def run_op(main, argv) -> tuple:
@@ -69,6 +77,9 @@ def digests(root: Path, names) -> dict:
                 path = Path(op.emit)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(json.loads(stdout)["model_text"])
+            if "--emit" not in op.argv:
+                text = text_argv(op.argv)
+                out[" ".join(text)], _ = run_op(main, text)
     return out
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -16,14 +15,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dglcalc import EvaluationContext, adjoint, coformal_bounding_derivation, parse_workspace
 
 
-@dataclass
-class Config:
-    fixtures: Path = Path(__file__).resolve().parent.parent / "fixtures"
-    truncation: int = 12
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TRUNCATION = 12
 
 
-def pinch_report(cfg: Config):
-    ws = parse_workspace((cfg.fixtures / "cp2_to_s4.dgl").read_text(), cfg.truncation)
+def pinch_report():
+    ws = parse_workspace((FIXTURES / "cp2_to_s4.dgl").read_text(), TRUNCATION)
     ctx = EvaluationContext(ws.map("f"))
     ev = ctx.evaluation_subgroup(4)
     ce = ctx.whitehead_center(4)
@@ -34,14 +31,14 @@ def pinch_report(cfg: Config):
     print(f"  center/evaluation   : dim {gvp.quotient_dim}")
 
 
-def one_cell_reports(cfg: Config):
+def one_cell_reports():
     for name, label in (
         ("one_cell_attachment.dgl", "cell attached along a Gottlieb element"),
         ("contractible_pair.dgl", "cell collapsing the space to a point"),
     ):
-        ws = parse_workspace((cfg.fixtures / name).read_text(), cfg.truncation)
+        ws = parse_workspace((FIXTURES / name).read_text(), TRUNCATION)
         ctx = EvaluationContext(ws.map("i"))
-        term = ctx.g_sequence([3]).terms[3]
+        term = ctx.g_sequence([3])[3]
         print(f"{label}:")
         print(
             f"  G-sequence at degree 3: G={term.gottlieb_dim} "
@@ -50,12 +47,12 @@ def one_cell_reports(cfg: Config):
         )
 
 
-def coformal_report(cfg: Config):
-    ws = parse_workspace((cfg.fixtures / "s3_into_s3xs3.dgl").read_text(), cfg.truncation)
+def coformal_report():
+    ws = parse_workspace((FIXTURES / "s3_into_s3xs3.dgl").read_text(), TRUNCATION)
     ctx = EvaluationContext(ws.map("j"))
     tops = ctx.trusted_tops()
     quotients = {t: ctx.g_vs_p(t).quotient_dim for t in tops}
-    omegas = {t: term.omega_dim for t, term in ctx.g_sequence(tops).terms.items()}
+    omegas = {t: term.omega_dim for t, term in ctx.g_sequence(tops).items()}
     print("coformal factor inclusion S3 -> S3 x S3:")
     print(f"  trusted degrees {tops[0]}..{tops[-1]}")
     print(f"  center/evaluation quotients: {sorted(set(quotients.values()))}")
@@ -68,11 +65,10 @@ def coformal_report(cfg: Config):
 
 
 def main():
-    cfg = Config()
     start = time.perf_counter()
-    pinch_report(cfg)
-    one_cell_reports(cfg)
-    coformal_report(cfg)
+    pinch_report()
+    one_cell_reports()
+    coformal_report()
     print(f"total {time.perf_counter() - start:.2f}s")
 
 

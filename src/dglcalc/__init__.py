@@ -17,12 +17,11 @@ from .errors import (
 from .lie import FreeLieAlgebra, Generator, LieElement
 from .model import DglModel, DglMorphism, ValidationReport, zero_morphism
 from .derivations import DerComplex, GenDerivation, adjoint
-from .complexes import DglComplex, HomologyReport
+from .complexes import DglComplex
 from .relative import LesReport, RelComplex, assemble_les_of_chain_map
 from .subgroups import (
     CoformalReport,
     EvaluationContext,
-    GSequenceReport,
     GvpReport,
     SubspaceReport,
     coformal_bounding_derivation,
@@ -58,13 +57,11 @@ __all__ = [
     "GenDerivation",
     "adjoint",
     "DglComplex",
-    "HomologyReport",
     "LesReport",
     "RelComplex",
     "assemble_les_of_chain_map",
     "CoformalReport",
     "EvaluationContext",
-    "GSequenceReport",
     "GvpReport",
     "SubspaceReport",
     "coformal_bounding_derivation",

@@ -155,20 +155,21 @@ def cmd_homology(ws: Workspace, args):
     model = ws.model(args.name)
     default = range(2, model.truncation + 1)  # topological
     tops = _parse_degrees(args, default)
-    report = DglComplex(model).homology_report([t - 1 for t in tops if t - 1 >= 1])
+    cx = DglComplex(model)
     degrees = []
-    for n, s in sorted(report.slices.items()):
+    for n in [t - 1 for t in tops if t >= 2]:
+        h = cx.homology(n)
         degrees.append(
             _degree_entry(
                 args,
                 n + 1,
                 n,
-                s.dim,
-                s.representatives,
-                s.trusted,
-                cycle_dim=s.cycle_dim,
-                boundary_dim=s.boundary_dim,
-                low_degree_caveat=s.low_degree_caveat,
+                h.dim,
+                [cx.from_vector(n, r) for r in h.rep_rows],
+                h.trusted,
+                cycle_dim=h.cycles.rank,
+                boundary_dim=h.boundaries.rank,
+                low_degree_caveat=n <= 2,
             )
         )
     return {"command": "homology", "inputs": _inputs(args), "degrees": degrees}, EXIT_OK
@@ -183,19 +184,15 @@ def cmd_gottlieb(ws: Workspace, args):
     return _subgroup_report(args, "gottlieb", reports), EXIT_OK
 
 
-def _map_context(ws: Workspace, args) -> EvaluationContext:
-    return EvaluationContext(ws.map(args.name))
-
-
 def cmd_evsub(ws, args):
-    ctx = _map_context(ws, args)
+    ctx = EvaluationContext(ws.map(args.name))
     tops = _parse_degrees(args, ctx.computable_tops())
     reports = [ctx.evaluation_subgroup(t) for t in tops]
     return _subgroup_report(args, "evsub", reports), EXIT_OK
 
 
 def cmd_center(ws, args):
-    ctx = _map_context(ws, args)
+    ctx = EvaluationContext(ws.map(args.name))
     tops = _parse_degrees(args, ctx.computable_tops())
     reports = [ctx.whitehead_center(t) for t in tops]
     out = _subgroup_report(args, "center", reports)
@@ -205,7 +202,7 @@ def cmd_center(ws, args):
 
 
 def cmd_gvp(ws, args):
-    ctx = _map_context(ws, args)
+    ctx = EvaluationContext(ws.map(args.name))
     tops = _parse_degrees(args, ctx.computable_tops())
     degrees = []
     for t in tops:
@@ -227,18 +224,17 @@ def cmd_gvp(ws, args):
 
 
 def cmd_grel(ws, args):
-    ctx = _map_context(ws, args)
+    ctx = EvaluationContext(ws.map(args.name))
     tops = _parse_degrees(args, ctx.computable_tops())
     reports = [ctx.rel_evaluation_subgroup(t) for t in tops]
     return _subgroup_report(args, "grel", reports), EXIT_OK
 
 
 def cmd_gseq(ws, args):
-    ctx = _map_context(ws, args)
+    ctx = EvaluationContext(ws.map(args.name))
     tops = _parse_degrees(args, ctx.computable_tops())
-    report = ctx.g_sequence(tops)
     degrees = []
-    for n, t in sorted(report.terms.items()):
+    for t in ctx.g_sequence(tops).values():
         degrees.append(
             _degree_entry(
                 args,
@@ -276,7 +272,7 @@ def cmd_omega(ws, args):
 
 
 def cmd_les(ws, args):
-    ctx = _map_context(ws, args)
+    ctx = EvaluationContext(ws.map(args.name))
     tops = _parse_degrees(args, ctx.computable_tops())
     report = ctx.les([t - 1 for t in tops])
     degrees = []
@@ -491,10 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(ws: Workspace, args):
-    return COMMANDS[args.command](ws, args)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -528,7 +520,7 @@ def _main(args) -> int:
                     problems = "; ".join(report.problems)
                     print(f"validation error: model {name}: {problems}", file=sys.stderr)
                     return EXIT_VALIDATION
-        out, code = run_command(ws, args)
+        out, code = COMMANDS[args.command](ws, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -23,32 +23,12 @@ reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import linalg
 from .errors import InternalError, PreconditionError, TruncationError
 from .lie import LieElement
 from .model import DglModel
-
-
-@dataclass
-class HomologySliceReport:
-    degree: int  # internal degree
-    dim: int
-    cycle_dim: int
-    boundary_dim: int
-    representatives: list
-    trusted: bool
-    low_degree_caveat: bool
-
-
-@dataclass
-class HomologyReport:
-    slices: dict
-
-    def dims(self) -> dict:
-        return {n: s.dim for n, s in self.slices.items()}
 
 
 class HomologySlice:
@@ -166,24 +146,6 @@ class ChainComplex:
         slice_ = HomologySlice(n, cycles, boundaries, trusted)
         self._homology_cache[n] = slice_
         return slice_
-
-    def homology_representatives(self, n: int) -> list:
-        return [self.from_vector(n, row) for row in self.homology(n).rep_rows]
-
-    def homology_report(self, degrees) -> HomologyReport:
-        slices = {}
-        for n in degrees:
-            h = self.homology(n)
-            slices[n] = HomologySliceReport(
-                degree=n,
-                dim=h.dim,
-                cycle_dim=h.cycles.rank,
-                boundary_dim=h.boundaries.rank,
-                representatives=self.homology_representatives(n),
-                trusted=h.trusted,
-                low_degree_caveat=n <= 2,
-            )
-        return HomologyReport(slices=slices)
 
 
 def induced_matrix(

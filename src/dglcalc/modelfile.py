@@ -293,7 +293,7 @@ def _parse_model(parser: _Parser, ws: Workspace):
             )
         gens.append(Generator(gtok.text, degree, upper))
     algebra = FreeLieAlgebra(gens, truncation=ws.truncation)
-    diff = {}
+    diff, targets = {}, set()  # targets: every d line's generator, zero values too
     while parser.peek().text != "}":
         stmt = parser.expect_ident("'gen' or 'd'")
         if stmt.text == "gen":
@@ -304,8 +304,9 @@ def _parse_model(parser: _Parser, ws: Workspace):
         parser.expect("=")
         if gtok.text not in seen:
             raise ParseError(f"unknown generator {gtok.text!r}", gtok.line, gtok.column)
-        if gtok.text in diff:
+        if gtok.text in targets:
             raise ParseError(f"duplicate differential for {gtok.text!r}", gtok.line, gtok.column)
+        targets.add(gtok.text)
         value = parser.element(algebra, gtok)
         parser.expect(";")
         if value is None:

@@ -15,7 +15,8 @@ maps in class coordinates, each computed once per degree, and `les_rref`
 gives the one elimination of each.  `assemble_les_of_chain_map` checks
 exactness at a node by reading ker(outgoing)/im(incoming) as a homology slice
 of the two eliminations: the node is exact when the slice is zero, and a
-nonzero composite is an `InternalError`.  J and P act on vectors directly.
+nonzero composite is an `InternalError`.  On vectors, J is `join(n, w, {})`
+and P is `split(n, v)[1]`.
 
 An evaluation context builds, besides Rel(psi) and the cone of
 post-composition on derivation spaces, three adjoint cones whose phi_* are
@@ -94,17 +95,6 @@ class RelComplex(ChainComplex):
             cols.append(self.join(n - 1, wpart, dV[j]))
         return cols
 
-    # -- the short exact sequence -----------------------------------------------
-
-    def include(self, n: int, wvec):
-        """J at the vector level."""
-        return self.join(n, wvec, {})
-
-    def project(self, n: int, vec):
-        """P at the vector level."""
-        _, vvec = self.split(n, vec)
-        return vvec
-
     # -- the long exact sequence, in class coordinates ---------------------------
 
     def _les_map(self, key, build: Callable) -> list:
@@ -137,7 +127,7 @@ class RelComplex(ChainComplex):
         def build():
             rows = self.W.homology(n).rep_rows
             h = self.homology(n)
-            return [h.class_coords(self.include(n, row)) for row in rows]
+            return [h.class_coords(self.join(n, row, {})) for row in rows]
 
         return self._les_map(("J", n), build)
 
@@ -147,7 +137,7 @@ class RelComplex(ChainComplex):
         def build():
             rows = self.homology(n).rep_rows
             h = self.V.homology(n - 1)
-            return [h.class_coords(self.project(n, row)) for row in rows]
+            return [h.class_coords(self.split(n, row)[1]) for row in rows]
 
         return self._les_map(("P", n), build)
 

@@ -80,11 +80,6 @@ class GSequenceTerm:
 
 
 @dataclass
-class GSequenceReport:
-    terms: dict
-
-
-@dataclass
 class CoformalReport:
     bigraded_ok: bool
     upper_homology_ok: bool
@@ -120,10 +115,6 @@ class _Subgroup:
     def representatives(self) -> list:
         reps = self.ambient().rep_rows
         return [self.cplx.from_vector(self.degree, linalg.combine(v, reps)) for v in self.basis.rows]
-
-    def coords_of(self, class_vec) -> Optional[dict]:
-        """Coordinates of a homology-class vector over the subgroup basis, or None."""
-        return self.basis.coords(class_vec)
 
     def report(self, top: int, checked_source_degrees: Optional[tuple] = None) -> SubspaceReport:
         return SubspaceReport(
@@ -290,16 +281,16 @@ class EvaluationContext:
         """Columns of a homology map restricted to subgroup coordinates."""
         out = []
         for v in src_group.basis.rows:
-            coords = dst_group.coords_of(linalg.combine(v, cols))
+            coords = dst_group.basis.coords(linalg.combine(v, cols))
             if coords is None:
                 raise InternalError("ladder restriction failed; image leaves the subgroup")
             out.append(coords)
         return out
 
-    def g_sequence(self, tops) -> GSequenceReport:
-        tops = sorted(tops)
+    def g_sequence(self, tops) -> dict:
+        """{top: GSequenceTerm}, in increasing top."""
         terms = {}
-        for top in tops:
+        for top in sorted(tops):
             m = top - 1
             gl = self._kernel(self.rel_ad_L, m)
             gk = self._kernel(self.rel_ad, m)
@@ -334,7 +325,7 @@ class EvaluationContext:
                 trusted=trusted,
                 low_degree_caveat=m <= 2,
             )
-        return GSequenceReport(terms=terms)
+        return terms
 
     # -- degree windows ----------------------------------------------------------
 

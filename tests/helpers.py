@@ -37,6 +37,16 @@ def fixture_map(path, name, truncation=10):
     return parse_workspace((FIXTURES / path).read_text(), truncation=truncation).map(name)
 
 
+def homology_dims(cplx, degrees) -> dict:
+    """{n: dim H_n} of a package complex over the given degrees."""
+    return {n: cplx.homology(n).dim for n in degrees}
+
+
+def homology_reps(cplx, n) -> list:
+    """The representative cycles of H_n of a package complex, as domain objects."""
+    return [cplx.from_vector(n, row) for row in cplx.homology(n).rep_rows]
+
+
 def random_degrees(rng, max_gens=3, min_degree=2, max_degree=4, degree_one_budget=0):
     n = rng.randint(1, max_gens)
     out = []

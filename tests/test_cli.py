@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from dglcalc import cli
 from dglcalc.cli import main
+from dglcalc.complexes import DglComplex
 from dglcalc.errors import InternalError
 from dglcalc.model import DglModel
 from dglcalc.modelfile import parse_workspace
+
+from . import oracles
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -78,6 +81,29 @@ def test_homology_command(capsys):
     assert code == 0
     dims = {e["internal"]: e["dimension"] for e in out["degrees"]}
     assert dims == {1: 1, 2: 0, 3: 0, 4: 1}
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.dgl")), ids=lambda p: p.name)
+def test_homology_entries_match_the_two_elimination_oracle(path, capsys):
+    # every field of every entry, against fresh eliminations of Z_n and B_n;
+    # internal degree 10 has no C_11, so its entry is untrusted
+    ws = parse_workspace(path.read_text(), truncation=10)
+    for name, model in ws.models.items():
+        argv = ["homology", str(path), name, "--max-degree", "10", "--degrees", "2:11"]
+        code, out, err = run_json(argv, capsys)
+        assert code == 0, err
+        assert [e["internal"] for e in out["degrees"]] == list(range(1, 11))
+        assert [e["trusted"] for e in out["degrees"]] == [True] * 9 + [False]
+        cx = DglComplex(model)
+        for entry in out["degrees"]:
+            n = entry["internal"]
+            cycles, boundaries, reps, trusted = oracles.two_elimination_homology(cx, n)
+            assert entry["dimension"] == len(reps), (name, n)
+            assert entry["cycle_dim"] == len(cycles), (name, n)
+            assert entry["boundary_dim"] == len(boundaries), (name, n)
+            assert entry["trusted"] is trusted, (name, n)
+            assert entry["low_degree_caveat"] is (n <= 2), (name, n)
+            assert entry["representatives"] == [str(cx.from_vector(n, r)) for r in reps], (name, n)
 
 
 def test_gottlieb_command_spheres(capsys):
@@ -178,13 +204,14 @@ _M = "model M { gen a : deg 2; gen c : deg 3; gen b : deg 4; "
         (_M + "d b = ; }", "1:62", "expected a monomial, found ';'"),
         (_M + "d b = a; }", "1:58", "d b must have degree 3, got degree 2"),
         (_M + "d b = c; d b = c; }", "1:67", "duplicate differential for 'b'"),
+        (_M + "d b = 0; d b = c; }", "1:67", "duplicate differential for 'b'"),
         ("model M { gen a : deg 1; gen b : deg 2; d b = " + "[" * 13 + "a" + ",a]" * 13 + "; }",
          "1:59", "brackets nested deeper than the truncation degree 12"),
     ],
     ids=[
         "unknown-in-d", "unknown-in-map", "undeclared-d", "bracket-past-n", "not-homogeneous",
         "zero-denominator", "coefficient-alone", "missing-monomial", "wrong-degree",
-        "duplicate-d", "too-deep",
+        "duplicate-d", "duplicate-d-after-zero", "too-deep",
     ],
 )
 def test_element_error_is_one_positioned_line(tmp_path, text, where, message, capsys):

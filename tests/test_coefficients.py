@@ -16,7 +16,7 @@ from dglcalc import (
 )
 from dglcalc.modelfile import parse_workspace
 
-from .helpers import FIXTURE_MAPS, FIXTURES, exp_automorphism, fixture_map
+from .helpers import FIXTURE_MAPS, FIXTURES, exp_automorphism, fixture_map, homology_reps
 
 
 def _check_number(c, where):
@@ -83,7 +83,9 @@ def test_fixture_coefficients_are_int_or_fraction(path, name):
         "grel": [ctx.rel_evaluation_subgroup(t) for t in tops],
         "gvp": [ctx.g_vs_p(t) for t in tops],
         "gseq": ctx.g_sequence(tops),
-        "homology": [c.homology_report(range(1, tops[-1])) for c in (ctx.cL, ctx.cK, ctx.der_LK)],
+        "homology": [
+            homology_reps(c, n) for c in (ctx.cL, ctx.cK, ctx.der_LK) for n in range(1, tops[-1])
+        ],
     }
     lie_terms = 0
     for where, obj in list(reports.items()) + list(_complex_vectors(ctx, tops)):

@@ -19,7 +19,7 @@ from dglcalc.derivations import adjoint
 
 from . import oracles
 from .conftest import make_cp2_model, make_sphere_model
-from .helpers import exp_automorphism, random_model
+from .helpers import exp_automorphism, homology_dims, random_model
 
 F = Fraction
 
@@ -40,7 +40,7 @@ def test_product_s2_x_s3():
     alg = model.algebra
     assert model.diff_of("x'") == alg.gen("v").bracket(alg.gen("x"))
     # homology through the window: degree 1 (v), degree 2 (x and [v,v])
-    dims = DglComplex(model).homology_report(range(1, 7)).dims()
+    dims = homology_dims(DglComplex(model), range(1, 7))
     assert dims[1] == 1 and dims[2] == 2
     assert dims[3] == 0 and dims[4] == 0 and dims[5] == 0 and dims[6] == 0
 

@@ -124,11 +124,11 @@ def test_inclusion_is_anti_chain_map():
         dW = W.d_columns(n)
         dRel = rel.d_columns(n)
         for j in range(W.dim(n)):
-            jvec = rel.include(n, {j: F(1)})
+            jvec = rel.join(n, {j: F(1)}, {})
             lhs = {}
             for i, c in jvec.items():
                 lhs = linalg.vec_add(lhs, dRel[i], c)
-            rhs = rel.include(n - 1, {k: -c for k, c in dW[j].items()})
+            rhs = rel.join(n - 1, {k: -c for k, c in dW[j].items()}, {})
             assert lhs == rhs, (n, j)
 
 
@@ -138,7 +138,7 @@ def test_projection_kills_inclusion():
     n = 2
     if rel.complete(n):
         for j in range(rel.W.dim(n)):
-            assert rel.project(n, rel.include(n, {j: F(1)})) == {}
+            assert rel.split(n, rel.join(n, {j: F(1)}, {}))[1] == {}
 
 
 def test_les_of_identity_morphism():

@@ -37,7 +37,7 @@ def test_report_digests_agree_between_runs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
         assert _run("report_digests.py", "--workload", "gseq-onecell", "--out", str(out)) == [
-            "3 ops digested"
+            "6 ops digested"
         ]
     assert all(key.startswith("gseq fixtures/") for key in json.loads(a.read_text()))
     assert _run("report_digests.py", "--compare", str(a), str(b)) == []

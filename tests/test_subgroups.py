@@ -163,10 +163,10 @@ def test_rel_subgroup_contractible_pair_witness():
     vec = ctx.rel.to_vector(3, (y, w))
     coords = h.class_coords(vec)
     group = ctx._kernel(ctx.rel_ad_pair, 3)
-    assert group.coords_of(coords) is not None
+    assert group.basis.coords(coords) is not None
     # H(P)(<y, w>) = <w> spans G_3 of the source, so the restriction is onto
     gs = ctx.g_sequence([3, 4])
-    assert gs.terms[3].gottlieb_dim == 1
+    assert gs[3].gottlieb_dim == 1
 
 
 def test_rel_subgroup_identity_morphism_vanishes():
@@ -202,7 +202,7 @@ def test_rel_subgroup_pinch_dimensions_match_brute_force(pinch):
 def test_g_sequence_coformal_factor_inclusion_omega_vanishes():
     _, _, incl = make_factor_inclusion()
     report = EvaluationContext(incl).g_sequence(range(2, 7))
-    for n, term in report.terms.items():
+    for n, term in report.items():
         assert term.composites_zero
         if term.trusted:
             assert term.omega_dim == 0, (n, term)
@@ -211,13 +211,13 @@ def test_g_sequence_coformal_factor_inclusion_omega_vanishes():
 def test_g_sequence_one_cell_attachment_omega():
     _, _, incl = make_one_cell_attachment()
     report = EvaluationContext(incl).g_sequence([3])
-    assert report.terms[3].omega_dim == 1
+    assert report[3].omega_dim == 1
 
 
 def test_g_sequence_contractible_pair_omega_vanishes():
     _, _, incl = make_contractible_pair()
     report = EvaluationContext(incl).g_sequence([3])
-    assert report.terms[3].omega_dim == 0
+    assert report[3].omega_dim == 0
 
 
 def _in_span(vec, span, dim):
@@ -235,7 +235,7 @@ def test_omega_representatives_are_independent_classes_killed_by_psi():
     for psi in cases:
         ctx = EvaluationContext(psi)
         identity = DglMorphism.identity(psi.source)
-        for top, term in ctx.g_sequence(ctx.trusted_tops()).terms.items():
+        for top, term in ctx.g_sequence(ctx.trusted_tops()).items():
             m = top - 1
             reps = term.omega_representatives
             assert len(reps) == term.omega_dim
@@ -401,7 +401,7 @@ def test_g_sequence_composites_zero_random(seed):
     if not tops:
         return
     report = ctx.g_sequence(tops[:3])
-    for term in report.terms.values():
+    for term in report.values():
         assert term.composites_zero
 
 
