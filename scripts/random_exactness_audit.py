@@ -30,7 +30,7 @@ from dglcalc.complexes import DglComplex
 from dglcalc.constructions import product_model, sphere_wedge_model
 
 from tests import oracles
-from tests.helpers import random_model, random_validated_morphism
+from tests.helpers import basis_element, random_model, random_validated_morphism
 
 BRACKET_SETS = 20  # seeded generator sets the bracket audit draws
 
@@ -93,7 +93,7 @@ def audit_brackets(cfg: Config):
                 if alg.word_degree(u) + alg.word_degree(v) > cfg.truncation:
                     continue
                 pairs += 1
-                got = alg.monomial(u).bracket(alg.monomial(v)).terms
+                got = basis_element(alg, u).bracket(basis_element(alg, v)).terms
                 want = oracles.swept_bracket(alg, u, v)
                 if [(w, type(c), c) for w, c in got.items()] != [(w, int, c) for w, c in want.items()]:
                     failures.append((seed, u, v))

@@ -12,13 +12,15 @@ for each Lyndon word w of odd degree.  A Lyndon word w of length >= 2 names
 the bracket [u, v] of its standard factorisation w = uv, where v is the
 longest proper Lyndon suffix; ww names [w, w].  Coordinates are unique, so
 equality and all linear algebra are sparse exact vector arithmetic on basis
-words.  Bases are deterministic and cached on the algebra.
+words.  Bases are deterministic and cached on the algebra, each degree with
+the Lyndon words that build the degrees above it.
 
-A bracket is bilinear, so it is computed term pair by term pair.  Most pairs
-are standard: when (u, v) is the standard factorisation of the basis word uv,
-[b_u, b_v] is b_uv by definition (this covers the odd squares ww), and
-[b_v, b_u] = -(-1)^{|u||v|} b_uv.  Any other pair is rewritten in the basis
-by graded antisymmetry and the Jacobi identity on the standard factors
+A bracket is bilinear, so one routine (`FreeLieAlgebra._add_bracket`, also
+used by `DglModel._d_word`) sums it into a dict term pair by term pair.  Most
+pairs are standard: when (u, v) is the standard factorisation of the basis
+word uv, [b_u, b_v] is b_uv by definition (this covers the odd squares ww),
+and [b_v, b_u] = -(-1)^{|u||v|} b_uv.  Any other pair is rewritten in the
+basis by graded antisymmetry and the Jacobi identity on the standard factors
 (`FreeLieAlgebra._pair`), which never divides, so its coordinates are
 integers; they are cached on the algebra.
 
@@ -49,14 +51,13 @@ def _word_key(w: Word):
     return (len(w), w)
 
 
+@dataclass
 class _BasisData:
-    """The super-Lyndon basis words of one degree, in (len, word) order."""
+    """One degree of the basis: its super-Lyndon words in (len, word) order,
+    and its Lyndon words (all but the squares ww), which build higher degrees."""
 
-    __slots__ = ("words", "members")
-
-    def __init__(self, words: list):
-        self.words = words
-        self.members = frozenset(words)
+    words: list
+    lyndon: list
 
 
 class FreeLieAlgebra:
@@ -86,8 +87,7 @@ class FreeLieAlgebra:
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
         self._uppers = tuple(g.upper for g in gens)
-        self._words_cache: dict = {}
-        self._basis_cache: dict = {}
+        self._basis_cache: dict = {}  # degree -> _BasisData
         self._split: dict = {}  # basis word of length >= 2 -> (u, v)
         self._bracket_cache: dict = {}  # (u, v) of a non-standard pair -> terms of [b_u, b_v]
 
@@ -132,54 +132,47 @@ class FreeLieAlgebra:
     # -- the basis -----------------------------------------------------------
 
     def words(self, degree: int) -> list:
-        """The super-Lyndon words of the given degree, in (len, word) order.
+        """The super-Lyndon words of the given degree, in (len, word) order."""
+        return self._basis_data(degree).words
+
+    def _basis_data(self, degree: int) -> _BasisData:
+        """The basis of one degree, built once from the Lyndon words of the
+        lower degrees.
 
         A Lyndon word uv of length >= 2 with standard factorisation (u, v) is
         built from Lyndon words u < v, where u is a letter or the right factor
         of u is >= v (Lothaire, *Combinatorics on Words*, Prop. 5.1.4), so
         each word is made once, from its factors, and no other word is seen.
         """
-        cached = self._words_cache.get(degree)
-        if cached is not None:
-            return cached
+        data = self._basis_cache.get(degree)
+        if data is not None:
+            return data
+        if degree > self.truncation:
+            raise TruncationError(f"degree {degree} exceeds truncation degree {self.truncation}")
         split = self._split
-        lyndon = {
-            k: [w for w in self.words(k) if len(w) == 1 or split[w][0] != split[w][1]]
-            for k in range(1, degree)
-        }
-        out = [(i,) for i, d in enumerate(self._degrees) if d == degree]
+        lower = {k: self._basis_data(k).lyndon for k in range(1, degree)}
+        lyndon = [(i,) for i, d in enumerate(self._degrees) if d == degree]
         for k in range(1, degree):
-            for u in lyndon[k]:
+            for u in lower[k]:
                 right = split[u][1] if len(u) > 1 else None
-                for v in lyndon[degree - k]:
+                for v in lower[degree - k]:
                     if u < v and (right is None or right >= v):
                         split[u + v] = (u, v)
-                        out.append(u + v)
-        if degree % 4 == 2:  # squares of the Lyndon words of odd degree
-            for w in lyndon[degree // 2]:
+                        lyndon.append(u + v)
+        lyndon.sort(key=_word_key)
+        words = list(lyndon)
+        if degree > 0 and degree % 4 == 2:  # squares of the Lyndon words of odd degree
+            for w in lower[degree // 2]:
                 split[w + w] = (w, w)
-                out.append(w + w)
-        out.sort(key=_word_key)
-        self._words_cache[degree] = out
-        return out
-
-    def _basis_data(self, degree: int) -> _BasisData:
-        if degree in self._basis_cache:
-            return self._basis_cache[degree]
-        if degree > self.truncation:
-            raise TruncationError(
-                f"degree {degree} exceeds truncation degree {self.truncation}"
-            )
-        data = _BasisData(self.words(degree) if degree >= 1 else [])
-        self._basis_cache[degree] = data
+                words.append(w + w)
+            words.sort(key=_word_key)
+        data = self._basis_cache[degree] = _BasisData(words, lyndon)
         return data
 
     # -- public API ----------------------------------------------------------
 
     def dim(self, degree: int) -> int:
-        if degree < 1:
-            return 0
-        return len(self._basis_data(degree).words)
+        return len(self.words(degree))
 
     def zero(self, degree: int) -> "LieElement":
         return LieElement(self, degree, {})
@@ -187,13 +180,6 @@ class FreeLieAlgebra:
     def gen(self, name: str) -> "LieElement":
         i = self.index(name)
         return LieElement(self, self._degrees[i], {(i,): 1})
-
-    def monomial(self, word: Word) -> "LieElement":
-        """The basis element that a basis word names."""
-        degree = self.word_degree(word)
-        if word not in self._basis_data(degree).members:
-            raise PreconditionError(f"{self.word_names(word)} is not a basis word")
-        return LieElement(self, degree, {word: 1})
 
     def bracket(self, a: "LieElement", b: "LieElement") -> "LieElement":
         if a.algebra is not self or b.algebra is not self:
@@ -205,14 +191,24 @@ class FreeLieAlgebra:
             raise TruncationError(
                 f"bracket of degrees {a.degree} and {b.degree} exceeds truncation {self.truncation}"
             )
-        sign = -1 if (a.degree * b.degree) % 2 else 1
-        self._basis_data(degree)  # fills _split up to this degree
-        split, cache = self._split, self._bracket_cache
+        if degree not in self._basis_cache:
+            self._basis_data(degree)  # fills _split up to this degree
         out: dict = {}
+        self._add_bracket(out, a.terms, b.terms, -1 if a.degree * b.degree % 2 else 1)
+        return LieElement(self, degree, out)
+
+    def _add_bracket(self, out: dict, a: Mapping, b: Mapping, sign: int, scale=1) -> None:
+        """out += scale * [a, b] for the terms a and b of elements of degrees
+        p and q, with sign = (-1)^{pq}; `_split` must know degree p + q.
+
+        Zero sums stay in out as keys with value 0.
+        """
+        split, cache = self._split, self._bracket_cache
         # _pair's first rules and cache lookup, inlined: calling _pair for
         # every term pair costs gseq-onecell about 2.5% of its ops_per_s
-        for u, cu in a.terms.items():
-            for v, cv in b.terms.items():
+        for u, cu in a.items():
+            cu *= scale
+            for v, cv in b.items():
                 c = cu * cv
                 uv, vu = u + v, v + u
                 if split.get(uv) == (u, v):  # [b_u, b_v] is the basis word uv
@@ -225,7 +221,6 @@ class FreeLieAlgebra:
                         terms = self._pair(u, v)
                     for w, x in terms.items():
                         out[w] = out.get(w, 0) + c * x
-        return LieElement(self, degree, out)
 
     def _pair(self, u: Word, v: Word) -> dict:
         """Coordinates of [b_u, b_v] for basis words u and v, with `int`
@@ -246,16 +241,17 @@ class FreeLieAlgebra:
         Each non-standard pair is filled once into `_bracket_cache`, whose
         dicts are read and never changed.
         """
-        split, deg = self._split, self.word_degree
+        split = self._split
         if split.get(u + v) == (u, v):
             return {u + v: 1}
-        odd = deg(u) * deg(v) % 2
-        if split.get(v + u) == (v, u):
-            return {v + u: 1 if odd else -1}
         cache = self._bracket_cache
         terms = cache.get((u, v))
         if terms is not None:
             return terms
+        deg = self.word_degree
+        odd = deg(u) * deg(v) % 2
+        if split.get(v + u) == (v, u):
+            return {v + u: 1 if odd else -1}
         if u == v or split.get(v) == (u, u):  # [w, w] of even degree, or [w, [w, w]]
             terms = {}
         elif u > v:
@@ -265,8 +261,9 @@ class FreeLieAlgebra:
             ab = split.get(u)
             if ab is not None and (ab[0] == ab[1] or ab[1] < v):
                 a, b = ab
-                self._add_nested(out, a, self._pair(b, v), 1)
-                self._add_nested(out, b, self._pair(a, v), 1 if deg(a) * deg(b) % 2 else -1)
+                p, q, r = deg(a), deg(b), deg(v)
+                self._add_bracket(out, {a: 1}, self._pair(b, v), (-1) ** (p * (q + r)))
+                self._add_bracket(out, {b: 1}, self._pair(a, v), (-1) ** (q * (p + r)), -((-1) ** (p * q)))
             else:
                 ab = split.get(v)
                 if ab is None or ab[0] != ab[1]:
@@ -275,16 +272,11 @@ class FreeLieAlgebra:
                         f"and {self.word_names(v)}"
                     )
                 w = ab[0]
-                self._add_nested(out, w, self._pair(u, w), -2 if deg(u) * deg(w) % 2 else 2)
+                p, q = deg(u), deg(w)
+                self._add_bracket(out, {w: 1}, self._pair(u, w), (-1) ** (q * (p + q)), 2 * (-1) ** (p * q))
             terms = {w: c for w, c in sorted(out.items()) if c}
         cache[(u, v)] = terms
         return terms
-
-    def _add_nested(self, out: dict, a: Word, terms: dict, scale: int) -> None:
-        """out += scale * [b_a, sum of c * b_w over the (w, c) of terms]."""
-        for w, c in terms.items():
-            for t, x in self._pair(a, w).items():
-                out[t] = out.get(t, 0) + scale * c * x
 
 
 class LieElement:

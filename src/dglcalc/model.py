@@ -7,9 +7,9 @@ identity, so it extends uniquely by the graded Leibniz rule
     d([x, y]) = [d(x), y] + (-1)^{|x|} [x, d(y)].
 
 `DglModel.d` evaluates that rule word by word, recursing on the factors that
-`FreeLieAlgebra.split` gives and caching d of each word on the model.  Every
-derivation along a morphism psi is evaluated through psi's Fox table
-(`DglMorphism.fox`).
+`FreeLieAlgebra.split` gives, summing both brackets into one dict and
+caching d of each word on the model.  Every derivation along a morphism psi
+is evaluated through psi's Fox table (`DglMorphism.fox`).
 
 A morphism is a generator assignment that commutes with the differentials.
 Both d^2 = 0 and the chain-map condition are checked on generators only: a
@@ -91,7 +91,7 @@ class DglModel:
 
             d([u, v]) = [d(u), v] + (-1)^{|u|} [u, d(v)]
 
-        with (u, v) = algebra.split(word).
+        with (u, v) = algebra.split(word), both brackets summed into one dict.
         """
         cached = self._d_cache.get(word)
         if cached is not None:
@@ -101,9 +101,13 @@ class DglModel:
             out = self.diff_of(alg.generators[word[0]].name)
         else:
             u, v = alg.split(word)
-            out = alg.bracket(self._d_word(u), alg.monomial(v))
-            sign = -1 if alg.word_degree(u) % 2 else 1
-            out = out + sign * alg.bracket(alg.monomial(u), self._d_word(v))
+            p, q = alg.word_degree(u), alg.word_degree(v)
+            terms: dict = {}
+            alg._add_bracket(terms, self._d_word(u).terms, {v: 1}, (-1) ** ((p - 1) * q))
+            # drop the zero sums, so words that return in [u, d(v)] come last
+            terms = {w: c for w, c in terms.items() if c}
+            alg._add_bracket(terms, {u: 1}, self._d_word(v).terms, (-1) ** (p * (q - 1)), (-1) ** p)
+            out = LieElement(alg, p + q - 1, terms)
         self._d_cache[word] = out
         return out
 

@@ -289,7 +289,7 @@ class EvaluationContext:
 
     def g_sequence(self, tops) -> dict:
         """{top: GSequenceTerm}, in increasing top."""
-        terms = {}
+        terms, r_p = {}, {}  # r_p[m]: P_* out of degree m
         for top in sorted(tops):
             m = top - 1
             gl = self._kernel(self.rel_ad_L, m)
@@ -298,17 +298,19 @@ class EvaluationContext:
             grel_up = self._kernel(self.rel_ad_pair, m + 1)
             gl_down = self._kernel(self.rel_ad_L, m - 1)
 
-            # each restricted map is eliminated once, for both terms it touches
+            # each restricted map is eliminated once, for both terms it touches;
+            # P_* out of degree m + 1 is read again by the next top
             r_psi = linalg.rref(self._restricted_map(gl, gk, self.rel.phi_star(m)))
             r_j = linalg.rref(self._restricted_map(gk, grel, self.rel.j_star(m)))
-            r_p = linalg.rref(self._restricted_map(grel, gl_down, self.rel.p_star(m)))
-            r_p_up = linalg.rref(self._restricted_map(grel_up, gl, self.rel.p_star(m + 1)))
+            if m not in r_p:
+                r_p[m] = linalg.rref(self._restricted_map(grel, gl_down, self.rel.p_star(m)))
+            r_p[m + 1] = linalg.rref(self._restricted_map(grel_up, gl, self.rel.p_star(m + 1)))
 
             # homology of the kernel sequence at each term; each slice checks
             # that the composite through its term vanishes
-            omega_dim, omega_reps = _term_homology(gl, r_p_up, r_psi)
+            omega_dim, omega_reps = _term_homology(gl, r_p[m + 1], r_psi)
             h_eval, _ = _term_homology(gk, r_psi, r_j)
-            h_rel, _ = _term_homology(grel, r_j, r_p)
+            h_rel, _ = _term_homology(grel, r_j, r_p[m])
 
             trusted = gl.trusted and gk.trusted and grel.trusted and grel_up.trusted
             terms[top] = GSequenceTerm(

@@ -33,6 +33,16 @@ FIXTURE_MAPS = (
 )
 
 
+def basis_element(alg, word):
+    """The basis element of `alg` that a basis word names; builds the basis of
+    its degree and raises PreconditionError for any other word."""
+    degree = alg.word_degree(word)
+    alg.words(degree)
+    if len(word) > 1:
+        alg.split(word)  # only basis words have a standard factorisation
+    return LieElement(alg, degree, {word: 1})
+
+
 def fixture_map(path, name, truncation=10):
     return parse_workspace((FIXTURES / path).read_text(), truncation=truncation).map(name)
 
@@ -123,7 +133,7 @@ def random_upper_grading(seed, model, broken=0.1):
     gens = [(g.name, g.degree, u) for g, u in zip(model.generators, uppers)]
     alg = FreeLieAlgebra(gens, truncation=model.truncation)
     for v in model.diff.values():
-        alg.monomial(next(iter(v.terms)))  # builds the basis words of v's degree
+        basis_element(alg, next(iter(v.terms)))  # builds the basis words of v's degree
     return DglModel(alg, {g: LieElement(alg, v.degree, v.terms) for g, v in model.diff.items()})
 
 

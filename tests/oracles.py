@@ -21,7 +21,10 @@ eliminates the residuals, kept as the reference for the elimination-free one;
 it shares `linalg.rref` and `Rref.reduce`.  `les_by_objects` is the package's
 earlier long-exact-sequence check, which induces every map from domain
 objects, kept as the reference for the cone's class-coordinate maps.
-`GenDerivation` is the package's earlier per-derivation evaluator, a Leibniz
+`leibniz_d_word` is the package's earlier word differential, which adds
+bracketed elements, kept as the reference for the one that sums into one
+dict; it shares the basis, `split` and `bracket`.  `GenDerivation` is the
+package's earlier per-derivation evaluator, a Leibniz
 recursion with its own word cache, kept as the reference for derivations
 evaluated through a morphism's Fox table; it shares the basis, brackets and
 `DglMorphism.apply`.  `expansion`, `from_tensor`, `swept_bracket` and
@@ -224,7 +227,7 @@ def from_tensor(alg, degree, tensor):
     from dglcalc import LieElement
     from dglcalc.errors import InternalError
 
-    members = alg._basis_data(degree).members
+    members = set(alg.words(degree))
     residual = dict(tensor)
     heap = list(residual)
     heapify(heap)
@@ -351,12 +354,35 @@ def d_squared_sweep(model):
     The package checks d^2 = 0 on generators only; this sweeps the whole
     truncated basis instead.
     """
+    from .helpers import basis_element
+
     alg = model.algebra
     for n in range(2, model.truncation + 1):
-        for word in alg._basis_data(n).words:
-            if not model.d(model.d(alg.monomial(word))).is_zero():
+        for word in alg.words(n):
+            if not model.d(model.d(basis_element(alg, word))).is_zero():
                 return False
     return True
+
+
+def leibniz_d_word(model, word):
+    """d of a basis word by the Leibniz rule on elements,
+
+        d([u, v]) = [d(u), v] + (-1)^{|u|} [u, d(v)],
+
+    with (u, v) = algebra.split(word), each bracket a `LieElement` from
+    `FreeLieAlgebra.bracket`, summed by `+` and `*`; uncached.  The
+    package's earlier `DglModel._d_word`, kept as the reference for the one
+    that sums both brackets into one dict.
+    """
+    from .helpers import basis_element
+
+    alg = model.algebra
+    if len(word) == 1:
+        return model.diff_of(alg.generators[word[0]].name)
+    u, v = alg.split(word)
+    out = alg.bracket(leibniz_d_word(model, u), basis_element(alg, v))
+    sign = -1 if alg.word_degree(u) % 2 else 1
+    return out + sign * alg.bracket(basis_element(alg, u), leibniz_d_word(model, v))
 
 
 # -- derivations and morphisms on the tensor algebra ---------------------------
@@ -433,13 +459,15 @@ class GenDerivation:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
+        from .helpers import basis_element
+
         src, tgt = self.along.source.algebra, self.along.target.algebra
         if len(word) == 1:
             out = self.values[src.generators[word[0]].name]
         else:
             u, v = src.split(word)
-            psi_u = self.along.apply(src.monomial(u))
-            psi_v = self.along.apply(src.monomial(v))
+            psi_u = self.along.apply(basis_element(src, u))
+            psi_v = self.along.apply(basis_element(src, v))
             out = tgt.bracket(self.word(u), psi_v)
             sign = -1 if (self.degree * src.word_degree(u)) % 2 else 1
             out = out + sign * tgt.bracket(psi_u, self.word(v))

@@ -32,7 +32,13 @@ from dglcalc.subgroups import (
 )
 
 from .conftest import make_sphere_model
-from .helpers import exp_automorphism, homology_dims, random_model, random_validated_morphism
+from .helpers import (
+    basis_element,
+    exp_automorphism,
+    homology_dims,
+    random_model,
+    random_validated_morphism,
+)
 from .oracles import solve_columns
 
 F = Fraction
@@ -236,7 +242,7 @@ def test_criterion_7_cylinder_invariants():
             alg = cyl.model.algebra
             for n in range(1, cyl.model.truncation + 1):
                 for word in alg._basis_data(n).words:
-                    e = alg.monomial(word)
+                    e = basis_element(alg, word)
                     back = exp_automorphism(cyl, exp_automorphism(cyl, e), inverse=True)
                     assert back == e
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from dglcalc import FreeLieAlgebra, LieElement, TruncationError
 from dglcalc.errors import InternalError, PreconditionError
 
 from . import oracles
+from .helpers import basis_element
 
 F = Fraction
 
@@ -180,6 +182,25 @@ def test_basis_words_are_the_super_lyndon_words(gens):
 
 
 @pytest.mark.parametrize("gens", GEN_SETS)
+def test_bases_built_in_any_degree_order_agree(gens):
+    # each degree keeps its Lyndon words for the degrees above it, so a basis
+    # built top-down or in a shuffled order must equal the ascending build
+    top = 8
+    ascending = FreeLieAlgebra(gens, truncation=top)
+    for n in range(1, top + 1):
+        ascending.words(n)
+    degrees = dict(gens)
+    for order in (range(top, 0, -1), random.Random(len(gens)).sample(range(1, top + 1), top)):
+        alg = FreeLieAlgebra(gens, truncation=top)
+        for n in order:
+            alg.words(n)
+        for n in range(1, top + 1):
+            assert alg.words(n) == ascending.words(n), (list(order), n)
+            assert [alg.word_names(w) for w in alg.words(n)] == oracles.super_lyndon_words(degrees, n)
+        assert alg._split == ascending._split, list(order)
+
+
+@pytest.mark.parametrize("gens", GEN_SETS)
 def test_every_dimension_matches_tensor_rank_oracle(gens):
     alg = FreeLieAlgebra(gens, truncation=6)
     degrees = dict(gens)
@@ -222,11 +243,11 @@ def test_tensor_outside_the_lie_subspace_is_an_internal_error(two_odd):
 def test_basis_word_is_the_bracket_of_its_standard_factors():
     alg = FreeLieAlgebra([("x", 1), ("y", 2)], truncation=8)
     words = [w for n in range(1, 9) for w in alg.words(n)]
-    assert "[x,[x,[x,y]]]" in {str(alg.monomial(w)) for w in words}
+    assert "[x,[x,[x,y]]]" in {str(basis_element(alg, w)) for w in words}
     for w in words:
         if len(w) > 1:
             u, v = alg.split(w)
-            assert alg.monomial(u).bracket(alg.monomial(v)) == alg.monomial(w), w
+            assert basis_element(alg, u).bracket(basis_element(alg, v)) == basis_element(alg, w), w
 
 
 # -- int and Fraction coefficients against the tensor oracle ---------------------
@@ -321,7 +342,7 @@ def test_brackets_leave_the_cached_expansions_unchanged(gens):
     # never change them
     alg = FreeLieAlgebra(gens, truncation=7)
     words = [w for n in range(1, 8) for w in alg.words(n)]
-    pairs = [(alg.monomial(u), alg.monomial(v)) for u in words for v in words
+    pairs = [(basis_element(alg, u), basis_element(alg, v)) for u in words for v in words
              if alg.word_degree(u) + alg.word_degree(v) <= alg.truncation]
     for a, b in pairs:
         _assert_canonical(a.bracket(b))
@@ -371,7 +392,7 @@ def test_every_pair_of_basis_words_brackets_to_the_tensor_oracle(gens, top):
              if alg.word_degree(u) + alg.word_degree(v) <= top]
     first = {}
     for u, v in pairs:
-        got = alg.monomial(u).bracket(alg.monomial(v))
+        got = basis_element(alg, u).bracket(basis_element(alg, v))
         _assert_canonical(got)
         assert _oracle(alg, got) == oracles.expand((_tree(alg, u), _tree(alg, v)), degrees), (u, v)
         want = oracles.swept_bracket(alg, u, v)
@@ -379,7 +400,7 @@ def test_every_pair_of_basis_words_brackets_to_the_tensor_oracle(gens, top):
             [(w, int, c) for w, c in want.items()], (u, v)
         first[u, v] = got
     for u, v in pairs:
-        assert alg.monomial(u).bracket(F(-1, 2) * alg.monomial(v)) == F(-1, 2) * first[u, v]
+        assert basis_element(alg, u).bracket(F(-1, 2) * basis_element(alg, v)) == F(-1, 2) * first[u, v]
 
 
 @pytest.mark.parametrize("gens", GEN_SETS)
@@ -396,10 +417,10 @@ def test_a_standard_pair_is_its_own_basis_word(gens, monkeypatch):
         if len(w) < 2:
             continue
         u, v = alg.split(w)
-        a, b = alg.monomial(u), alg.monomial(v)
+        a, b = basis_element(alg, u), basis_element(alg, v)
         sign = (-1) ** (a.degree * b.degree)
-        assert a.bracket(b) == alg.monomial(w)
-        assert b.bracket(a) == -sign * alg.monomial(w)
+        assert a.bracket(b) == basis_element(alg, w)
+        assert b.bracket(a) == -sign * basis_element(alg, w)
         assert (3 * a).bracket(F(1, 3) * b).terms == {w: 1}
     assert alg._bracket_cache == {}
 
@@ -444,7 +465,7 @@ def _rewrite_depth(alg, monkeypatch, pairs):
 
     monkeypatch.setattr(alg, "_pair", counted)
     for u, v in pairs:
-        alg.monomial(u).bracket(alg.monomial(v))
+        basis_element(alg, u).bracket(basis_element(alg, v))
     return deepest
 
 

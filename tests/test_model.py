@@ -1,5 +1,7 @@
 import gc
+import random
 import weakref
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,10 @@ from dglcalc import (
     zero_morphism,
 )
 
+from dglcalc.modelfile import parse_workspace
+
 from . import oracles
-from .helpers import homology_dims, homology_reps
+from .helpers import FIXTURES, basis_element, homology_dims, homology_reps
 from .conftest import (
     make_contractible_pair,
     make_cp2_model,
@@ -202,7 +206,7 @@ def _perturbations(model):
             continue
         for word in alg._basis_data(h.degree - 1).words:
             diff = dict(model.diff)
-            diff[h.name] = model.diff_of(h.name) + alg.monomial(word)
+            diff[h.name] = model.diff_of(h.name) + basis_element(alg, word)
             yield DglModel(alg, diff)
 
 
@@ -224,3 +228,45 @@ def test_generator_check_matches_sweep_on_perturbed_models(seed):
     assert model.validate().d_squared_ok and oracles.d_squared_sweep(model)
     assert all(ours == sweep for ours, sweep in verdicts)
 
+
+def _assert_d_words_match_leibniz_oracle(model):
+    # value, int-or-Fraction type and dict order of d on every basis word
+    alg = model.algebra
+    for n in range(1, model.truncation + 1):
+        for word in alg.words(n):
+            got, want = model._d_word(word), oracles.leibniz_d_word(model, word)
+            assert got.degree == want.degree, word
+            assert [(w, type(c), c) for w, c in got.terms.items()] == \
+                [(w, type(c), c) for w, c in want.terms.items()], word
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.dgl")))
+def test_d_word_matches_the_leibniz_oracle_on_fixture_models(fixture):
+    workspace = parse_workspace((FIXTURES / fixture).read_text(), truncation=10)
+    assert workspace.models
+    for model in workspace.models.values():
+        _assert_d_words_match_leibniz_oracle(model)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_d_word_matches_the_leibniz_oracle_with_fractions(seed):
+    # d scaled per generator by a non-integer Fraction, on the generators in
+    # a shuffled order, so that a term of d(u) can come after v and [d(u), v]
+    # meets reversed standard pairs; d^2 may not vanish, but d on words is
+    # still the Leibniz extension of its generator values
+    from .helpers import random_model
+
+    rng = random.Random(seed)
+    drawn = random_model(seed, max_gens=4, truncation=8, min_degree=1, minimal=False)
+    gens = [(g.name, g.degree) for g in drawn.generators]
+    rng.shuffle(gens)
+    alg = FreeLieAlgebra(gens, truncation=drawn.truncation)
+    bare = DglMorphism(drawn, DglModel(alg), {g: alg.gen(g) for g, _ in gens}, check=False)
+    diff = {g: F(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3])) * bare.apply(v)
+            for g, v in drawn.diff.items()}
+    model = DglModel(alg, diff)
+    _assert_d_words_match_leibniz_oracle(model)
+    if seed == 9:  # a draw whose word differentials hold both types
+        coefficients = [c for n in range(2, 9) for w in model.algebra.words(n)
+                        for c in model._d_word(w).terms.values()]
+        assert any(type(c) is F for c in coefficients) and any(type(c) is int for c in coefficients)

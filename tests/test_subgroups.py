@@ -483,6 +483,35 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     assert empty_maps and not any(empty_maps)  # a map without columns is not eliminated
 
 
+@pytest.mark.parametrize("path,name", [("one_cell_attachment.dgl", "i"), ("cp2_to_s4.dgl", "f")])
+def test_g_sequence_eliminates_each_restricted_map_once(monkeypatch, path, name):
+    # P_* out of degree n is read by the tops n and n + 1: one restricted map,
+    # one elimination
+    from dglcalc import linalg
+
+    built, eliminated = [], []
+    restricted, rref = EvaluationContext._restricted_map, linalg.rref
+
+    def counted_map(ctx, src_group, dst_group, cols):
+        rows = restricted(ctx, src_group, dst_group, cols)
+        built.append((src_group, dst_group, rows))
+        return rows
+
+    def counted_rref(rows, *args, **kwargs):
+        eliminated.append(rows)
+        return rref(rows, *args, **kwargs)
+
+    monkeypatch.setattr(EvaluationContext, "_restricted_map", counted_map)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    ctx = EvaluationContext(fixture_map(path, name, truncation=12))
+    tops = ctx.computable_tops()
+    assert tops[0] == 2 and len(tops) >= 4
+    ctx.g_sequence(tops)
+    pairs = [(id(src), id(dst)) for src, dst, _ in built]
+    assert len(pairs) == len(set(pairs)) == 3 * len(tops) + 1
+    assert [sum(rows is r for r in eliminated) for _, _, rows in built] == [1] * len(built)
+
+
 def test_evaluation_context_is_freed_without_the_cycle_collector():
     # nothing the context keeps may refer back to it, or every context and
     # its caches would wait for the cyclic garbage collector
