@@ -7,7 +7,8 @@ them byte-identical.
 
 Runs every distinct op of the benchmark workloads in-process, through the
 `dglcalc` of CHECKOUT (default: this checkout), plus `gseq --format json` of
-`one_cell_attachment.dgl i` at N=13-21 (the pseudo-workload `gseq-scaling`).
+`one_cell_attachment.dgl i` at N=13-21 and `evsub` and `grel` of it at N=16-21
+(the pseudo-workload `gseq-scaling`).
 Every op that does not --emit runs a second time without `--format json`, so
 the default text rendering is digested too, under the key of that argv.
 Writes one md5 of (exit code, stdout, stderr) per op to FILE as JSON.  The
@@ -31,7 +32,9 @@ SCALING = "gseq-scaling"
 
 def scaling_ops(wl) -> list:
     f = f"{wl.FIXTURES}/one_cell_attachment.dgl"
-    return [wl.Op(("gseq", f, "i", "--max-degree", str(n), "--format", "json")) for n in range(13, 22)]
+    runs = [("gseq", n) for n in range(13, 22)]
+    runs += [(cmd, n) for cmd in ("evsub", "grel") for n in range(16, 22)]
+    return [wl.Op((cmd, f, "i", "--max-degree", str(n), "--format", "json")) for cmd, n in runs]
 
 
 def text_argv(argv) -> tuple:

@@ -14,7 +14,8 @@ and read the class coordinates of any cycle from their echelon form, which is
 all the downstream subgroup machinery needs.  It is the package's one quotient
 of cycles by boundaries: long exact sequence nodes and G-sequence terms read
 their homology from it too, and boundaries that are not cycles (d^2 != 0, or
-a nonzero composite) are an `InternalError` wherever they appear.
+a nonzero composite) are an `InternalError` wherever they appear.  A reader
+of B_n alone, as a subgroup kernel is of its target, calls `boundaries(n)`.
 
 Truncation discipline: H_n needs C_{n-1}, C_n, C_{n+1}.  The first two are
 required to compute anything; if C_{n+1} is incomplete the slice is computed
@@ -64,7 +65,8 @@ class DegreeRecord:
 
     The columns of d_n are built once, for the elimination and for any cone
     over the complex.  The elimination is their single rref: its kernel is Z_n
-    and its rows span B_{n-1}.  Both are filled on first use.
+    and its rows span B_{n-1}.  Both are filled on first use, the elimination
+    rows-only (kernel None) by `boundaries` until a reader wants Z_n.
     """
 
     __slots__ = ("labels", "index", "columns", "elimination")
@@ -120,9 +122,25 @@ class ChainComplex:
 
     def elimination(self, n: int) -> linalg.Rref:
         rec = self.record(n)
-        if rec.elimination is None:
+        if rec.elimination is None or rec.elimination.kernel is None:
             rec.elimination = linalg.rref(self.columns(n))
         return rec.elimination
+
+    def boundaries(self, n: int) -> linalg.Rref:
+        """B_n as an echelon form: elimination(n + 1) if it exists, else a
+        rows-only one, kept on that record."""
+        rec = self.record(n + 1)
+        if rec.elimination is None:
+            rec.elimination = self._boundary_rows(n + 1)
+        return rec.elimination
+
+    def _boundary_rows(self, n: int) -> linalg.Rref:
+        """The rows-only echelon form of d_n's columns."""
+        return linalg.rref(self.columns(n), kernel=False)
+
+    def apply_d(self, n: int, vec) -> dict:
+        """d_n of a vector of C_n, over the cached columns."""
+        return linalg.combine(vec, self.columns(n)) if vec else {}
 
     def computable(self, n: int) -> bool:
         """H_n can be computed: C_n and C_{n-1} are complete."""

@@ -22,8 +22,11 @@ An evaluation context builds, besides Rel(psi) and the cone of
 post-composition on derivation spaces, three adjoint cones whose phi_* are
 the maps the evaluation subgroups are kernels of: ad: L -> Der(L, L; 1),
 ad_psi: K -> Der(L, K; psi), whose sequence is the long exact derivation
-homology sequence, and (ad_psi, ad) between the first two cones.  Of the
-three, only Rel(ad_psi) ever assembles its own differential.
+homology sequence, and (ad_psi, ad) between the first two cones.  A subgroup
+reads its cone's phi and the boundaries of phi's target, so only Rel(ad_psi),
+for `les`, ever assembles its own differential.  A cone's boundaries extend
+W's echelon rows by the residuals of its V columns, so Rel(psi_*) never
+eliminates its stacked matrix; the differential's one home is `apply_d`.
 """
 from __future__ import annotations
 
@@ -85,15 +88,21 @@ class RelComplex(ChainComplex):
         return self.d_columns(n)
 
     def d_columns(self, n: int) -> list:
-        cols = []
-        for col in self.W.columns(n):
-            cols.append(self.join(n - 1, {k: -c for k, c in col.items()}, {}))
-        dV = self.V.columns(n - 1)
-        for j in range(self.V.dim(n - 1)):
-            vobj = self.V.from_vector(n - 1, {j: 1})
-            wpart = self.W.to_vector(n - 1, self.phi(vobj))
-            cols.append(self.join(n - 1, wpart, dV[j]))
-        return cols
+        return [self.apply_d(n, {i: 1}) for i in range(self.dim(n))]
+
+    def apply_d(self, n: int, vec) -> dict:
+        """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of a vector of Rel_n."""
+        wvec, vvec = self.split(n, vec)
+        image = self.W.to_vector(n - 1, self.phi(self.V.from_vector(n - 1, vvec))) if vvec else {}
+        wpart = linalg.vec_add(image, self.W.apply_d(n, wvec), -1)
+        return self.join(n - 1, wpart, self.V.apply_d(n - 1, vvec))
+
+    def _boundary_rows(self, n: int) -> linalg.Rref:
+        """B_{n-1} with no stacked elimination: W's boundaries span the -d_W
+        block, and the residuals of the V columns by them extend that form."""
+        base = self.W.boundaries(n - 1)
+        cols = (self.apply_d(n, {i: 1}) for i in range(self.W.dim(n), self.dim(n)))
+        return linalg.extend(base, linalg.rref([base.reduce(c) for c in cols], kernel=False))
 
     # -- the long exact sequence, in class coordinates ---------------------------
 

@@ -11,9 +11,11 @@ Degrees are topological on the reports (internal degree = topological - 1).
 An `EvaluationContext` builds the complexes of one morphism once, with the
 cones Rel(psi) and Rel(psi_*) and three adjoint cones, one per subgroup:
 Rel(ad), Rel(ad_psi) and Rel(ad_psi, ad).  Each subgroup is the kernel of the
-first map phi_* of its cone's long exact sequence, read from the cone's one
-elimination of that map, so the evaluation subgroup, the image that `g_vs_p`
-intersects and `les` all read one matrix and one elimination per degree.  The
+first map phi_* of its cone's long exact sequence: the classes whose image
+under phi is a boundary.  It reads only the boundaries of phi's target: each
+image, checked exactly to be a cycle, is reduced by them, and as class
+coordinates are an injective image of the residuals, their kernel is ker phi_*.
+`g_vs_p` and `les` read phi_* itself, from the cone's one elimination.  The
 G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
 restricted from the long exact homology sequence of Rel(psi), whose maps it
 reads from that cone; a class's coordinates in a subgroup are its entries at
@@ -168,7 +170,7 @@ class EvaluationContext:
     # -- kernels of the three vertical maps ---------------------------------
 
     def _kernel(self, cone: RelComplex, m: int) -> _Subgroup:
-        """ker phi_* in H_m of an adjoint cone's source, from phi_*'s one elimination."""
+        """ker phi_* in H_m of an adjoint cone's source: the classes phi sends to boundaries."""
         key = (cone, m)
         if key in self._kernels:
             return self._kernels[key]
@@ -180,7 +182,14 @@ class EvaluationContext:
                 f"{cone.name} subgroup at internal degree {m} is outside the computable window"
             )
         else:
-            kernel = cone.les_rref("phi", m).kernel_space()
+            bounds = dst.boundaries(m) if dst.complete(m + 1) else linalg.Rref()
+            residuals = []
+            for row in src.homology(m).rep_rows:
+                img = dst.to_vector(m, cone.phi(src.from_vector(m, row)))
+                if dst.apply_d(m, img):
+                    raise InternalError(f"{cone.name}: phi sends a cycle to a non-cycle")
+                residuals.append(bounds.reduce(img))
+            kernel = linalg.rref(residuals).kernel_space()
             group = _Subgroup(src, m, kernel, src.trusted(m) and dst.trusted(m))
         self._kernels[key] = group
         return group

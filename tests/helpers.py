@@ -8,7 +8,9 @@ has no solution.
 """
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from dglcalc import DglModel, DglMorphism, FreeLieAlgebra, LieElement
@@ -31,6 +33,37 @@ FIXTURE_MAPS = (
     ("one_cell_attachment.dgl", "i"),
     ("s3_into_s3xs3.dgl", "j"),
 )
+
+
+def _bench_workloads():
+    """The benchmark's workload module, which imports nothing from dglcalc."""
+    name = "_bench_workloads"
+    if name not in sys.modules:
+        path = FIXTURES.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def in_order(vectors) -> list:
+    """Vectors as their (index, type name, value) items in dict order: an int
+    differs from an equal Fraction, and so does a reordered dict."""
+    return [[(k, type(v).__name__, v) for k, v in vec.items()] for vec in vectors]
+
+
+def cmd_mix_map_ids() -> list:
+    """`slot-variant` of every map file that the benchmark's cmd-mix generates."""
+    wl = _bench_workloads()
+    return [f"{slot.name}-{v}" for slot in wl.MAP_SLOTS for v in range(wl.VARIANTS)]
+
+
+def cmd_mix_map(case):
+    """The map `i` of a cmd-mix generated file, at the file's truncation."""
+    wl = _bench_workloads()
+    name, variant = case.split("-")
+    slot = next(s for s in wl.MAP_SLOTS if s.name == name)
+    return parse_workspace(wl.slot_text(slot, int(variant)), truncation=slot.truncation).map("i")
 
 
 def basis_element(alg, word):

@@ -14,7 +14,9 @@ from dglcalc import (
     adjoint,
     zero_morphism,
 )
+from dglcalc.errors import InternalError
 from dglcalc.modelfile import parse_workspace
+from dglcalc.relative import RelComplex
 from dglcalc.subgroups import (
     EvaluationContext,
     coformal_bounding_derivation,
@@ -33,7 +35,10 @@ from .conftest import (
 from .helpers import (
     FIXTURE_MAPS,
     FIXTURES,
+    cmd_mix_map,
+    cmd_mix_map_ids,
     fixture_map,
+    in_order,
     random_model,
     random_upper_grading,
     random_validated_morphism,
@@ -425,13 +430,17 @@ def test_g_sequence_builds_each_differential_once(monkeypatch):
 
 
 def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
-    # the three subgroups of the ladder, the image that g_vs_p intersects and
-    # the LES all read phi_* of an adjoint cone: each matrix is built and
-    # eliminated at most once per degree.  Only the LES, through H(Rel(ad_psi)),
-    # needs an adjoint cone's own differential.
+    # A subgroup reads only the boundaries of its adjoint cone's target: the
+    # G-sequence builds no homology slice of Der(L, L), Der(L, K; psi) or
+    # Rel(psi_*), never assembles Rel(psi_*)'s columns, and eliminates each
+    # target degree at most once, rows-only.  phi_* of an adjoint cone is built
+    # only for the image that g_vs_p intersects and for the LES, each matrix
+    # built and eliminated at most once per degree.  Only the LES, through
+    # H(Rel(ad_psi)), needs an adjoint cone's own differential.
     import sys
 
     from dglcalc import complexes, linalg
+    from dglcalc.complexes import ChainComplex
     from dglcalc.relative import RelComplex
 
     original = complexes.induced_matrix
@@ -445,41 +454,72 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("dglcalc") and getattr(module, "induced_matrix", None) is original:
             monkeypatch.setattr(module, "induced_matrix", counted)
-    eliminated, assembled = [], []
+    eliminated, kinds, assembled, sliced, full, rows_only = [], [], [], [], [], []
     rref, d_columns = linalg.rref, RelComplex.d_columns
+    homology, elimination = ChainComplex.homology, ChainComplex.elimination
 
     def counted_rref(rows, *args, **kwargs):
         eliminated.append(rows)
+        kinds.append(kwargs.get("kernel", args[0] if args else True))
         return rref(rows, *args, **kwargs)
 
     def counted_d_columns(cone, n):
         assembled.append(cone)
         return d_columns(cone, n)
 
+    def counted_homology(cplx, n):
+        sliced.append(cplx)
+        return homology(cplx, n)
+
+    def counted_elimination(cplx, n):
+        full.append(cplx)
+        return elimination(cplx, n)
+
+    for cls in (ChainComplex, RelComplex):
+        def counted_rows(cplx, n, _build=cls._boundary_rows):
+            rows_only.append((cplx, n))
+            return _build(cplx, n)
+
+        monkeypatch.setattr(cls, "_boundary_rows", counted_rows)
     monkeypatch.setattr(linalg, "rref", counted_rref)
     monkeypatch.setattr(RelComplex, "d_columns", counted_d_columns)
+    monkeypatch.setattr(ChainComplex, "homology", counted_homology)
+    monkeypatch.setattr(ChainComplex, "elimination", counted_elimination)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cp2_to_s4.dgl"
     psi = parse_workspace(fixture.read_text(), truncation=10).map("f")
     ctx = EvaluationContext(psi)
     tops = ctx.computable_tops()
+    ctx.g_sequence(tops)
+    targets = (ctx.der_LL, ctx.der_LK, ctx.rel_star)
+
+    def is_target(cplx):
+        return any(cplx is t for t in targets)
+
+    assert not [c for c in sliced + full if is_target(c)]
+    assert not [c for c in assembled if c is ctx.rel_star]
+    assert not [dst for _, _, dst, _ in calls if is_target(dst)]
+    built = [(id(c), n) for c, n in rows_only]
+    assert {i for i, _ in built} == {id(t) for t in targets}
+    assert len(built) == len(set(built))
+    # each degree's one elimination is rows-only, and no other is
+    assert kinds.count(False) == len(built)
+    columns = [t.record(n).columns for t in targets[:2] for n in t._records]
+    assert not [r for r, k in zip(eliminated, kinds) if k and any(r is c for c in columns)]
+
     for top in tops:
         ctx.evaluation_subgroup(top)
         ctx.g_vs_p(top)
-    ctx.g_sequence(tops)
     cones = (ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair)
     assert assembled and not [c for c in assembled if any(c is cone for cone in cones)]
     ctx.les([top - 1 for top in tops])
     assert {id(c) for c in assembled if any(c is cone for cone in cones)} == {id(ctx.rel_ad)}
     degrees = [n for src, n, dst, _ in calls if src is ctx.cK and dst is ctx.der_LK]
     assert sorted(degrees) == sorted(set(degrees)) == [top - 1 for top in tops]
-    empty_maps = []
-    for cone in cones:
-        built = [(n, cols) for src, n, dst, cols in calls if src is cone.V and dst is cone.W]
-        degrees = [n for n, _ in built]
-        assert degrees and sorted(degrees) == sorted(set(degrees)), cone.name
-        counts = [sum(rows is cols for rows in eliminated) for _, cols in built]
-        assert max(counts) == 1, (cone.name, counts)
-        empty_maps += [c for (_, cols), c in zip(built, counts) if not cols]
+    assert not [dst for _, _, dst, _ in calls if dst is ctx.der_LL or dst is ctx.rel_star]
+    built = [(n, cols) for src, n, dst, cols in calls if src is ctx.cK and dst is ctx.der_LK]
+    counts = [sum(rows is cols for rows in eliminated) for _, cols in built]
+    assert max(counts) == 1, counts
+    empty_maps = [c for (_, cols), c in zip(built, counts) if not cols]
     assert empty_maps and not any(empty_maps)  # a map without columns is not eliminated
 
 
@@ -510,6 +550,50 @@ def test_g_sequence_eliminates_each_restricted_map_once(monkeypatch, path, name)
     pairs = [(id(src), id(dst)) for src, dst, _ in built]
     assert len(pairs) == len(set(pairs)) == 3 * len(tops) + 1
     assert [sum(rows is r for r in eliminated) for _, _, rows in built] == [1] * len(built)
+
+
+def _map_case(case):
+    """A fixture map (file, name), a cmd-mix generated map or a seeded random map."""
+    if isinstance(case, tuple):
+        return fixture_map(*case)
+    return random_validated_morphism(case) if isinstance(case, int) else cmd_mix_map(case)
+
+
+@pytest.mark.parametrize(
+    "case", [*FIXTURE_MAPS, *cmd_mix_map_ids(), *range(40)],
+    ids=lambda c: ":".join(c) if isinstance(c, tuple) else f"{c}",
+)
+def test_kernel_is_the_echelon_kernel_of_phi_star(case):
+    # the kernel read from the target's boundaries is the canonical kernel of
+    # phi_* in class coordinates; every kernel is built before any phi_* is, so
+    # each reads its target's rows-only eliminations.  The seeded maps give
+    # kernels that are neither zero nor the whole group.
+    ctx = EvaluationContext(_map_case(case))
+    got = {}
+    for cone in (ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair):
+        m = 1
+        while cone.V.computable(m) and cone.W.computable(m):
+            got[cone, m] = ctx._kernel(cone, m).basis
+            m += 1
+    assert len({cone.name for cone, _ in got}) == 3
+    for (cone, m), basis in got.items():
+        want = cone.les_rref("phi", m).kernel_space()
+        assert basis.pivots == want.pivots and in_order(basis.rows) == in_order(want.rows), (
+            cone.name, m)
+
+
+def test_kernel_refuses_an_adjoint_that_sends_a_cycle_to_a_non_cycle():
+    # the exact cycle check in _kernel is live: a phi that adds a derivation
+    # with a nonzero differential to each adjoint is an internal error
+    psi = fixture_map("one_cell_attachment.dgl", "i")
+    ctx = EvaluationContext(psi)
+    m = next(m for m in range(1, 6) if ctx.cK.homology(m).dim and ctx.der_LK.computable(m))
+    j = next(j for j in range(ctx.der_LK.dim(m)) if ctx.der_LK.apply_d(m, {j: 1}))
+    theta = ctx.der_LK.from_vector(m, {j: 1})
+    cone = RelComplex(ctx.cK, ctx.der_LK, lambda y: adjoint(psi, y) + theta, name="broken-ad")
+    with pytest.raises(InternalError, match="broken-ad"):
+        ctx._kernel(cone, m)
+    assert ctx._kernel(ctx.rel_ad, m).dim <= ctx.cK.homology(m).dim
 
 
 def test_evaluation_context_is_freed_without_the_cycle_collector():
