@@ -15,7 +15,10 @@ word from the target's cache (`DglModel._d_word`), is
 
 The degree-n basis of the complex pairs each source generator g with a basis
 monomial of the target in degree |g|+n, so the whole complex reduces to exact
-sparse linear algebra.
+sparse linear algebra.  A generator g that no d_L reaches through psi's Fox
+table is uncoupled: theta o d_L = 0 for the basis derivation theta_{g,w}, so
+D(theta_{g,w}) = d_K w in g's block, and `DerComplex.d_columns` writes that
+column straight from the target's word cache.
 """
 from __future__ import annotations
 
@@ -165,6 +168,8 @@ class DerComplex(ChainComplex):
         self.psi = psi
         self.trunc = min(psi.source.truncation, psi.target.truncation)
         self._max_src = psi.source.max_generator_degree
+        # generators that some d_L reaches through psi's Fox table (module docstring)
+        self._coupled = {g for dx in psi.source.diff.values() for u in dx.terms for g in psi.fox(u)}
 
     def complete(self, n: int) -> bool:
         return self._max_src + n <= self.trunc
@@ -201,10 +206,14 @@ class DerComplex(ChainComplex):
         return vec
 
     def d_columns(self, n: int) -> list:
-        gens, tgt = self.psi.source.generators, self.psi.target.algebra
+        gens, tgt, d_word = self.psi.source.generators, self.psi.target.algebra, self.psi.target._d_word
         cols = []
         for gi, word in self.record(n).labels:
             g = gens[gi]
+            if g.name not in self._coupled:
+                index = self.record(n - 1).index
+                cols.append({index[(gi, w)]: c for w, c in d_word(word).terms.items()})
+                continue
             basis_value = LieElement(tgt, g.degree + n, {word: 1})
             theta = GenDerivation(self.psi, n, {g.name: basis_value})
             cols.append(self.to_vector(n - 1, theta.differential()))

@@ -20,7 +20,19 @@ from .conftest import (
     make_cp2_model,
     make_sphere_model,
 )
-from .helpers import FIXTURE_MAPS, basis_element, fixture_map, homology_dims, random_validated_morphism
+from dglcalc.modelfile import parse_workspace
+
+from .helpers import (
+    FIXTURE_MAPS,
+    FIXTURES,
+    basis_element,
+    cmd_mix_map,
+    cmd_mix_map_ids,
+    fixture_map,
+    homology_dims,
+    in_order,
+    random_validated_morphism,
+)
 
 F = Fraction
 
@@ -328,12 +340,14 @@ def test_word_evaluators_match_tensor_oracle(seed):
             assert oracles.tensor_expansion(d_theta.value(g.name)) == want, (g.name, theta.degree)
 
 
-# -- the complex's columns against the per-derivation evaluator -----------------------
+# -- the complex's columns against the per-derivation evaluators -------------------
 
 
 def _assert_columns_match_oracle(psi):
-    # column (g, w) of D in degree n is D(theta_{g,w}), evaluated by the
-    # package's earlier Leibniz recursion with a fresh cache per derivation
+    # column (g, w) of D in degree n is D(theta_{g,w}), evaluated both by the
+    # package's earlier Leibniz recursion with a fresh cache per derivation and
+    # by GenDerivation.differential, and equal to both in value, coefficient
+    # type and dict order, whichever path d_columns took
     from . import oracles
 
     cx = DerComplex(psi)
@@ -342,11 +356,27 @@ def _assert_columns_match_oracle(psi):
     checked = set()
     for n in range(1 - psi.source.max_generator_degree, top + 1):
         for (gi, word), column in zip(cx.record(n).labels, cx.columns(n)):
-            gname = psi.source.generators[gi].name
-            theta = oracles.GenDerivation(psi, n, {gname: basis_element(tgt, word)})
-            assert column == cx.to_vector(n - 1, theta.differential()), (n, gname, word)
+            values = {psi.source.generators[gi].name: basis_element(tgt, word)}
+            oracle = cx.to_vector(n - 1, oracles.GenDerivation(psi, n, values).differential())
+            package = cx.to_vector(n - 1, GenDerivation(psi, n, values).differential())
+            assert in_order([column]) == in_order([oracle]) == in_order([package]), (n, gi, word)
             checked.add(n % 2)
     assert checked == {0, 1}
+
+
+def _generators_through_differential(psi, monkeypatch) -> set:
+    """The generators whose columns `DerComplex.d_columns` builds through
+    `GenDerivation.differential`, over every degree of the complex."""
+    seen = set()
+    real = GenDerivation.differential
+    monkeypatch.setattr(
+        GenDerivation, "differential", lambda theta: seen.update(theta.values) or real(theta)
+    )
+    cx = DerComplex(psi)
+    for n in range(1 - psi.source.max_generator_degree, cx.trunc - psi.source.max_generator_degree + 1):
+        cx.columns(n)
+    monkeypatch.undo()
+    return seen
 
 
 @pytest.mark.parametrize("path, name", FIXTURE_MAPS)
@@ -357,3 +387,55 @@ def test_der_columns_match_oracle_on_fixture_maps(path, name):
 @pytest.mark.parametrize("seed", _seeds_with_differential(6))
 def test_der_columns_match_oracle_on_random_morphisms(seed):
     _assert_columns_match_oracle(random_validated_morphism(seed, max_gens=3, truncation=7))
+
+
+@pytest.mark.parametrize("case", cmd_mix_map_ids())
+def test_der_columns_match_oracle_on_cmd_mix_maps(case):
+    _assert_columns_match_oracle(cmd_mix_map(case))
+
+
+def test_only_generators_reached_by_d_through_psi_are_coupled(monkeypatch):
+    # d c = [a, b] reaches a and b through psi's Fox table; nothing reaches c,
+    # so c's columns are d_K of their words and never build a derivation
+    psi = fixture_map("one_cell_attachment.dgl", "i", truncation=11)
+    assert DerComplex(psi)._coupled == {"a", "b"}
+    assert _generators_through_differential(psi, monkeypatch) == {"a", "b"}
+
+
+def test_der_columns_of_a_zero_morphism_are_all_direct(monkeypatch):
+    # every Fox chain of [a, b] passes through a zero psi(.), so no generator
+    # is coupled even though d c != 0
+    ws = parse_workspace((FIXTURES / "one_cell_attachment.dgl").read_text(), truncation=11)
+    psi = zero_morphism(ws.model("X"), ws.model("Y"))
+    assert DerComplex(psi)._coupled == set()
+    assert _generators_through_differential(psi, monkeypatch) == set()
+    _assert_columns_match_oracle(psi)
+
+
+def _one_cell_pair(order, half=False):
+    """The one-cell attachment X -> Y with X's generators in the given order,
+    and d c = [a, b] scaled by 1/2 on both sides when `half` is set."""
+    degrees = {"a": 2, "b": 2, "c": 5}
+    scale = F(1, 2) if half else 1
+    X = FreeLieAlgebra([(g, degrees[g]) for g in order], truncation=11)
+    Y = FreeLieAlgebra([("a", 2), ("b", 2), ("c", 5), ("y", 3)], truncation=11)
+    src = DglModel(X, {"c": scale * X.gen("a").bracket(X.gen("b"))})
+    dst = DglModel(Y, {"c": scale * Y.gen("a").bracket(Y.gen("b")), "y": Y.gen("a")})
+    return DglMorphism(src, dst, {g: Y.gen(g) for g in order})
+
+
+def test_der_columns_with_fraction_coefficients_in_d_L(monkeypatch):
+    psi = _one_cell_pair("abc", half=True)
+    assert _generators_through_differential(psi, monkeypatch) == {"a", "b"}
+    cx = DerComplex(psi)
+    assert any(isinstance(c, Fraction) for n in range(-4, 7) for col in cx.columns(n) for c in col.values())
+    _assert_columns_match_oracle(psi)
+
+
+@pytest.mark.parametrize("order", ["abc", "acb", "bac", "bca", "cab", "cba"])
+def test_der_columns_under_shuffled_generator_orders(order, monkeypatch):
+    # c, uncoupled, comes before, between and after the coupled a and b, and
+    # its couplings go to earlier and later generator indices
+    psi = _one_cell_pair(order)
+    assert _generators_through_differential(psi, monkeypatch) == {"a", "b"}
+    _assert_columns_match_oracle(psi)
