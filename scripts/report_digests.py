@@ -6,9 +6,9 @@ them byte-identical.
     python3 scripts/report_digests.py --compare A B
 
 Runs every distinct op of the benchmark workloads in-process, through the
-`dglcalc` of CHECKOUT (default: this checkout), plus `gseq --format json` of
-`one_cell_attachment.dgl i` at N=13-21 and `evsub` and `grel` of it at N=16-21
-(the pseudo-workload `gseq-scaling`).
+`dglcalc` of CHECKOUT (default: this checkout), plus `--format json` runs of
+`one_cell_attachment.dgl i`: `gseq` at N=13-21, `evsub` and `grel` at N=16-21,
+`les` at N=13-17 and `gvp` at N=13-15 (the pseudo-workload `gseq-scaling`).
 Every op that does not --emit runs a second time without `--format json`, so
 the default text rendering is digested too, under the key of that argv.
 Writes one md5 of (exit code, stdout, stderr) per op to FILE as JSON.  The
@@ -34,6 +34,7 @@ def scaling_ops(wl) -> list:
     f = f"{wl.FIXTURES}/one_cell_attachment.dgl"
     runs = [("gseq", n) for n in range(13, 22)]
     runs += [(cmd, n) for cmd in ("evsub", "grel") for n in range(16, 22)]
+    runs += [("les", n) for n in range(13, 18)] + [("gvp", n) for n in range(13, 16)]
     return [wl.Op((cmd, f, "i", "--max-degree", str(n), "--format", "json")) for cmd, n in runs]
 
 

@@ -2,20 +2,24 @@
 
 Every complex in the package (a DGL, a derivation space, a relativization)
 implements the same small interface: basis labels, a completeness predicate
-saying whether the degree is fully known under the truncation, differential
-columns, and conversions between basis vectors and domain objects.  The base
-class keeps one record per degree (the labels, their index and the single
-elimination of d_n) that dimensions, conversions and homology read.  A
-homology slice is `linalg.quotient_basis` of two echelon forms already built,
-Z_n (the kernel of d_n's elimination) and B_n (the rows of d_{n+1}'s), so it
-eliminates nothing: its representatives are the rows of Z_n whose pivots are
-not pivots of B_n.  Slices carry these deterministic representative cycles
-and read the class coordinates of any cycle from their echelon form, which is
-all the downstream subgroup machinery needs.  It is the package's one quotient
-of cycles by boundaries: long exact sequence nodes and G-sequence terms read
-their homology from it too, and boundaries that are not cycles (d^2 != 0, or
-a nonzero composite) are an `InternalError` wherever they appear.  A reader
-of B_n alone, as a subgroup kernel is of its target, calls `boundaries(n)`.
+saying whether the degree is fully known under the truncation, the
+differential column of one basis label, and conversions between basis vectors
+and domain objects.  The base class keeps one record per degree (the labels,
+their index, the columns built so far and the single elimination of d_n) that
+dimensions, conversions and homology read.  Each column is built at most once:
+`apply_d`, d of a lone vector such as a cycle check's, builds only the columns
+of the vector's support, and a reader of every column takes `columns(n)`,
+which reuses them.  A homology slice is `linalg.quotient_basis` of two echelon
+forms already built, Z_n (the kernel of d_n's elimination) and B_n (the rows
+of d_{n+1}'s), so it eliminates nothing: its representatives are the rows of
+Z_n whose pivots are not pivots of B_n.  Slices carry these deterministic
+representative cycles and read the class coordinates of any cycle from their
+echelon form, which is all the downstream subgroup machinery needs.  It is the
+package's one quotient of cycles by boundaries: long exact sequence nodes and
+G-sequence terms read their homology from it too, and boundaries that are not
+cycles (d^2 != 0, or a nonzero composite) are an `InternalError` wherever they
+appear.  A reader of B_n alone, as a subgroup kernel is of its target, calls
+`boundaries(n)`.
 
 Truncation discipline: H_n needs C_{n-1}, C_n, C_{n+1}.  The first two are
 required to compute anything; if C_{n+1} is incomplete the slice is computed
@@ -63,17 +67,21 @@ class HomologySlice:
 class DegreeRecord:
     """One degree of a complex: basis labels, their index, d_n and its elimination.
 
-    The columns of d_n are built once, for the elimination and for any cone
-    over the complex.  The elimination is their single rref: its kernel is Z_n
-    and its rows span B_{n-1}.  Both are filled on first use, the elimination
-    rows-only (kernel None) by `boundaries` until a reader wants Z_n.
+    Each column of d_n is built at most once.  A reader of a few vectors
+    (`apply_d`) builds only the columns of their support, into `built`; a
+    reader of every column (the elimination, a cone over the complex) takes
+    `columns`, the whole list, which reuses those.  The elimination is their
+    single rref: its kernel is Z_n and its rows span B_{n-1}.  Both are
+    filled on first use, the elimination rows-only (kernel None) by
+    `boundaries` until a reader wants Z_n.
     """
 
-    __slots__ = ("labels", "index", "columns", "elimination")
+    __slots__ = ("labels", "index", "built", "columns", "elimination")
 
     def __init__(self, labels: list):
         self.labels = labels
         self.index = {lab: i for i, lab in enumerate(labels)}
+        self.built: dict = {}
         self.columns: Optional[list] = None
         self.elimination: Optional[linalg.Rref] = None
 
@@ -90,8 +98,13 @@ class ChainComplex:
     def complete(self, n: int) -> bool:
         raise NotImplementedError
 
+    def d_column(self, n: int, i: int) -> dict:
+        """The image in C_{n-1} of the i-th basis vector of C_n."""
+        raise NotImplementedError
+
     def d_columns(self, n: int) -> list:
-        """Images in C_{n-1} of the basis vectors of C_n."""
+        """Images in C_{n-1} of the basis vectors of C_n: the columns already
+        built alone, and d_column of the others."""
         raise NotImplementedError
 
     def labels(self, n: int) -> list:
@@ -113,11 +126,22 @@ class ChainComplex:
     def dim(self, n: int) -> int:
         return len(self.record(n).labels)
 
+    def column(self, n: int, i: int) -> dict:
+        """d_column(n, i), built at most once per degree."""
+        rec = self.record(n)
+        if rec.columns is not None:
+            return rec.columns[i]
+        col = rec.built.get(i)
+        if col is None:
+            col = rec.built[i] = self.d_column(n, i)
+        return col
+
     def columns(self, n: int) -> list:
-        """d_columns(n), built once per degree."""
+        """d_columns(n), built once per degree; it reuses the columns built alone."""
         rec = self.record(n)
         if rec.columns is None:
             rec.columns = self.d_columns(n)
+            rec.built.clear()
         return rec.columns
 
     def elimination(self, n: int) -> linalg.Rref:
@@ -139,8 +163,10 @@ class ChainComplex:
         return linalg.rref(self.columns(n), kernel=False)
 
     def apply_d(self, n: int, vec) -> dict:
-        """d_n of a vector of C_n, over the cached columns."""
-        return linalg.combine(vec, self.columns(n)) if vec else {}
+        """d_n of a vector of C_n.  It equals linalg.combine(vec, columns(n)),
+        which reads only the columns of vec's support, so only those are
+        built while degree n is not assembled."""
+        return linalg.combine(vec, {i: self.column(n, i) for i in vec})
 
     def computable(self, n: int) -> bool:
         """H_n can be computed: C_n and C_{n-1} are complete."""
@@ -205,9 +231,12 @@ class DglComplex(ChainComplex):
             return []
         return list(self.model.algebra._basis_data(n).words)
 
+    def d_column(self, n: int, i: int) -> dict:
+        return self.to_vector(n - 1, self.model._d_word(self.record(n).labels[i]))
+
     def d_columns(self, n: int) -> list:
-        d_word = self.model._d_word
-        return [self.to_vector(n - 1, d_word(word)) for word in self.record(n).labels]
+        built = self.record(n).built
+        return [built[i] if i in built else self.d_column(n, i) for i in range(self.dim(n))]
 
     def from_vector(self, n: int, vec) -> LieElement:
         words = self.record(n).labels

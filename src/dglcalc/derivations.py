@@ -17,8 +17,11 @@ The degree-n basis of the complex pairs each source generator g with a basis
 monomial of the target in degree |g|+n, so the whole complex reduces to exact
 sparse linear algebra.  A generator g that no d_L reaches through psi's Fox
 table is uncoupled: theta o d_L = 0 for the basis derivation theta_{g,w}, so
-D(theta_{g,w}) = d_K w in g's block, and `DerComplex.d_columns` writes that
-column straight from the target's word cache.
+D(theta_{g,w}) = d_K w in g's block, and `DerComplex.d_column` writes that
+column straight from the target's word cache; a coupled column is
+D(theta_{g,w}) through `GenDerivation.differential`.  As in every complex,
+each column is built at most once per degree, alone for d of a lone
+derivation or with the rest of its degree for an elimination.
 """
 from __future__ import annotations
 
@@ -205,16 +208,16 @@ class DerComplex(ChainComplex):
                 vec[index[(gi, word)]] = c
         return vec
 
+    def d_column(self, n: int, i: int) -> dict:
+        gi, word = self.record(n).labels[i]
+        g = self.psi.source.generators[gi]
+        if g.name not in self._coupled:
+            index = self.record(n - 1).index
+            return {index[(gi, w)]: c for w, c in self.psi.target._d_word(word).terms.items()}
+        basis_value = LieElement(self.psi.target.algebra, g.degree + n, {word: 1})
+        theta = GenDerivation(self.psi, n, {g.name: basis_value})
+        return self.to_vector(n - 1, theta.differential())
+
     def d_columns(self, n: int) -> list:
-        gens, tgt, d_word = self.psi.source.generators, self.psi.target.algebra, self.psi.target._d_word
-        cols = []
-        for gi, word in self.record(n).labels:
-            g = gens[gi]
-            if g.name not in self._coupled:
-                index = self.record(n - 1).index
-                cols.append({index[(gi, w)]: c for w, c in d_word(word).terms.items()})
-                continue
-            basis_value = LieElement(tgt, g.degree + n, {word: 1})
-            theta = GenDerivation(self.psi, n, {g.name: basis_value})
-            cols.append(self.to_vector(n - 1, theta.differential()))
-        return cols
+        built = self.record(n).built
+        return [built[i] if i in built else self.d_column(n, i) for i in range(self.dim(n))]

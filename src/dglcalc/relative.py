@@ -26,7 +26,9 @@ homology sequence, and (ad_psi, ad) between the first two cones.  A subgroup
 reads its cone's phi and the boundaries of phi's target, so only Rel(ad_psi),
 for `les`, ever assembles its own differential.  A cone's boundaries extend
 W's echelon rows by the residuals of its V columns, so Rel(psi_*) never
-eliminates its stacked matrix; the differential's one home is `apply_d`.
+eliminates its stacked matrix.  The differential's one home is `d_column`,
+the column of one basis vector: -d_W w for w, and (phi(v), d_V v) for v, read
+from the factors' columns; a cycle check builds only its support's columns.
 """
 from __future__ import annotations
 
@@ -83,25 +85,28 @@ class RelComplex(ChainComplex):
         w, v = obj
         return self.join(n, self.W.to_vector(n, w), self.V.to_vector(n - 1, v))
 
-    def columns(self, n: int) -> list:
-        # only the elimination reads a cone's columns, so they are not kept
-        return self.d_columns(n)
+    def d_column(self, n: int, i: int) -> dict:
+        """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of the i-th basis vector."""
+        wdim = self.W.dim(n)
+        if i < wdim:
+            return {k: -c for k, c in self.W.column(n, i).items()}
+        j = i - wdim
+        image = self.W.to_vector(n - 1, self.phi(self.V.from_vector(n - 1, {j: 1})))
+        return self.join(n - 1, image, self.V.column(n - 1, j))
 
     def d_columns(self, n: int) -> list:
-        return [self.apply_d(n, {i: 1}) for i in range(self.dim(n))]
-
-    def apply_d(self, n: int, vec) -> dict:
-        """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of a vector of Rel_n."""
-        wvec, vvec = self.split(n, vec)
-        image = self.W.to_vector(n - 1, self.phi(self.V.from_vector(n - 1, vvec))) if vvec else {}
-        wpart = linalg.vec_add(image, self.W.apply_d(n, wvec), -1)
-        return self.join(n - 1, wpart, self.V.apply_d(n - 1, vvec))
+        # every column of W_n and V_{n-1} is read, so each is assembled whole
+        self.W.columns(n)
+        self.V.columns(n - 1)
+        built = self.record(n).built
+        return [built[i] if i in built else self.d_column(n, i) for i in range(self.dim(n))]
 
     def _boundary_rows(self, n: int) -> linalg.Rref:
         """B_{n-1} with no stacked elimination: W's boundaries span the -d_W
         block, and the residuals of the V columns by them extend that form."""
         base = self.W.boundaries(n - 1)
-        cols = (self.apply_d(n, {i: 1}) for i in range(self.W.dim(n), self.dim(n)))
+        self.V.columns(n - 1)  # every V column is read
+        cols = (self.column(n, i) for i in range(self.W.dim(n), self.dim(n)))
         return linalg.extend(base, linalg.rref([base.reduce(c) for c in cols], kernel=False))
 
     # -- the long exact sequence, in class coordinates ---------------------------

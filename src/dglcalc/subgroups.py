@@ -12,9 +12,11 @@ An `EvaluationContext` builds the complexes of one morphism once, with the
 cones Rel(psi) and Rel(psi_*) and three adjoint cones, one per subgroup:
 Rel(ad), Rel(ad_psi) and Rel(ad_psi, ad).  Each subgroup is the kernel of the
 first map phi_* of its cone's long exact sequence: the classes whose image
-under phi is a boundary.  It reads only the boundaries of phi's target: each
-image, checked exactly to be a cycle, is reduced by them, and as class
-coordinates are an injective image of the residuals, their kernel is ker phi_*.
+under phi is a boundary.  It reads only the boundaries of phi's target, and
+only where the source has classes, as a map out of a zero group has a zero
+kernel: each image, checked exactly to be a cycle, is reduced by them, and as
+class coordinates are an injective image of the residuals, their kernel is
+ker phi_*.
 `g_vs_p` and `les` read phi_* itself, from the cone's one elimination.  The
 G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
 restricted from the long exact homology sequence of Rel(psi), whose maps it
@@ -182,9 +184,10 @@ class EvaluationContext:
                 f"{cone.name} subgroup at internal degree {m} is outside the computable window"
             )
         else:
-            bounds = dst.boundaries(m) if dst.complete(m + 1) else linalg.Rref()
+            rows = src.homology(m).rep_rows
+            bounds = dst.boundaries(m) if rows and dst.complete(m + 1) else linalg.Rref()
             residuals = []
-            for row in src.homology(m).rep_rows:
+            for row in rows:
                 img = dst.to_vector(m, cone.phi(src.from_vector(m, row)))
                 if dst.apply_d(m, img):
                     raise InternalError(f"{cone.name}: phi sends a cycle to a non-cycle")

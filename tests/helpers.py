@@ -58,12 +58,34 @@ def cmd_mix_map_ids() -> list:
     return [f"{slot.name}-{v}" for slot in wl.MAP_SLOTS for v in range(wl.VARIANTS)]
 
 
-def cmd_mix_map(case):
-    """The map `i` of a cmd-mix generated file, at the file's truncation."""
+def cmd_mix_map_text(case) -> tuple:
+    """(text, truncation) of a cmd-mix generated map file."""
     wl = _bench_workloads()
     name, variant = case.split("-")
     slot = next(s for s in wl.MAP_SLOTS if s.name == name)
-    return parse_workspace(wl.slot_text(slot, int(variant)), truncation=slot.truncation).map("i")
+    return wl.slot_text(slot, int(variant)), slot.truncation
+
+
+def cmd_mix_map(case):
+    """The map `i` of a cmd-mix generated file, at the file's truncation."""
+    text, truncation = cmd_mix_map_text(case)
+    return parse_workspace(text, truncation=truncation).map("i")
+
+
+def column_builds(monkeypatch) -> list:
+    """Records (complex, degree, label index) of every differential column
+    that a package complex builds through its `d_column`, from now on."""
+    from dglcalc.derivations import DerComplex
+    from dglcalc.relative import RelComplex
+
+    built = []
+    for cls in (DglComplex, DerComplex, RelComplex):
+        def counted(cplx, n, i, _build=cls.d_column):
+            built.append((cplx, n, i))
+            return _build(cplx, n, i)
+
+        monkeypatch.setattr(cls, "d_column", counted)
+    return built
 
 
 def basis_element(alg, word):

@@ -1,13 +1,24 @@
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dglcalc import linalg
 from dglcalc.complexes import DglComplex
+from dglcalc.relative import RelComplex
 from dglcalc.subgroups import EvaluationContext
 from dglcalc.modelfile import parse_workspace
 
-from .helpers import random_validated_morphism
+from .helpers import (
+    FIXTURE_MAPS,
+    cmd_mix_map,
+    cmd_mix_map_ids,
+    column_builds,
+    fixture_map,
+    in_order,
+    random_validated_morphism,
+)
 from .oracles import two_elimination_homology
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -64,3 +75,63 @@ def test_homology_eliminates_only_the_two_differentials(monkeypatch):
         calls.clear()
         linalg.quotient_basis(h.cycles, h.boundaries)
         assert calls == []
+
+
+# -- d of a lone vector ------------------------------------------------------------
+
+COMPLEXES = ("cL", "cK", "der_LL", "der_LK", "rel", "rel_star", "rel_ad_L", "rel_ad", "rel_ad_pair")
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _vectors(rng, dim) -> list:
+    """Up to eight unit vectors and four seeded sparse vectors of C_n, some
+    with Fraction coefficients."""
+    units = [{i: 1} for i in sorted(rng.sample(range(dim), min(dim, 8)))]
+    sparse = []
+    for _ in range(4):
+        support = rng.sample(range(dim), rng.randint(1, min(dim, 4)))
+        sparse.append({i: rng.choice(COEFFS) for i in support})
+    return units + sparse
+
+
+@pytest.mark.parametrize(
+    "case", [*FIXTURE_MAPS, *cmd_mix_map_ids()],
+    ids=lambda c: ":".join(c) if isinstance(c, tuple) else c,
+)
+def test_apply_d_builds_only_the_columns_of_its_support(case, monkeypatch):
+    # On complexes whose degree n is not assembled, apply_d(n, vec) builds
+    # each column of vec's support once and no other, and equals combine of
+    # vec over the whole d_columns(n) of a second context, in value, type and
+    # dict order.  A cone's also equals delta(w, v) = (phi(v) - d_W(w), d_V(v)),
+    # and for a unit vector in dict order too.
+    psi = fixture_map(*case) if isinstance(case, tuple) else cmd_mix_map(case)
+    built = column_builds(monkeypatch)
+    fresh, whole = EvaluationContext(psi), EvaluationContext(psi)
+    rng = random.Random(str(case))
+    checked = set()
+    for name in COMPLEXES:
+        cplx, ref = getattr(fresh, name), getattr(whole, name)
+        for n in range(-6, cplx.trunc + 1):
+            if not (cplx.complete(n) and cplx.dim(n)):
+                continue
+            vectors, got = _vectors(rng, cplx.dim(n)), []
+            for vec in vectors:
+                before = {i for c, m, i in built if c is cplx and m == n}
+                start = len(built)
+                got.append(cplx.apply_d(n, vec))
+                new = [i for c, m, i in built[start:] if c is cplx and m == n]
+                assert sorted(new) == sorted(set(vec) - before), (name, n, vec)
+            assert cplx.record(n).columns is None, (name, n)
+            want = [linalg.combine(vec, ref.d_columns(n)) for vec in vectors]
+            assert in_order(got) == in_order(want), (name, n)
+            if isinstance(cplx, RelComplex):
+                for vec, d in zip(vectors, got):
+                    w, v = cplx.split(n, vec)
+                    image = ref.W.to_vector(n - 1, ref.phi(ref.V.from_vector(n - 1, v))) if v else {}
+                    d_w = linalg.vec_add(image, ref.W.apply_d(n, w), -1)
+                    delta = cplx.join(n - 1, d_w, ref.V.apply_d(n - 1, v))
+                    assert d == delta, (name, n, vec)
+                    if list(vec.values()) == [1]:
+                        assert in_order([d]) == in_order([delta]), (name, n, vec)
+            checked.add(name)
+    assert checked == set(COMPLEXES)

@@ -14,6 +14,7 @@ from dglcalc import (
     adjoint,
     zero_morphism,
 )
+from dglcalc.derivations import DerComplex, GenDerivation
 from dglcalc.errors import InternalError
 from dglcalc.modelfile import parse_workspace
 from dglcalc.relative import RelComplex
@@ -37,6 +38,8 @@ from .helpers import (
     FIXTURES,
     cmd_mix_map,
     cmd_mix_map_ids,
+    cmd_mix_map_text,
+    column_builds,
     fixture_map,
     in_order,
     random_model,
@@ -433,7 +436,8 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     # A subgroup reads only the boundaries of its adjoint cone's target: the
     # G-sequence builds no homology slice of Der(L, L), Der(L, K; psi) or
     # Rel(psi_*), never assembles Rel(psi_*)'s columns, and eliminates each
-    # target degree at most once, rows-only.  phi_* of an adjoint cone is built
+    # target degree at most once, rows-only.  A kernel reads no target
+    # boundaries where its source homology is zero.  phi_* of an adjoint cone is built
     # only for the image that g_vs_p intersects and for the LES, each matrix
     # built and eliminated at most once per degree.  Only the LES, through
     # H(Rel(ad_psi)), needs an adjoint cone's own differential.
@@ -481,10 +485,26 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
             return _build(cplx, n)
 
         monkeypatch.setattr(cls, "_boundary_rows", counted_rows)
+    read, kernels = [], []  # (complex, n) of boundaries(n); (cone, m, W's read) per kernel
+    boundaries, kernel = ChainComplex.boundaries, EvaluationContext._kernel
+
+    def counted_boundaries(cplx, n):
+        read.append((cplx, n))
+        return boundaries(cplx, n)
+
+    def counted_kernel(context, cone, m):
+        start, cached = len(read), (cone, m) in context._kernels
+        group = kernel(context, cone, m)
+        if not cached:
+            kernels.append((cone, m, any(c is cone.W and n == m for c, n in read[start:])))
+        return group
+
     monkeypatch.setattr(linalg, "rref", counted_rref)
     monkeypatch.setattr(RelComplex, "d_columns", counted_d_columns)
     monkeypatch.setattr(ChainComplex, "homology", counted_homology)
     monkeypatch.setattr(ChainComplex, "elimination", counted_elimination)
+    monkeypatch.setattr(ChainComplex, "boundaries", counted_boundaries)
+    monkeypatch.setattr(EvaluationContext, "_kernel", counted_kernel)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cp2_to_s4.dgl"
     psi = parse_workspace(fixture.read_text(), truncation=10).map("f")
     ctx = EvaluationContext(psi)
@@ -505,6 +525,10 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     assert kinds.count(False) == len(built)
     columns = [t.record(n).columns for t in targets[:2] for n in t._records]
     assert not [r for r, k in zip(eliminated, kinds) if k and any(r is c for c in columns)]
+    wanted = [(bool(cone.V.homology(m).dim) and cone.W.complete(m + 1), got)
+              for cone, m, got in kernels if m >= 1]
+    assert [got for _, got in wanted] == [want for want, _ in wanted]
+    assert {want for want, _ in wanted} == {True, False}
 
     for top in tops:
         ctx.evaluation_subgroup(top)
@@ -521,6 +545,71 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     assert max(counts) == 1, counts
     empty_maps = [c for (_, cols), c in zip(built, counts) if not cols]
     assert empty_maps and not any(empty_maps)  # a map without columns is not eliminated
+
+
+def test_g_sequence_reads_target_boundaries_only_under_source_classes():
+    # X models S^3 x S^3, so H(X) lives in internal degree 2 alone: of
+    # Der(L, L) only B_2 is eliminated, on record 3.  H_m(Rel psi) is zero at
+    # every even m below 10, and B_10(Rel psi_*) lies past the truncation, so
+    # Rel(psi_*) eliminates no B_m at even m.
+    ctx = EvaluationContext(fixture_map("one_cell_attachment.dgl", "i", truncation=15))
+    ctx.g_sequence(ctx.computable_tops())
+
+    def eliminated(cplx):
+        return sorted(n for n, rec in cplx._records.items() if rec.elimination is not None)
+
+    assert [m for m in range(1, 15) if ctx.cL.homology(m).dim] == [2]
+    assert eliminated(ctx.der_LL) == [3]
+    boundary_degrees = [n - 1 for n in eliminated(ctx.rel_star)]
+    assert boundary_degrees and all(m % 2 for m in boundary_degrees)
+    assert not [m for m in range(2, 10, 2) if ctx.rel.homology(m).dim]
+    assert all(ctx.rel.homology(m).dim for m in boundary_degrees)
+    assert not ctx.rel_star.complete(11)
+
+
+def test_no_column_is_built_twice_in_one_op(monkeypatch, tmp_path, capsys):
+    # A reader of every column takes columns(), which reuses the columns that
+    # apply_d built one at a time: within one op each (complex, degree, label)
+    # is built at most once.  A lone top makes gvp check cycles of Der(L, K;
+    # psi) in a degree before it assembles that degree.
+    from dglcalc.cli import main
+
+    built = column_builds(monkeypatch)
+    onecell = str(FIXTURES / "one_cell_attachment.dgl")
+    runs = [(onecell, "--max-degree", str(n)) for n in range(12, 16)]
+    runs += [(onecell, "--max-degree", "12", "--top-degree", str(t)) for t in (3, 6)]
+    for case in ("G0-0", "G3-1"):
+        text, truncation = cmd_mix_map_text(case)
+        (tmp_path / f"{case}.dgl").write_text(text)
+        runs.append((str(tmp_path / f"{case}.dgl"), "--max-degree", str(truncation)))
+    for cmd in ("gseq", "evsub", "grel", "gvp", "les"):
+        for path, *window in runs:
+            built.clear()
+            assert main([cmd, path, "i", *window, "--format", "json"]) == 0
+            keys = [(id(cplx), m, i) for cplx, m, i in built]
+            assert keys and len(keys) == len(set(keys)), (cmd, path, window)
+    capsys.readouterr()
+
+
+def test_les_builds_each_coupled_column_once(monkeypatch, capsys):
+    # every GenDerivation.differential of les is one coupled Der column, and
+    # at N=12 there are 64 of them in the degrees les reads
+    from dglcalc.cli import main
+
+    built, calls = column_builds(monkeypatch), []
+    real = GenDerivation.differential
+    monkeypatch.setattr(GenDerivation, "differential", lambda theta: calls.append(1) or real(theta))
+    path = FIXTURES / "one_cell_attachment.dgl"
+    assert main(["les", str(path), "i", "--max-degree", "12", "--format", "json"]) == 0
+
+    def coupled(cplx, m, i):
+        if not isinstance(cplx, DerComplex):
+            return False
+        gi = cplx.record(m).labels[i][0]
+        return cplx.psi.source.generators[gi].name in cplx._coupled
+
+    assert len(calls) == len({(id(c), m, i) for c, m, i in built if coupled(c, m, i)}) <= 64
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("path,name", [("one_cell_attachment.dgl", "i"), ("cp2_to_s4.dgl", "f")])
