@@ -12,8 +12,11 @@ for each Lyndon word w of odd degree.  A Lyndon word w of length >= 2 names
 the bracket [u, v] of its standard factorisation w = uv, where v is the
 longest proper Lyndon suffix; ww names [w, w].  Coordinates are unique, so
 equality and all linear algebra are sparse exact vector arithmetic on basis
-words.  Bases are deterministic and cached on the algebra, each degree with
-the Lyndon words that build the degrees above it.
+words.  Whether (u, v) is the standard factorisation of uv is read from the
+two factors alone (`FreeLieAlgebra._standard`), so a bracket records the
+standard words it meets and builds no basis; a degree's basis is built only
+for a reader that enumerates it (`words`, `dim`), deterministic and cached on
+the algebra, with the Lyndon words that build the degrees above it.
 
 A bracket is bilinear, so one routine (`FreeLieAlgebra._add_bracket`, also
 used by `DglModel._d_word`) sums it into a dict term pair by term pair.  Most
@@ -137,37 +140,55 @@ class FreeLieAlgebra:
 
     def _basis_data(self, degree: int) -> _BasisData:
         """The basis of one degree, built once from the Lyndon words of the
-        lower degrees.
-
-        A Lyndon word uv of length >= 2 with standard factorisation (u, v) is
-        built from Lyndon words u < v, where u is a letter or the right factor
-        of u is >= v (Lothaire, *Combinatorics on Words*, Prop. 5.1.4), so
-        each word is made once, from its factors, and no other word is seen.
-        """
+        lower degrees, each word from its standard factors (`_standard`), so
+        no other word is seen."""
         data = self._basis_cache.get(degree)
         if data is not None:
             return data
         if degree > self.truncation:
             raise TruncationError(f"degree {degree} exceeds truncation degree {self.truncation}")
-        split = self._split
         lower = {k: self._basis_data(k).lyndon for k in range(1, degree)}
-        lyndon = [(i,) for i, d in enumerate(self._degrees) if d == degree]
+        words = [(i,) for i, d in enumerate(self._degrees) if d == degree]
         for k in range(1, degree):
-            for u in lower[k]:
-                right = split[u][1] if len(u) > 1 else None
-                for v in lower[degree - k]:
-                    if u < v and (right is None or right >= v):
-                        split[u + v] = (u, v)
-                        lyndon.append(u + v)
-        lyndon.sort(key=_word_key)
-        words = list(lyndon)
-        if degree > 0 and degree % 4 == 2:  # squares of the Lyndon words of odd degree
-            for w in lower[degree // 2]:
-                split[w + w] = (w, w)
-                words.append(w + w)
-            words.sort(key=_word_key)
+            words += self._standard(lower[k], lower[degree - k])
+        words.sort(key=_word_key)
+        # only a degree 2 mod 4 holds squares ww, for Lyndon words w of odd degree
+        lyndon = [w for w in words if self._lyndon(w)] if degree % 4 == 2 else list(words)
         data = self._basis_cache[degree] = _BasisData(words, lyndon)
         return data
+
+    def _lyndon(self, word: Word) -> bool:
+        """Whether a word is a letter or a known basis word uv with u != v;
+        a word of length >= 2 that `_split` lacks is no basis word."""
+        if len(word) == 1:
+            return True
+        uv = self._split.get(word)
+        return uv is not None and uv[0] != uv[1]
+
+    def _standard(self, us, vs) -> list:
+        """The words uv, for Lyndon words u in us and v in vs, whose standard
+        factorisation is (u, v); each is recorded in `_split`.
+
+        The pair is read from the two factors alone (Lothaire, *Combinatorics
+        on Words*, Prop. 5.1.4): (u, v) is standard when u < v and u is a
+        letter or the right factor of u is >= v, and (u, u) when u has odd
+        degree, as [u, u] is then the basis word uu.
+        """
+        split = self._split
+        out = []
+        for u in us:
+            right = split[u][1] if len(u) > 1 else None
+            for v in vs:
+                if u < v:
+                    if right is None or right >= v:
+                        w = u + v
+                        split[w] = (u, v)
+                        out.append(w)
+                elif u == v and self.word_degree(u) % 2:
+                    w = u + u
+                    split[w] = (u, u)
+                    out.append(w)
+        return out
 
     # -- public API ----------------------------------------------------------
 
@@ -191,15 +212,13 @@ class FreeLieAlgebra:
             raise TruncationError(
                 f"bracket of degrees {a.degree} and {b.degree} exceeds truncation {self.truncation}"
             )
-        if degree not in self._basis_cache:
-            self._basis_data(degree)  # fills _split up to this degree
         out: dict = {}
         self._add_bracket(out, a.terms, b.terms, -1 if a.degree * b.degree % 2 else 1)
         return LieElement(self, degree, out)
 
     def _add_bracket(self, out: dict, a: Mapping, b: Mapping, sign: int, scale=1) -> None:
         """out += scale * [a, b] for the terms a and b of elements of degrees
-        p and q, with sign = (-1)^{pq}; `_split` must know degree p + q.
+        p and q, with sign = (-1)^{pq}.
 
         Zero sums stay in out as keys with value 0.
         """
@@ -226,7 +245,8 @@ class FreeLieAlgebra:
         """Coordinates of [b_u, b_v] for basis words u and v, with `int`
         coefficients, in word order.
 
-        A standard pair is its basis word.  Otherwise [w, w] of even degree
+        A standard pair is its basis word; a pair met for the first time is
+        decided from its factors and recorded.  Otherwise [w, w] of even degree
         and the odd cube [w, [w, w]] vanish, graded antisymmetry puts the
         smaller word first, and the Jacobi identity moves the bracket onto
         the standard factors (a, b) of the left word,
@@ -252,6 +272,8 @@ class FreeLieAlgebra:
         odd = deg(u) * deg(v) % 2
         if split.get(v + u) == (v, u):
             return {v + u: 1 if odd else -1}
+        if u <= v and self._lyndon(u) and self._lyndon(v) and self._standard((u,), (v,)):
+            return {u + v: 1}  # a standard pair met for the first time
         if u == v or split.get(v) == (u, u):  # [w, w] of even degree, or [w, [w, w]]
             terms = {}
         elif u > v:

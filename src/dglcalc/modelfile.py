@@ -11,6 +11,8 @@ Grammar (whitespace-insensitive, ';'-terminated statements):
     rational := INT [ '/' INT ]
     monomial := generator-name | '[' element ',' element ']'
 
+The scanner keeps each token's offset into the text; the line and column of a
+`ParseError` are counted from that offset only when the error is raised.
 Every gen line of a model comes before its d lines, so each element is parsed
 straight into the model's free Lie algebra.  Omitted d-lines mean the
 differential vanishes on that generator; omitted map lines are an error.  An smap block assigns degree-raising values (|g| + 1)
@@ -35,6 +37,7 @@ _TOKEN = re.compile(
       | (?P<int>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_'^]*)
       | (?P<punct>[{}\[\]:;,+\-/=])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -42,35 +45,24 @@ _TOKEN = re.compile(
 KEYWORDS = {"model", "map", "smap", "gen", "deg", "upper", "d"}
 
 
-@dataclass
-class _Token:
-    kind: str  # "int", "ident", "punct", "arrow", "eof"
-    text: str
-    line: int
-    column: int
-
-
 def _tokenize(text: str) -> list:
+    """The tokens of a text as (kind, text, offset) triples, kind one of
+    "int", "ident", "punct" and "arrow", then ("eof", "", len(text))."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _position(text: str, offset: int) -> tuple:
+    """(line, column) of an offset into a text, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 @dataclass
@@ -123,50 +115,56 @@ class Workspace:
 
 
 class _Parser:
-    def __init__(self, tokens, truncation: int):
-        self.tokens = tokens
+    """Reads tokens of a text; `error` places a message at a token."""
+
+    def __init__(self, text: str, truncation: int):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.truncation = truncation
         self.depth = 0  # brackets open around the current position
 
-    def peek(self) -> _Token:
+    def error(self, message: str, tok: tuple) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]))
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
-    def expect_ident(self, what="identifier") -> _Token:
+    def expect_ident(self, what="identifier") -> tuple:
         tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+        if tok[0] != "ident":
+            raise self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
     def expect_int(self) -> int:
         tok = self.next()
-        if tok.kind != "int":
-            raise ParseError(f"expected an integer, found {tok.text!r}", tok.line, tok.column)
-        return int(tok.text)
+        if tok[0] != "int":
+            raise self.error(f"expected an integer, found {tok[1]!r}", tok)
+        return int(tok[1])
 
     # Elements are evaluated as they are parsed; None stands for zero.  Value
     # errors other than an unknown generator are reported at `where`, the
     # generator token of the statement.
-    def element(self, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieElement]:
+    def element(self, algebra: FreeLieAlgebra, where: tuple) -> Optional[LieElement]:
         sign = 1
-        if self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.next()
             sign = -1
         total = self.term(sign, algebra, where)
-        while self.peek().text in ("+", "-"):
-            value = self.term(1 if self.next().text == "+" else -1, algebra, where)
+        while self.peek()[1] in ("+", "-"):
+            value = self.term(1 if self.next()[1] == "+" else -1, algebra, where)
             if value is None:
                 continue
             if total is None:
@@ -175,42 +173,38 @@ class _Parser:
                 try:
                     total = total + value
                 except PreconditionError:
-                    raise ParseError("element is not homogeneous", where.line, where.column) from None
+                    raise self.error("element is not homogeneous", where) from None
         return total
 
-    def term(self, sign: int, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieElement]:
+    def term(self, sign: int, algebra: FreeLieAlgebra, where: tuple) -> Optional[LieElement]:
         tok = self.peek()
-        coeff = Fraction(sign)
-        if tok.kind == "int":
+        coeff = sign
+        if tok[0] == "int":
             self.next()
-            num = int(tok.text)
-            if self.peek().text == "/":
+            num = int(tok[1])
+            if self.peek()[1] == "/":
                 self.next()
                 den = self.expect_int()
                 if den == 0:
-                    raise ParseError("zero denominator", tok.line, tok.column)
-                coeff *= Fraction(num, den)
+                    raise self.error("zero denominator", tok)
+                coeff = Fraction(sign * num, den)
             else:
-                coeff *= num
+                coeff = sign * num
             if num == 0:
                 return None
             nxt = self.peek()
-            if nxt.kind != "ident" and nxt.text != "[":
-                raise ParseError("a coefficient must be followed by a monomial", nxt.line, nxt.column)
+            if nxt[0] != "ident" and nxt[1] != "[":
+                raise self.error("a coefficient must be followed by a monomial", nxt)
         mono = self.monomial(algebra, where)
         return mono if mono is None or coeff == 1 else coeff * mono
 
-    def monomial(self, algebra: FreeLieAlgebra, where: _Token) -> Optional[LieElement]:
+    def monomial(self, algebra: FreeLieAlgebra, where: tuple) -> Optional[LieElement]:
         tok = self.peek()
-        if tok.text == "[":
+        if tok[1] == "[":
             # a bracket nested k deep has degree at least k + 1; refuse deeper
             # nesting before recursing into it
             if self.depth >= self.truncation:
-                raise ParseError(
-                    f"brackets nested deeper than the truncation degree {self.truncation}",
-                    tok.line,
-                    tok.column,
-                )
+                raise self.error(f"brackets nested deeper than the truncation degree {self.truncation}", tok)
             self.next()
             self.depth += 1
             a = self.element(algebra, where)
@@ -223,152 +217,138 @@ class _Parser:
             try:
                 return algebra.bracket(a, b)
             except TruncationError as exc:
-                raise ParseError(str(exc), where.line, where.column) from None
-        if tok.kind == "ident":
+                raise self.error(str(exc), where) from None
+        if tok[0] == "ident":
             self.next()
             try:
-                return algebra.gen(tok.text)
+                return algebra.gen(tok[1])
             except PreconditionError:
-                raise ParseError(f"unknown generator {tok.text!r}", tok.line, tok.column) from None
-        raise ParseError(f"expected a monomial, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+                raise self.error(f"unknown generator {tok[1]!r}", tok) from None
+        raise self.error(f"expected a monomial, found {tok[1] or 'end of input'!r}", tok)
 
 
 # -- blocks -------------------------------------------------------------------------
 
 
 def parse_workspace(text: str, truncation: int = 12) -> Workspace:
-    parser = _Parser(_tokenize(text), truncation)
+    parser = _Parser(text, truncation)
     ws = Workspace(truncation=truncation)
     try:
-        while parser.peek().kind != "eof":
+        while parser.peek()[0] != "eof":
             tok = parser.expect_ident("'model', 'map' or 'smap'")
-            if tok.text == "model":
+            if tok[1] == "model":
                 _parse_model(parser, ws)
-            elif tok.text in ("map", "smap"):
-                _parse_map(parser, ws, suspension=tok.text == "smap")
+            elif tok[1] in ("map", "smap"):
+                _parse_map(parser, ws, suspension=tok[1] == "smap")
             else:
-                raise ParseError(
-                    f"expected 'model', 'map' or 'smap', found {tok.text!r}", tok.line, tok.column
-                )
+                raise parser.error(f"expected 'model', 'map' or 'smap', found {tok[1]!r}", tok)
     except RecursionError:
         # the depth bound follows the truncation, which may exceed the stack
-        tok = parser.peek()
-        raise ParseError("brackets nested too deeply to parse", tok.line, tok.column) from None
+        raise parser.error("brackets nested too deeply to parse", parser.peek()) from None
     return ws
 
 
 def _parse_model(parser: _Parser, ws: Workspace):
     name_tok = parser.expect_ident("a model name")
-    name = name_tok.text
+    name = name_tok[1]
     if name in ws.models:
-        raise ParseError(f"duplicate model name {name!r}", name_tok.line, name_tok.column)
+        raise parser.error(f"duplicate model name {name!r}", name_tok)
     parser.expect("{")
     gens = []
     seen = set()
-    while parser.peek().text == "gen":
+    while parser.peek()[1] == "gen":
         parser.next()
         gtok = parser.expect_ident("a generator name")
-        if gtok.text in seen:
-            raise ParseError(f"duplicate generator {gtok.text!r}", gtok.line, gtok.column)
-        if gtok.text in KEYWORDS:
-            raise ParseError(f"{gtok.text!r} is reserved", gtok.line, gtok.column)
-        seen.add(gtok.text)
+        gname = gtok[1]
+        if gname in seen:
+            raise parser.error(f"duplicate generator {gname!r}", gtok)
+        if gname in KEYWORDS:
+            raise parser.error(f"{gname!r} is reserved", gtok)
+        seen.add(gname)
         parser.expect(":")
         kw = parser.expect_ident()
-        if kw.text != "deg":
-            raise ParseError("expected 'deg'", kw.line, kw.column)
+        if kw[1] != "deg":
+            raise parser.error("expected 'deg'", kw)
         degree = parser.expect_int()
         upper = None
-        if parser.peek().text == "upper":
+        if parser.peek()[1] == "upper":
             parser.next()
             upper = parser.expect_int()
         parser.expect(";")
         if degree < 1:
-            raise ParseError(f"generator {gtok.text!r} must have degree >= 1", gtok.line, gtok.column)
+            raise parser.error(f"generator {gname!r} must have degree >= 1", gtok)
         if degree > ws.truncation:
-            raise ParseError(
-                f"generator {gtok.text!r} exceeds the truncation degree {ws.truncation}",
-                gtok.line,
-                gtok.column,
-            )
-        gens.append(Generator(gtok.text, degree, upper))
+            raise parser.error(f"generator {gname!r} exceeds the truncation degree {ws.truncation}", gtok)
+        gens.append(Generator(gname, degree, upper))
     algebra = FreeLieAlgebra(gens, truncation=ws.truncation)
     diff, targets = {}, set()  # targets: every d line's generator, zero values too
-    while parser.peek().text != "}":
+    while parser.peek()[1] != "}":
         stmt = parser.expect_ident("'gen' or 'd'")
-        if stmt.text == "gen":
-            raise ParseError("'gen' after a 'd' line; declare every generator first", stmt.line, stmt.column)
-        if stmt.text != "d":
-            raise ParseError(f"expected 'gen' or 'd', found {stmt.text!r}", stmt.line, stmt.column)
+        if stmt[1] == "gen":
+            raise parser.error("'gen' after a 'd' line; declare every generator first", stmt)
+        if stmt[1] != "d":
+            raise parser.error(f"expected 'gen' or 'd', found {stmt[1]!r}", stmt)
         gtok = parser.expect_ident("a generator name")
+        gname = gtok[1]
         parser.expect("=")
-        if gtok.text not in seen:
-            raise ParseError(f"unknown generator {gtok.text!r}", gtok.line, gtok.column)
-        if gtok.text in targets:
-            raise ParseError(f"duplicate differential for {gtok.text!r}", gtok.line, gtok.column)
-        targets.add(gtok.text)
+        if gname not in seen:
+            raise parser.error(f"unknown generator {gname!r}", gtok)
+        if gname in targets:
+            raise parser.error(f"duplicate differential for {gname!r}", gtok)
+        targets.add(gname)
         value = parser.element(algebra, gtok)
         parser.expect(";")
         if value is None:
             continue
-        g = gens[algebra.index(gtok.text)]
+        g = gens[algebra.index(gname)]
         if value.degree != g.degree - 1:
-            raise ParseError(
-                f"d {gtok.text} must have degree {g.degree - 1}, got degree {value.degree}",
-                gtok.line,
-                gtok.column,
-            )
-        diff[gtok.text] = value
+            raise parser.error(f"d {gname} must have degree {g.degree - 1}, got degree {value.degree}", gtok)
+        diff[gname] = value
     parser.expect("}")
     ws.models[name] = DglModel(algebra, diff, name=name)
 
 
 def _parse_map(parser: _Parser, ws: Workspace, suspension: bool):
     name_tok = parser.expect_ident("a map name")
-    name = name_tok.text
+    name = name_tok[1]
     store = ws.smaps if suspension else ws.maps
     if name in ws.maps or name in ws.smaps:
-        raise ParseError(f"duplicate map name {name!r}", name_tok.line, name_tok.column)
+        raise parser.error(f"duplicate map name {name!r}", name_tok)
     parser.expect(":")
     src_tok = parser.expect_ident("a source model name")
     parser.expect("->")
     dst_tok = parser.expect_ident("a target model name")
     for tok in (src_tok, dst_tok):
-        if tok.text not in ws.models:
-            raise ParseError(f"unknown model {tok.text!r}", tok.line, tok.column)
-    source = ws.models[src_tok.text]
-    target = ws.models[dst_tok.text]
+        if tok[1] not in ws.models:
+            raise parser.error(f"unknown model {tok[1]!r}", tok)
+    source = ws.models[src_tok[1]]
+    target = ws.models[dst_tok[1]]
     parser.expect("{")
     values = {}
     shift = 1 if suspension else 0
-    while parser.peek().text != "}":
+    while parser.peek()[1] != "}":
         gtok = parser.expect_ident("a generator name")
+        gname = gtok[1]
         try:
-            g = source.generators[source.algebra.index(gtok.text)]
+            g = source.generators[source.algebra.index(gname)]
         except PreconditionError:
-            raise ParseError(f"unknown generator {gtok.text!r}", gtok.line, gtok.column) from None
-        if gtok.text in values:
-            raise ParseError(f"duplicate value for {gtok.text!r}", gtok.line, gtok.column)
+            raise parser.error(f"unknown generator {gname!r}", gtok) from None
+        if gname in values:
+            raise parser.error(f"duplicate value for {gname!r}", gtok)
         parser.expect("->")
         value = parser.element(target.algebra, gtok)
         parser.expect(";")
         if value is None:
             value = target.algebra.zero(g.degree + shift)
         elif value.degree != g.degree + shift:
-            raise ParseError(
-                f"value for {gtok.text!r} must have degree {g.degree + shift}, got {value.degree}",
-                gtok.line,
-                gtok.column,
+            raise parser.error(
+                f"value for {gname!r} must have degree {g.degree + shift}, got {value.degree}", gtok
             )
-        values[gtok.text] = value
-    close = parser.expect("}")
+        values[gname] = value
+    parser.expect("}")
     missing = [g.name for g in source.generators if g.name not in values]
     if missing:
-        raise ParseError(
-            f"map {name!r} is missing values for: {', '.join(missing)}",
-            name_tok.line,
-            name_tok.column,
-        )
+        raise parser.error(f"map {name!r} is missing values for: {', '.join(missing)}", name_tok)
     if suspension:
         store[name] = SuspensionMap(name, source, target, values)
     else:

@@ -36,10 +36,13 @@ they share the basis words and their standard factors
 check, which eliminates the cycles and the boundaries of every upper degree
 on their own, kept as the reference for the check that reads upper degrees
 off the pivots of one homology slice; it shares `DglComplex` and
-`linalg.rref`.
+`linalg.rref`.  `tokenize` is the package's earlier model-file scanner, which
+counts the line and column of every token as it goes, kept as the reference
+for the one that reads positions off offsets; it shares only `ParseError`.
 """
 from __future__ import annotations
 
+import re
 import weakref
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -692,3 +695,44 @@ def coformal_slices(model):
                 upper_ok = False
                 failures.append(f"upper-degree-{i} homology is nonzero in internal degree {n}")
     return failures, upper_ok
+
+
+# -- the model-file scanner, with a position per token ---------------------------
+
+_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<arrow>->)
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_'^]*)
+      | (?P<punct>[{}\[\]:;,+\-/=])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize(text):
+    """The (kind, text, line, column) of every token, then of end of input,
+    or a `ParseError` at the first character that starts no token."""
+    from dglcalc.errors import ParseError
+
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, value, line, col))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens

@@ -8,7 +8,7 @@ from dglcalc import FreeLieAlgebra, LieElement, TruncationError
 from dglcalc.errors import InternalError, PreconditionError
 
 from . import oracles
-from .helpers import basis_element
+from .helpers import basis_element, in_order
 
 F = Fraction
 
@@ -491,3 +491,76 @@ def test_a_pair_with_no_rewriting_is_an_internal_error(two_odd):
     two_odd.dim(3)
     with pytest.raises(InternalError):
         two_odd._pair((0,), (1, 0))
+
+
+# -- standard pairs read from their factors, with no basis built ---------------
+
+
+def _seeded_generators(seed):
+    """Three or four generators of mixed parity with a repeated degree, and the
+    largest truncation <= 10 that keeps their basis at 300 words or fewer."""
+    rng = random.Random(seed)
+    odd, even = rng.choice((1, 3)), rng.choice((2, 4))
+    degrees = [odd, even, rng.choice((odd, even))] + [rng.randint(1, 4) for _ in range(rng.randint(0, 1))]
+    gens = [(f"g{i}", d) for i, d in enumerate(sorted(degrees))]
+    for top in range(10, 1, -1):
+        alg = FreeLieAlgebra(gens, truncation=top)
+        if sum(alg.dim(n) for n in range(1, top + 1)) <= 300:
+            return gens, top
+
+
+def _built(alg, full, word):
+    """The basis element of `alg` that a basis word of `full` names, made by
+    bracketing its standard factors, as a parsed model file makes it."""
+    if len(word) == 1:
+        return alg.gen(full.generators[word[0]].name)
+    u, v = full.split(word)
+    return _built(alg, full, u).bracket(_built(alg, full, v))
+
+
+def _full_and_pairs(seed):
+    gens, top = _seeded_generators(seed)
+    full = FreeLieAlgebra(gens, truncation=top)
+    words = _basis_words(full, top)
+    pairs = [(u, v) for u in words for v in words
+             if full.word_degree(u) + full.word_degree(v) <= top]
+    random.Random(seed).shuffle(pairs)
+    return gens, top, full, pairs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_standard_pairs_are_decided_from_their_factors(seed):
+    # on an algebra that knows only the factors of u and v, through the
+    # brackets that made them, (u, v) is decided standard exactly when the
+    # fully built basis factors uv as (u, v)
+    gens, top, full, pairs = _full_and_pairs(seed)
+    fresh = FreeLieAlgebra(gens, truncation=top)
+    for u, v in pairs:
+        _built(fresh, full, u), _built(fresh, full, v)
+        decided = fresh._lyndon(u) and fresh._lyndon(v) and fresh._standard((u,), (v,)) == [u + v]
+        assert decided == (full._split.get(u + v) == (u, v)), (u, v)
+    assert fresh._basis_cache == {}
+    assert all(full._split[w] == uv for w, uv in fresh._split.items())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brackets_build_no_basis_and_match_the_built_algebra(seed):
+    # every pair of basis words, then whole-degree elements with int and
+    # Fraction coefficients: value, type and dict order as on an algebra
+    # whose bases were all built, and no basis built by a bracket
+    gens, top, full, pairs = _full_and_pairs(seed)
+    fresh = FreeLieAlgebra(gens, truncation=top)
+    for u, v in pairs:
+        got = _built(fresh, full, u).bracket(_built(fresh, full, v))
+        want = basis_element(full, u).bracket(basis_element(full, v))
+        assert in_order([got.terms]) == in_order([want.terms]), (u, v)
+    rng = random.Random(seed)
+    scalars = (1, -2, 3, F(1, 2), F(-3, 4))
+    for p in range(1, top):
+        for q in range(1, top - p + 1):
+            a = {w: rng.choice(scalars) for w in full.words(p)}
+            b = {w: rng.choice(scalars) for w in full.words(q)}
+            got = LieElement(fresh, p, a).bracket(LieElement(fresh, q, b))
+            want = LieElement(full, p, a).bracket(LieElement(full, q, b))
+            assert in_order([got.terms]) == in_order([want.terms]), (p, q)
+    assert fresh._basis_cache == {}

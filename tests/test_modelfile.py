@@ -2,11 +2,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dglcalc import ParseError
 from dglcalc.constructions import product_model
-from dglcalc.modelfile import Workspace, parse_workspace, print_workspace
+from dglcalc.modelfile import Workspace, _position, _tokenize, parse_workspace, print_workspace
 
+from . import oracles
 from .helpers import random_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -104,10 +106,51 @@ def test_rational_coefficients_and_signs():
     assert s.values["y"] == -1 * w.bracket(w)
 
 
+def test_integral_coefficients_parse_as_ints():
+    text = "model M { gen x : deg 1; gen z : deg 3; gen y : deg 5; d z = -6/4[x,x] + 1/4[x,x];" \
+        " d y = 4/2[x,z] - 3[x,z] + 0; }"
+    model = parse_workspace(text, truncation=8).model("M")
+    assert [(type(c), c) for c in model.diff["y"].terms.values()] == [(int, -1)]
+    assert [(type(c), c) for c in model.diff["z"].terms.values()] == [(F, F(-5, 4))]
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_workspace("model M {\n gen x deg 2;\n}", truncation=8)
     assert err.value.line == 2
+
+
+# token text, separators, comments (one may end the input) and characters
+# that start no token
+PIECES = ["model", "gen", "d", "x", "y'1", "a_b^2", "0", "12", "->", "-", ">", "{", "}",
+          "[", "]", ":", ";", ",", "+", "/", "=", " ", "  ", "\t", "\n", "\r\n", "\r",
+          "# note\n", "#", "# tail", "@", "\u00e9", "!"]
+
+
+def _scan(scanner, text):
+    try:
+        return scanner(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40))
+def test_positions_from_offsets_match_the_per_token_scanner(pieces):
+    text = "".join(pieces)
+    got = _scan(lambda t: [(kind, tok, *_position(t, offset)) for kind, tok, offset in _tokenize(t)], text)
+    assert got == _scan(oracles.tokenize, text), repr(text)
+
+
+def test_parse_error_position_counts_lines_and_columns():
+    text = "# header\r\nmodel M {\n\tgen x : deg 2;\n  gen y deg 3;\n}"
+    with pytest.raises(ParseError) as err:
+        parse_workspace(text, truncation=8)
+    assert (err.value.line, err.value.column) == (4, 9)
+    assert str(err.value) == "4:9: expected ':', found 'deg'"
+    with pytest.raises(ParseError) as err:
+        parse_workspace("model M {\n gen x : deg 2;\n", truncation=8)
+    assert str(err.value) == "3:1: expected 'gen' or 'd', found 'end of input'"
 
 
 def test_all_fixtures_parse_and_validate():

@@ -41,3 +41,11 @@ def test_report_digests_agree_between_runs(tmp_path):
         ]
     assert all(key.startswith("gseq fixtures/") for key in json.loads(a.read_text()))
     assert _run("report_digests.py", "--compare", str(a), str(b)) == []
+
+
+def test_report_digests_cover_the_parse_error_paths(tmp_path):
+    out = tmp_path / "errors.json"
+    assert _run("report_digests.py", "--workload", "parse-errors", "--out", str(out)) == ["40 ops digested"]
+    keys = json.loads(out.read_text())
+    assert {key.split()[0] for key in keys} == {"validate", "homology"}
+    assert all(".bench_work/errors/" in key for key in keys)
