@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Randomized audit of the long exact sequence, the product construction and
-the free-Lie bracket.
+"""Randomized audit of the long exact sequence, the product construction, the
+free-Lie bracket and the derivation-complex boundaries.
 
 Draws seeded random models and morphisms, assembles the long exact derivation
 homology sequence, and checks exactness at every trusted node; then builds
 random product models and checks the homology additivity they must satisfy;
 then draws random generator sets (odd and even, degrees 1-3) and checks the
-bracket of every pair of basis words against the tensor-embedding oracle.
+bracket of every pair of basis words against the tensor-embedding oracle;
+then, for the same random morphisms and the identities of their source and
+target, checks that `DerComplex.boundaries(n)`, which leaves out the columns
+that add nothing to the span, equals the rows-only elimination of every
+column of D_{n+1} in pivots and in the value and type of each row entry, at
+every degree where D_{n+1} is complete.
 
     python3 scripts/random_exactness_audit.py [--morphisms 50] [--products 20]
         [--max-generators 4] [--truncation 8] [--seed-offset 0]
 
-Exits 1 if any audit finds a failure; all three audits always run.
+Exits 1 if any audit finds a failure; all four audits always run.
 """
 from __future__ import annotations
 
@@ -25,12 +30,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from dglcalc import EvaluationContext, FreeLieAlgebra
+from dglcalc import DglMorphism, EvaluationContext, FreeLieAlgebra, linalg
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import product_model, sphere_wedge_model
+from dglcalc.derivations import DerComplex
 
 from tests import oracles
-from tests.helpers import basis_element, random_model, random_validated_morphism
+from tests.helpers import basis_element, in_order, random_model, random_validated_morphism
 
 BRACKET_SETS = 20  # seeded generator sets the bracket audit draws
 
@@ -101,6 +107,28 @@ def audit_brackets(cfg: Config):
     return not failures
 
 
+def audit_der_boundaries(cfg: Config):
+    complexes, degrees = 0, 0
+    failures = []
+    for seed in range(cfg.seed_offset, cfg.seed_offset + cfg.morphisms):
+        psi = random_validated_morphism(seed, max_gens=cfg.max_generators, truncation=cfg.truncation)
+        for kind, phi in (("map", psi), ("source", DglMorphism.identity(psi.source)),
+                          ("target", DglMorphism.identity(psi.target))):
+            complexes += 1
+            cx = DerComplex(phi)
+            for n in range(-phi.source.max_generator_degree, cx.trunc + 1):
+                if not cx.complete(n + 1):
+                    continue
+                degrees += 1
+                full = linalg.rref(DerComplex(phi).d_columns(n + 1), kernel=False)
+                got = cx.boundaries(n)
+                entries = [[sorted(row) for row in in_order(e.rows)] for e in (got, full)]
+                if got.pivots != full.pivots or entries[0] != entries[1]:
+                    failures.append((seed, kind, n))
+    print(f"derivation boundaries: {complexes} complexes, {degrees} degrees, {len(failures)} failures")
+    return not failures
+
+
 def parse_config(argv=None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for f in fields(Config):
@@ -112,9 +140,7 @@ def parse_config(argv=None) -> Config:
 def main(argv=None):
     cfg = parse_config(argv)
     start = time.perf_counter()
-    les_ok = audit_les(cfg)
-    products_ok = audit_products(cfg)
-    ok = audit_brackets(cfg) and les_ok and products_ok
+    ok = all([audit_les(cfg), audit_products(cfg), audit_brackets(cfg), audit_der_boundaries(cfg)])
     print(f"total {time.perf_counter() - start:.2f}s")
     sys.exit(0 if ok else 1)
 

@@ -229,10 +229,12 @@ class FreeLieAlgebra:
             cu *= scale
             for v, cv in b.items():
                 c = cu * cv
-                uv, vu = u + v, v + u
+                uv = u + v
                 if split.get(uv) == (u, v):  # [b_u, b_v] is the basis word uv
                     out[uv] = out.get(uv, 0) + c
-                elif split.get(vu) == (v, u):  # -sign [b_v, b_u], the basis word vu
+                    continue
+                vu = v + u
+                if split.get(vu) == (v, u):  # -sign [b_v, b_u], the basis word vu
                     out[vu] = out.get(vu, 0) - sign * c
                 else:
                     terms = cache.get((u, v))

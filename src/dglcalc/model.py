@@ -91,7 +91,8 @@ class DglModel:
 
             d([u, v]) = [d(u), v] + (-1)^{|u|} [u, d(v)]
 
-        with (u, v) = algebra.split(word), both brackets summed into one dict.
+        with (u, v) = algebra.split(word), both brackets summed into one dict;
+        |u| and |v| are read off the cached d(u) and d(v), of degree one less.
         """
         cached = self._d_cache.get(word)
         if cached is not None:
@@ -101,12 +102,13 @@ class DglModel:
             out = self.diff_of(alg.generators[word[0]].name)
         else:
             u, v = alg.split(word)
-            p, q = alg.word_degree(u), alg.word_degree(v)
+            du, dv = self._d_word(u), self._d_word(v)
+            p, q = du.degree + 1, dv.degree + 1
             terms: dict = {}
-            alg._add_bracket(terms, self._d_word(u).terms, {v: 1}, (-1) ** ((p - 1) * q))
+            alg._add_bracket(terms, du.terms, {v: 1}, (-1) ** ((p - 1) * q))
             # drop the zero sums, so words that return in [u, d(v)] come last
             terms = {w: c for w, c in terms.items() if c}
-            alg._add_bracket(terms, {u: 1}, self._d_word(v).terms, (-1) ** (p * (q - 1)), (-1) ** p)
+            alg._add_bracket(terms, {u: 1}, dv.terms, (-1) ** (p * (q - 1)), (-1) ** p)
             out = LieElement(alg, p + q - 1, terms)
         self._d_cache[word] = out
         return out

@@ -11,6 +11,9 @@ Grammar (whitespace-insensitive, ';'-terminated statements):
     rational := INT [ '/' INT ]
     monomial := generator-name | '[' element ',' element ']'
 
+A term with a zero coefficient is zero; a monomial after it is still parsed,
+so its generators and nesting are checked.
+
 The scanner keeps each token's offset into the text; the line and column of a
 `ParseError` are counted from that offset only when the error is raised.
 Every gen line of a model comes before its d lines, so each element is parsed
@@ -190,9 +193,12 @@ class _Parser:
                 coeff = Fraction(sign * num, den)
             else:
                 coeff = sign * num
-            if num == 0:
-                return None
             nxt = self.peek()
+            if num == 0:
+                # a zero term; a monomial after it is still read and checked
+                if nxt[0] == "ident" or nxt[1] == "[":
+                    self.monomial(algebra, where)
+                return None
             if nxt[0] != "ident" and nxt[1] != "[":
                 raise self.error("a coefficient must be followed by a monomial", nxt)
         mono = self.monomial(algebra, where)

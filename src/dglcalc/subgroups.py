@@ -142,9 +142,9 @@ class EvaluationContext:
         self.K = psi.target
         self.cL = DglComplex(self.L)
         self.cK = DglComplex(self.K)
-        self.der_LK = DerComplex(psi)
+        self.der_LK = DerComplex(psi, self.cK)
         identity = DglMorphism.identity(self.L)
-        self.der_LL = DerComplex(identity)
+        self.der_LL = DerComplex(identity, self.cL)
         # The maps below close over locals, never over self: a closure kept
         # on self would make every context a reference cycle.
 

@@ -114,6 +114,30 @@ def test_integral_coefficients_parse_as_ints():
     assert [(type(c), c) for c in model.diff["z"].terms.values()] == [(F, F(-5, 4))]
 
 
+ZERO_TERM = "model M {{\n  gen x : deg 1;\n  gen y : deg 3;\n  d y = {};\n}}"
+
+
+def test_zero_coefficient_before_a_monomial_drops_the_term():
+    ws = parse_workspace(ZERO_TERM.format("0[x, x]"), truncation=8)
+    assert ws.model("M").diff == {}
+    model = parse_workspace(ZERO_TERM.format("0/5[x, x] + [x, x] - 0x"), truncation=8).model("M")
+    x = model.algebra.gen("x")
+    assert model.diff["y"] == x.bracket(x)
+    assert model.validate().ok
+
+
+@pytest.mark.parametrize("element, column, message", [
+    ("0[x, q]", 14, "unknown generator 'q'"),
+    ("[x, x] + 0/2 q", 22, "unknown generator 'q'"),
+    ("0[x, x", 15, "expected ']', found ';'"),
+])
+def test_zero_term_monomial_is_still_checked(element, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_workspace(ZERO_TERM.format(element), truncation=8)
+    assert (err.value.line, err.value.column) == (4, column)
+    assert message in str(err.value)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_workspace("model M {\n gen x deg 2;\n}", truncation=8)

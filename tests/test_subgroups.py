@@ -436,7 +436,9 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     # A subgroup reads only the boundaries of its adjoint cone's target: the
     # G-sequence builds no homology slice of Der(L, L), Der(L, K; psi) or
     # Rel(psi_*), never assembles Rel(psi_*)'s columns, and eliminates each
-    # target degree at most once, rows-only.  A kernel reads no target
+    # target degree at most once, rows-only; Der(L, K; psi) and Der(L, L)
+    # read their own targets' boundaries, so K and L may be eliminated
+    # rows-only too, each degree at most once.  A kernel reads no target
     # boundaries where its source homology is zero.  phi_* of an adjoint cone is built
     # only for the image that g_vs_p intersects and for the LES, each matrix
     # built and eliminated at most once per degree.  Only the LES, through
@@ -445,6 +447,7 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
 
     from dglcalc import complexes, linalg
     from dglcalc.complexes import ChainComplex
+    from dglcalc.derivations import DerComplex
     from dglcalc.relative import RelComplex
 
     original = complexes.induced_matrix
@@ -479,7 +482,7 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
         full.append(cplx)
         return elimination(cplx, n)
 
-    for cls in (ChainComplex, RelComplex):
+    for cls in (ChainComplex, DerComplex, RelComplex):
         def counted_rows(cplx, n, _build=cls._boundary_rows):
             rows_only.append((cplx, n))
             return _build(cplx, n)
@@ -519,7 +522,7 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     assert not [c for c in assembled if c is ctx.rel_star]
     assert not [dst for _, _, dst, _ in calls if is_target(dst)]
     built = [(id(c), n) for c, n in rows_only]
-    assert {i for i, _ in built} == {id(t) for t in targets}
+    assert {id(t) for t in targets} <= {i for i, _ in built} <= {id(t) for t in targets + (ctx.cK, ctx.cL)}
     assert len(built) == len(set(built))
     # each degree's one elimination is rows-only, and no other is
     assert kinds.count(False) == len(built)
