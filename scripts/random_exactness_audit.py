@@ -11,12 +11,16 @@ then, for the same random morphisms and the identities of their source and
 target, checks that `DerComplex.boundaries(n)`, which leaves out the columns
 that add nothing to the span, equals the rows-only elimination of every
 column of D_{n+1} in pivots and in the value and type of each row entry, at
-every degree where D_{n+1} is complete.
+every degree where D_{n+1} is complete; finally, on the same morphisms and
+identities, screens every subgroup kernel by evaluation at the source's
+cycles at every size, and checks each kernel against the echelon kernel of
+phi_* of its adjoint cone, in pivots and in the value, type and dict order of
+each row entry.
 
     python3 scripts/random_exactness_audit.py [--morphisms 50] [--products 20]
         [--max-generators 4] [--truncation 8] [--seed-offset 0]
 
-Exits 1 if any audit finds a failure; all four audits always run.
+Exits 1 if any audit finds a failure; all five audits always run.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from dglcalc import DglMorphism, EvaluationContext, FreeLieAlgebra, linalg
+from dglcalc import DglMorphism, EvaluationContext, FreeLieAlgebra, linalg, subgroups
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import product_model, sphere_wedge_model
 from dglcalc.derivations import DerComplex
@@ -129,6 +133,37 @@ def audit_der_boundaries(cfg: Config):
     return not failures
 
 
+def audit_screen(cfg: Config):
+    kernels, decided = 0, 0
+    failures = []
+    floor, subgroups.SCREEN_MIN_COLUMNS = subgroups.SCREEN_MIN_COLUMNS, 0
+    try:
+        for seed in range(cfg.seed_offset, cfg.seed_offset + cfg.morphisms):
+            psi = random_validated_morphism(seed, max_gens=cfg.max_generators, truncation=cfg.truncation)
+            for kind, phi in (("map", psi), ("source", DglMorphism.identity(psi.source)),
+                              ("target", DglMorphism.identity(psi.target))):
+                ctx = EvaluationContext(phi)
+                screen, verdicts = ctx._screen, []
+                ctx._screen = lambda cone, m, images: verdicts.append(screen(cone, m, images)) or verdicts[-1]
+                got = {}
+                for cone in (ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair):
+                    m = 1
+                    while cone.V.computable(m) and cone.W.computable(m):
+                        got[cone, m] = ctx._kernel(cone, m).basis
+                        m += 1
+                # phi_* is built after every kernel, so none reads its elimination
+                for (cone, m), basis in got.items():
+                    want = cone.les_rref("phi", m).kernel_space()
+                    if basis.pivots != want.pivots or in_order(basis.rows) != in_order(want.rows):
+                        failures.append((seed, kind, cone.name, m))
+                kernels += len(got)
+                decided += sum(verdicts)
+    finally:
+        subgroups.SCREEN_MIN_COLUMNS = floor
+    print(f"evaluation screen: {kernels} kernels, {decided} decided by the screen, {len(failures)} failures")
+    return not failures
+
+
 def parse_config(argv=None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for f in fields(Config):
@@ -140,7 +175,8 @@ def parse_config(argv=None) -> Config:
 def main(argv=None):
     cfg = parse_config(argv)
     start = time.perf_counter()
-    ok = all([audit_les(cfg), audit_products(cfg), audit_brackets(cfg), audit_der_boundaries(cfg)])
+    ok = all([audit_les(cfg), audit_products(cfg), audit_brackets(cfg), audit_der_boundaries(cfg),
+              audit_screen(cfg)])
     print(f"total {time.perf_counter() - start:.2f}s")
     sys.exit(0 if ok else 1)
 

@@ -8,7 +8,8 @@ them byte-identical.
 Runs every distinct op of the benchmark workloads in-process, through the
 `dglcalc` of CHECKOUT (default: this checkout), plus `--format json` runs of
 `one_cell_attachment.dgl i`: `gseq` at N=13-21, `evsub` and `grel` at N=16-21,
-`les` at N=13-17 and `gvp` at N=13-15 (the pseudo-workload `gseq-scaling`),
+`les` and `center` at N=13-17 and `gvp` at N=13-15, with `gottlieb` of its
+model `Y` at N=13-17 (the pseudo-workload `gseq-scaling`),
 and `validate` and `homology` of a fixed list of malformed model files (the
 pseudo-workload `parse-errors`), so exit codes and the `line:column` of parse
 errors are digested too.  Every op that does not --emit runs a second time
@@ -57,7 +58,10 @@ def scaling_ops(wl) -> list:
     runs = [("gseq", n) for n in range(13, 22)]
     runs += [(cmd, n) for cmd in ("evsub", "grel") for n in range(16, 22)]
     runs += [("les", n) for n in range(13, 18)] + [("gvp", n) for n in range(13, 16)]
-    return [wl.Op((cmd, f, "i", "--max-degree", str(n), "--format", "json")) for cmd, n in runs]
+    runs += [("center", n) for n in range(13, 18)]
+    ops = [wl.Op((cmd, f, "i", "--max-degree", str(n), "--format", "json")) for cmd, n in runs]
+    return ops + [wl.Op(("gottlieb", f, "Y", "--max-degree", str(n), "--format", "json"))
+                  for n in range(13, 18)]
 
 
 def error_ops(root: Path, wl) -> list:

@@ -16,7 +16,16 @@ under phi is a boundary.  It reads only the boundaries of phi's target, and
 only where the source has classes, as a map out of a zero group has a zero
 kernel: each image, checked exactly to be a cycle, is reduced by them, and as
 class coordinates are an injective image of the residuals, their kernel is
-ker phi_*.
+ker phi_*.  Before it reads them, a screen evaluates the images at the cycles
+of L.  For xi in Z_j(L), evaluation at xi is a chain map of degree j from each
+cone's target to its source, since (D theta)(xi) = d(theta(xi)) when
+d xi = 0: Der(L, K; psi) -> K and Der(L, L) -> L send theta to theta(xi), and
+Rel(psi_*) -> Rel(psi) sends (theta, eta) to (theta(xi), eta(xi)), commuting
+with delta exactly.  After the adjoint it sends a class x to the class of
+[x, psi(xi)], so ker phi_* lies in the joint kernel of these maps over the
+representatives xi of H(L); where that is zero, so is the subgroup, and no
+boundary is eliminated.  The Whitehead center and `g_vs_p` read the same
+pairing, into H(K).
 `g_vs_p` and `les` read phi_* itself, from the cone's one elimination.  The
 G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
 restricted from the long exact homology sequence of Rel(psi), whose maps it
@@ -38,6 +47,10 @@ from .errors import InternalError, PreconditionError, TruncationError
 from .lie import LieElement
 from .model import DglModel, DglMorphism
 from .relative import LesReport, RelComplex, assemble_les_of_chain_map
+
+# Below this many columns, eliminating a target's boundaries costs less than
+# the homology slices a screen may build (measured on the benchmark's maps).
+SCREEN_MIN_COLUMNS = 16
 
 
 @dataclass
@@ -172,7 +185,13 @@ class EvaluationContext:
     # -- kernels of the three vertical maps ---------------------------------
 
     def _kernel(self, cone: RelComplex, m: int) -> _Subgroup:
-        """ker phi_* in H_m of an adjoint cone's source: the classes phi sends to boundaries."""
+        """ker phi_* in H_m of an adjoint cone's source: the classes phi sends to boundaries.
+
+        Each image is checked exactly to be a cycle.  Then, where `_screen`
+        proves the kernel zero by evaluation at L's cycles (module
+        docstring), the subgroup is zero; otherwise the images are reduced by
+        W's boundaries, read only where V has a class and B_m(W) is complete.
+        """
         key = (cone, m)
         if key in self._kernels:
             return self._kernels[key]
@@ -185,17 +204,32 @@ class EvaluationContext:
             )
         else:
             rows = src.homology(m).rep_rows
-            bounds = dst.boundaries(m) if rows and dst.complete(m + 1) else linalg.Rref()
-            residuals = []
-            for row in rows:
-                img = dst.to_vector(m, cone.phi(src.from_vector(m, row)))
-                if dst.apply_d(m, img):
-                    raise InternalError(f"{cone.name}: phi sends a cycle to a non-cycle")
-                residuals.append(bounds.reduce(img))
-            kernel = linalg.rref(residuals).kernel_space()
+            images = [cone.phi(src.from_vector(m, row)) for row in rows]
+            vectors = [dst.to_vector(m, image) for image in images]
+            if any(dst.apply_d(m, v) for v in vectors):
+                raise InternalError(f"{cone.name}: phi sends a cycle to a non-cycle")
+            if rows and self._screen(cone, m, images):
+                kernel = linalg.Rref()
+            else:
+                bounds = dst.boundaries(m) if rows and dst.complete(m + 1) else linalg.Rref()
+                kernel = linalg.rref([bounds.reduce(v) for v in vectors]).kernel_space()
             group = _Subgroup(src, m, kernel, src.trusted(m) and dst.trusted(m))
         self._kernels[key] = group
         return group
+
+    def _screen(self, cone: RelComplex, m: int, images: list) -> bool:
+        """Whether evaluation at L's cycles, of degree j up to L's top
+        generator degree, sends the images of H_m(V) to independent classes
+        of V, so that ker phi_* is zero.  It runs only where the exact path
+        would eliminate W's boundaries, on at least SCREEN_MIN_COLUMNS
+        columns; there V is complete in degree m + j + 1 and L in degree
+        j + 1, so every slice it reads is trusted."""
+        dst = cone.W
+        if not (dst.complete(m + 1) and dst.record(m + 1).elimination is None
+                and dst.dim(m + 1) >= SCREEN_MIN_COLUMNS):
+            return False
+        j_top = self.L.max_generator_degree
+        return not self._pairing_kernel(cone.V, m, images, _evaluate, j_top, stop=True).rank
 
     # -- public subgroup reports ---------------------------------------------
 
@@ -214,28 +248,40 @@ class EvaluationContext:
 
     # -- Whitehead center -------------------------------------------------------
 
-    def _pairing_kernel(self, m: int, elements: list, pair) -> tuple:
-        """Kernel space of x -> (xi -> class of pair(x, xi) in H_{j+m}(K)), and the top j.
+    def _pairing_kernel(self, target: ChainComplex, m: int, elements: list, pair, j_top: int,
+                        stop: bool = False) -> linalg.Rref:
+        """Kernel space of x -> (xi -> class of pair(x, xi) in H_{j+m}(target)).
 
         One column per element x, one block of rows per homology
-        representative xi of H_j(L) for each testable source degree j.
+        representative xi of H_j(L), for each j from 1 to j_top at which
+        H_j(L) and H_{j+m}(target) are trusted: an untrusted slice lacks
+        boundaries, so it could see a class where there is none.  With stop,
+        a zero kernel is returned as soon as it is reached.  A pairing value
+        that is not a cycle is an `InternalError`.
         """
-        j_max = min(self.L.truncation - 1, self.K.truncation - 1 - m)
         cols = [dict() for _ in elements]
         offset = 0
-        for j in range(1, j_max + 1):
+        while j_top > 0 and not self.cL.trusted(j_top):  # L is trusted below a degree
+            j_top -= 1
+        for j in range(1, j_top + 1):
             hL = self.cL.homology(j)
-            if not hL.dim:
+            if not hL.dim or not target.trusted(j + m):
                 continue
-            hKjm = self.cK.homology(j + m)
+            h = target.homology(j + m)
             for xi_row in hL.rep_rows:
                 xi = self.cL.from_vector(j, xi_row)
                 for k, x in enumerate(elements):
-                    value = self.cK.to_vector(j + m, pair(x, xi))
-                    for idx, c in hKjm.class_coords(value).items():
+                    value = target.to_vector(j + m, pair(x, xi))
+                    try:
+                        coords = h.class_coords(value)
+                    except PreconditionError:
+                        raise InternalError(f"a pairing value in degree {j + m} is not a cycle") from None
+                    for idx, c in coords.items():
                         cols[k][offset + idx] = c
-                offset += hKjm.dim
-        return linalg.rref(cols).kernel_space(), j_max
+                offset += h.dim
+            if stop and h.dim and not linalg.rref(cols).kernel:
+                return linalg.Rref()
+        return linalg.rref(cols).kernel_space()
 
     def whitehead_center(self, top: int) -> SubspaceReport:
         m = top - 1
@@ -246,7 +292,8 @@ class EvaluationContext:
         hK = self.cK.homology(m)
         ys = [self.cK.from_vector(m, row) for row in hK.rep_rows]
         bracket, apply = self.K.algebra.bracket, self.psi.apply
-        kernel, j_max = self._pairing_kernel(m, ys, lambda y, xi: bracket(y, apply(xi)))
+        j_max = min(self.L.truncation - 1, self.K.truncation - 1 - m)
+        kernel = self._pairing_kernel(self.cK, m, ys, lambda y, xi: bracket(y, apply(xi)), j_max)
         return _Subgroup(self.cK, m, kernel, hK.trusted).report(top, (1, j_max))
 
     # -- the center/evaluation comparison ---------------------------------------
@@ -261,7 +308,8 @@ class EvaluationContext:
             image = self.rel_ad.les_rref("phi", m)
             hDer = self.der_LK.homology(m)
             thetas = [self.der_LK.from_vector(m, row) for row in hDer.rep_rows]
-            ker_i, _ = self._pairing_kernel(m, thetas, lambda theta, xi: theta.apply(xi))
+            j_max = min(self.L.truncation - 1, self.K.truncation - 1 - m)
+            ker_i = self._pairing_kernel(self.cK, m, thetas, _evaluate, j_max)
             witness_rows = linalg.intersect(image, ker_i)
             witnesses = [
                 self.der_LK.from_vector(m, linalg.combine(row, hDer.rep_rows))
@@ -360,6 +408,15 @@ class EvaluationContext:
 
     def trusted_tops(self) -> list:
         return self._tops(ChainComplex.trusted)
+
+
+def _evaluate(image, xi: LieElement):
+    """Evaluation at a cycle xi of L, a chain map of degree |xi| from each
+    adjoint cone's target to its source: theta(xi), and (theta(xi), eta(xi))
+    for a pair of Rel(psi_*)."""
+    if isinstance(image, tuple):
+        return image[0].apply(xi), image[1].apply(xi)
+    return image.apply(xi)
 
 
 def _term_homology(group: _Subgroup, incoming: linalg.Rref, outgoing: linalg.Rref):

@@ -14,6 +14,7 @@ from dglcalc import (
     adjoint,
     zero_morphism,
 )
+from dglcalc import subgroups
 from dglcalc.derivations import DerComplex, GenDerivation
 from dglcalc.errors import InternalError
 from dglcalc.modelfile import parse_workspace
@@ -438,8 +439,9 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     # Rel(psi_*), never assembles Rel(psi_*)'s columns, and eliminates each
     # target degree at most once, rows-only; Der(L, K; psi) and Der(L, L)
     # read their own targets' boundaries, so K and L may be eliminated
-    # rows-only too, each degree at most once.  A kernel reads no target
-    # boundaries where its source homology is zero.  phi_* of an adjoint cone is built
+    # rows-only too, each degree at most once.  A kernel reads its target's
+    # boundaries only where its source has a class that the screen (here at
+    # every size) leaves in the kernel.  phi_* of an adjoint cone is built
     # only for the image that g_vs_p intersects and for the LES, each matrix
     # built and eliminated at most once per degree.  Only the LES, through
     # H(Rel(ad_psi)), needs an adjoint cone's own differential.
@@ -489,7 +491,13 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
 
         monkeypatch.setattr(cls, "_boundary_rows", counted_rows)
     read, kernels = [], []  # (complex, n) of boundaries(n); (cone, m, W's read) per kernel
+    screened = {}  # (cone, m): the screen's verdict, where it ran
     boundaries, kernel = ChainComplex.boundaries, EvaluationContext._kernel
+    screen = EvaluationContext._screen
+
+    def counted_screen(context, cone, m, images):
+        screened[cone, m] = verdict = screen(context, cone, m, images)
+        return verdict
 
     def counted_boundaries(cplx, n):
         read.append((cplx, n))
@@ -508,6 +516,8 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     monkeypatch.setattr(ChainComplex, "elimination", counted_elimination)
     monkeypatch.setattr(ChainComplex, "boundaries", counted_boundaries)
     monkeypatch.setattr(EvaluationContext, "_kernel", counted_kernel)
+    monkeypatch.setattr(EvaluationContext, "_screen", counted_screen)
+    monkeypatch.setattr(subgroups, "SCREEN_MIN_COLUMNS", 0)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cp2_to_s4.dgl"
     psi = parse_workspace(fixture.read_text(), truncation=10).map("f")
     ctx = EvaluationContext(psi)
@@ -528,10 +538,11 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     assert kinds.count(False) == len(built)
     columns = [t.record(n).columns for t in targets[:2] for n in t._records]
     assert not [r for r, k in zip(eliminated, kinds) if k and any(r is c for c in columns)]
-    wanted = [(bool(cone.V.homology(m).dim) and cone.W.complete(m + 1), got)
-              for cone, m, got in kernels if m >= 1]
+    wanted = [(bool(cone.V.homology(m).dim) and cone.W.complete(m + 1)
+               and not screened.get((cone, m)), got) for cone, m, got in kernels if m >= 1]
     assert [got for _, got in wanted] == [want for want, _ in wanted]
     assert {want for want, _ in wanted} == {True, False}
+    assert {verdict for verdict in screened.values()} == {True, False}
 
     for top in tops:
         ctx.evaluation_subgroup(top)
@@ -553,20 +564,24 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
 def test_g_sequence_reads_target_boundaries_only_under_source_classes():
     # X models S^3 x S^3, so H(X) lives in internal degree 2 alone: of
     # Der(L, L) only B_2 is eliminated, on record 3.  H_m(Rel psi) is zero at
-    # every even m below 10, and B_10(Rel psi_*) lies past the truncation, so
-    # Rel(psi_*) eliminates no B_m at even m.
+    # every even m below 10, and B_10(Rel psi_*) lies past the truncation.  At
+    # each odd m evaluation at a and b shows G^rel_m zero, so Rel(psi_*)
+    # eliminates nothing, and of Der(L, K; psi) only B_2 is read, under the
+    # class of G_3(K, L; psi) that the screen leaves.
     ctx = EvaluationContext(fixture_map("one_cell_attachment.dgl", "i", truncation=15))
-    ctx.g_sequence(ctx.computable_tops())
+    terms = ctx.g_sequence(ctx.computable_tops())
 
     def eliminated(cplx):
         return sorted(n for n, rec in cplx._records.items() if rec.elimination is not None)
 
     assert [m for m in range(1, 15) if ctx.cL.homology(m).dim] == [2]
     assert eliminated(ctx.der_LL) == [3]
-    boundary_degrees = [n - 1 for n in eliminated(ctx.rel_star)]
-    assert boundary_degrees and all(m % 2 for m in boundary_degrees)
+    assert eliminated(ctx.der_LK) == [3] and terms[3].evaluation_dim == 1
+    assert not eliminated(ctx.rel_star)
+    classes = [m for m in range(1, 10) if ctx.rel.homology(m).dim]
+    assert classes and all(m % 2 for m in classes)
     assert not [m for m in range(2, 10, 2) if ctx.rel.homology(m).dim]
-    assert all(ctx.rel.homology(m).dim for m in boundary_degrees)
+    assert all(ctx._kernel(ctx.rel_ad_pair, m).dim == 0 for m in classes)
     assert not ctx.rel_star.complete(11)
 
 
@@ -672,6 +687,68 @@ def test_kernel_is_the_echelon_kernel_of_phi_star(case):
         want = cone.les_rref("phi", m).kernel_space()
         assert basis.pivots == want.pivots and in_order(basis.rows) == in_order(want.rows), (
             cone.name, m)
+
+
+def _every_kernel(ctx) -> dict:
+    """{(cone name, m): kernel} of the three adjoint cones at every computable m."""
+    out = {}
+    for cone in (ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair):
+        m = 1
+        while cone.V.computable(m) and cone.W.computable(m):
+            out[cone.name, m] = ctx._kernel(cone, m)
+            m += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "case", [*FIXTURE_MAPS, *cmd_mix_map_ids(), *range(40)],
+    ids=lambda c: ":".join(c) if isinstance(c, tuple) else f"{c}",
+)
+def test_screened_kernels_equal_the_exact_ones(monkeypatch, case):
+    # the screen decides a kernel only when evaluation at L's cycles proves
+    # it zero: screening at every size gives the kernels of the exact path,
+    # in value, type, dict order and trust, on the map and on the identities
+    # of its source and target
+    monkeypatch.setattr(subgroups, "SCREEN_MIN_COLUMNS", 0)
+    psi = _map_case(case)
+    for phi in (psi, DglMorphism.identity(psi.source), DglMorphism.identity(psi.target)):
+        screened = _every_kernel(EvaluationContext(phi))
+        with monkeypatch.context() as mp:
+            mp.setattr(EvaluationContext, "_screen", lambda ctx, cone, m, images: False)
+            exact = _every_kernel(EvaluationContext(phi))
+        assert screened.keys() == exact.keys()
+        for key, group in screened.items():
+            want = exact[key]
+            assert group.basis.pivots == want.basis.pivots, key
+            assert in_order(group.basis.rows) == in_order(want.basis.rows), key
+            assert group.trusted is want.trusted, key
+
+
+def test_screen_skips_untrusted_slices():
+    # X models S^3 x S^3 (d c = [a, b]).  At truncation 6, H_6(X) is
+    # computable but untrusted: [[a, b], a] = -d[a, c] bounds only from
+    # degree 7, so that slice takes it for a class.  [a, b] is a boundary, so
+    # its pairing with a is zero at every trusted slice, and a screen that
+    # read H_6 would drop it from a kernel it belongs to
+    text = "model X {\n  gen a : deg 2;\n  gen b : deg 2;\n  gen c : deg 5;\n  d c = [a,b];\n}\n"
+    model = parse_workspace(text, truncation=6).model("X")
+    ctx = EvaluationContext(DglMorphism.identity(model))
+    alg = model.algebra
+    ab = alg.bracket(alg.gen("a"), alg.gen("b"))
+    assert ctx.cL.computable(6) and not ctx.cL.trusted(6)
+    assert ctx.cL.homology(6).class_coords(ctx.cL.to_vector(6, alg.bracket(ab, alg.gen("a"))))
+    kernel = ctx._pairing_kernel(ctx.cL, 4, [ab], alg.bracket, 2, stop=True)
+    assert kernel.rank == 1
+
+
+def test_screen_values_that_are_not_cycles_are_internal_errors():
+    # a pairing value that is not a cycle is a fault of the package, not of
+    # the request: exit 4, not 3.  In Y, d y = a, so [y, b] is not a cycle
+    ctx = EvaluationContext(fixture_map("one_cell_attachment.dgl", "i", truncation=12))
+    bracket, apply = ctx.K.algebra.bracket, ctx.psi.apply
+    y = ctx.K.algebra.gen("y")
+    with pytest.raises(InternalError, match="degree 5 is not a cycle"):
+        ctx._pairing_kernel(ctx.cK, 3, [y], lambda x, xi: bracket(x, apply(xi)), 2, stop=True)
 
 
 def test_kernel_refuses_an_adjoint_that_sends_a_cycle_to_a_non_cycle():
