@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Randomized audit of the long exact sequence, the product construction, the
-free-Lie bracket and the derivation-complex boundaries.
+free-Lie bracket, the derivation-complex boundaries, the evaluation screen and
+the homotopy invariance of the map reports.
 
 Draws seeded random models and morphisms, assembles the long exact derivation
 homology sequence, and checks exactness at every trusted node; then builds
@@ -8,19 +9,23 @@ random product models and checks the homology additivity they must satisfy;
 then draws random generator sets (odd and even, degrees 1-3) and checks the
 bracket of every pair of basis words against the tensor-embedding oracle;
 then, for the same random morphisms and the identities of their source and
-target, checks that `DerComplex.boundaries(n)`, which leaves out the columns
-that add nothing to the span, equals the rows-only elimination of every
-column of D_{n+1} in pivots and in the value and type of each row entry, at
-every degree where D_{n+1} is complete; finally, on the same morphisms and
-identities, screens every subgroup kernel by evaluation at the source's
-cycles at every size, and checks each kernel against the echelon kernel of
-phi_* of its adjoint cone, in pivots and in the value, type and dict order of
-each row entry.
+target, checks that `DerComplex.boundaries(n)` equals the rows-only
+elimination of every column of a fresh D_{n+1}, in pivots and in the value
+and type of each row entry, at every degree where D_{n+1} is complete; then,
+on the same morphisms and identities, screens every subgroup kernel by
+evaluation at the source's cycles at every size, and checks each kernel
+against the echelon kernel of phi_* of its adjoint cone, in pivots and in the
+value, type and dict order of each row entry; finally, on every fixture map
+and the same morphisms, checks that the JSON reports of `gseq`, `omega` and
+`les` are homotopy invariants: psi's reports, computed without reducing its
+target, equal those of psi pushed into seeded presentations of its target
+with contractible pairs (alone, and after a unitriangular change of
+generators), whether those are reduced to their minimal quotient or not.
 
     python3 scripts/random_exactness_audit.py [--morphisms 50] [--products 20]
         [--max-generators 4] [--truncation 8] [--seed-offset 0]
 
-Exits 1 if any audit finds a failure; all five audits always run.
+Exits 1 if any audit finds a failure; all six audits always run.
 """
 from __future__ import annotations
 
@@ -34,13 +39,22 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from dglcalc import DglMorphism, EvaluationContext, FreeLieAlgebra, linalg, subgroups
+from dglcalc import DglError, DglMorphism, EvaluationContext, FreeLieAlgebra, linalg, subgroups
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import product_model, sphere_wedge_model
 from dglcalc.derivations import DerComplex
 
 from tests import oracles
-from tests.helpers import basis_element, in_order, random_model, random_validated_morphism
+from tests.helpers import (
+    FIXTURE_MAPS,
+    basis_element,
+    fixture_map,
+    in_order,
+    map_reports,
+    random_model,
+    random_validated_morphism,
+    with_contractible_pairs,
+)
 
 BRACKET_SETS = 20  # seeded generator sets the bracket audit draws
 
@@ -164,6 +178,26 @@ def audit_screen(cfg: Config):
     return not failures
 
 
+def audit_minimal_targets(cfg: Config):
+    cases = [(f"{f}:{n}", fixture_map(f, n, truncation=cfg.truncation)) for f, n in FIXTURE_MAPS]
+    cases += [(seed, random_validated_morphism(seed, max_gens=cfg.max_generators, truncation=cfg.truncation))
+              for seed in range(cfg.seed_offset, cfg.seed_offset + cfg.morphisms)]
+    presentations = 0
+    failures = []
+    for case, psi in cases:
+        want = map_reports(psi, reduced=False)
+        for k in range(3):  # psi itself, then k pairs, twisted when k = 2
+            try:
+                moved = with_contractible_pairs(k, psi, k, k == 2) if k else psi
+                presentations += 1
+                if any(map_reports(moved, reduced=r) != want for r in (True, False)):
+                    failures.append((case, k))
+            except DglError as exc:
+                failures.append((case, k, type(exc).__name__))
+    print(f"minimal targets: {len(cases)} maps, {presentations} presentations, {len(failures)} failures")
+    return not failures
+
+
 def parse_config(argv=None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for f in fields(Config):
@@ -176,7 +210,7 @@ def main(argv=None):
     cfg = parse_config(argv)
     start = time.perf_counter()
     ok = all([audit_les(cfg), audit_products(cfg), audit_brackets(cfg), audit_der_boundaries(cfg),
-              audit_screen(cfg)])
+              audit_screen(cfg), audit_minimal_targets(cfg)])
     print(f"total {time.perf_counter() - start:.2f}s")
     sys.exit(0 if ok else 1)
 

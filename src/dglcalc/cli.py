@@ -20,7 +20,7 @@ from .complexes import DglComplex
 from .constructions import cylinder, product_model, verify_homotopy
 from .derivations import DerComplex, GenDerivation
 from .errors import ParseError, PreconditionError, TruncationError, ValidationError
-from .model import DglMorphism
+from .model import DglMorphism, on_minimal_target
 from .modelfile import Workspace, parse_workspace, print_workspace
 from .subgroups import EvaluationContext, gottlieb
 
@@ -231,7 +231,7 @@ def cmd_grel(ws, args):
 
 
 def cmd_gseq(ws, args):
-    ctx = EvaluationContext(ws.map(args.name))
+    ctx = EvaluationContext(on_minimal_target(ws.map(args.name)))
     tops = _parse_degrees(args, ctx.computable_tops())
     degrees = []
     for t in ctx.g_sequence(tops).values():
@@ -272,7 +272,7 @@ def cmd_omega(ws, args):
 
 
 def cmd_les(ws, args):
-    ctx = EvaluationContext(ws.map(args.name))
+    ctx = EvaluationContext(on_minimal_target(ws.map(args.name)))
     tops = _parse_degrees(args, ctx.computable_tops())
     report = ctx.les([t - 1 for t in tops])
     degrees = []

@@ -22,34 +22,12 @@ column straight from the target's word cache; a coupled column is
 D(theta_{g,w}) through `GenDerivation.differential`.  As in every complex,
 each column is built at most once per degree, alone for d of a lone
 derivation or with the rest of its degree for an elimination.
-
-Boundaries come from the columns that add to the span.  Filter the complex
-by source-generator degree: a word of d_L g'' has degree |g''| - 1, so the
-coupling theta o d_L of a basis derivation at g has values only at
-generators g'' with |g''| > |g|.  Let w be a pivot word of the target's
-boundaries B_d(K), d = |g| + n, whose echelon row is b = d_K u with u in
-K_{d+1}.  Then D(theta_{g,u}) = theta_{g,b} + theta', with theta' the
-coupling of theta_{g,u}, so D^2 = 0 gives D(theta_{g,b}) = -D(theta'), a
-combination of the columns of higher-degree generators.  As b is w plus
-non-pivot words, D(theta_{g,w}) lies in the span of those columns and of
-g's columns at non-pivot words.  By downward induction on generator degree
-(generators of one degree never couple to each other), the columns that
-`_boundary_rows` keeps span B_{n-1} of the complex, and the reduced echelon
-form of a span is unique, so its rows and pivots are those of all columns
-(D^2 = 0 needs d^2 = 0 on both models and psi a chain map, which the CLI
-checks before it computes anything).  Only coupled blocks are thinned: an
-uncoupled column is d_K w read from the word cache and re-indexed, which
-costs no more than the column of K that B_d(K) would itself need.  The
-target's complex is shared with the morphism's other readers
-(`EvaluationContext.cK`, or `cL` for the identity), so its eliminations are
-shared with its homology.
 """
 from __future__ import annotations
 
 from typing import Mapping
 
-from . import linalg
-from .complexes import ChainComplex, DglComplex
+from .complexes import ChainComplex
 from .errors import PreconditionError, TruncationError
 from .lie import LieElement
 from .model import DglMorphism, DglModel
@@ -186,14 +164,11 @@ def adjoint(psi: DglMorphism, y: LieElement) -> GenDerivation:
 
 
 class DerComplex(ChainComplex):
-    """The DG vector space of derivations along a fixed morphism.  `target`
-    is the chain complex of psi's target that boundaries read; a complex
-    builds its own unless one is shared."""
+    """The DG vector space of derivations along a fixed morphism."""
 
-    def __init__(self, psi: DglMorphism, target: DglComplex = None):
+    def __init__(self, psi: DglMorphism):
         super().__init__()
         self.psi = psi
-        self.target = target if target is not None else DglComplex(psi.target)
         self.trunc = min(psi.source.truncation, psi.target.truncation)
         self._max_src = psi.source.max_generator_degree
         # generators that some d_L reaches through psi's Fox table (module docstring)
@@ -246,21 +221,3 @@ class DerComplex(ChainComplex):
     def d_columns(self, n: int) -> list:
         built = self.record(n).built
         return [built[i] if i in built else self.d_column(n, i) for i in range(self.dim(n))]
-
-    def _boundary_rows(self, n: int) -> linalg.Rref:
-        """The rows-only echelon form of D_n's columns, from all but the
-        coupled columns at pivot words of the target's boundaries (module
-        docstring); a degree already assembled whole is eliminated whole."""
-        rec = self.record(n)
-        skip = set()
-        if rec.columns is None:
-            for gi, g in enumerate(self.psi.source.generators):
-                d = g.degree + n
-                if g.name in self._coupled and d >= 1 and self.target.complete(d + 1):
-                    words = self.target.record(d).labels
-                    skip.update((gi, words[p]) for p in self.target.boundaries(d).pivots)
-        if skip:
-            cols = [self.column(n, i) for i, label in enumerate(rec.labels) if label not in skip]
-        else:
-            cols = self.columns(n)
-        return linalg.rref(cols, kernel=False)

@@ -15,12 +15,18 @@ A morphism is a generator assignment that commutes with the differentials.
 Both d^2 = 0 and the chain-map condition are checked on generators only: a
 derivation (d^2 = [d, d]/2, or phi d - d phi along phi) that vanishes on the
 generators vanishes on the whole free algebra.
+
+A model whose differential has a linear part is not minimal: it splits as a
+minimal model and a contractible part U + dU (Baues-Lemaire, Math. Ann. 225,
+1977).  `minimal_quotient` builds the quotient by the ideal of that part, a
+quasi-isomorphism r, with no section and no change of the kept generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from . import linalg
 from .errors import PreconditionError, ValidationError
 from .lie import FreeLieAlgebra, LieElement
 
@@ -296,3 +302,54 @@ def _linear_extension(on_word, element: LieElement, algebra: FreeLieAlgebra, deg
 def zero_morphism(source: DglModel, target: DglModel) -> DglMorphism:
     values = {g.name: target.algebra.zero(g.degree) for g in source.generators}
     return DglMorphism(source, target, values, name="0", check=False)
+
+
+def minimal_quotient(model: DglModel) -> Optional[DglMorphism]:
+    """The quotient r: K -> Km by the DGL ideal of a contractible part U + dU,
+    or None when K is minimal.
+
+    Going down in degree, U_n is chosen among the generators of degree n that
+    are no pivot of d U_{n+1}: those whose linear parts d_0 u are independent,
+    by one echelon over generator coordinates.  The echelon of the elements
+    d u, letters first, has its pivots at generators p, so swapping each p
+    for its row leaves the free generators W + U + dU.  r keeps each w of W,
+    with its name and upper degree, in order, sends U to 0 and, going up in
+    degree, p to minus r of the rest of its row, as r(d u) = 0; d' = r o d on
+    W.  The ideal is d-stable, so d' is a differential, and d_0 w lies in
+    d_0(U), whose image under r is brackets, so d' has no linear part.
+    """
+    if all(v.linear_part().is_zero() for v in model.diff.values()):
+        return None
+    gens = model.generators
+    killed, rests = set(), {}  # U, and each pivot's row without the pivot
+    for n in sorted({g.degree for g in gens}, reverse=True):
+        cands = [i for i, g in enumerate(gens) if g.degree == n and i not in rests]
+        rows = {}
+        for k, i in enumerate(cands):
+            for w, c in model.diff_of(gens[i].name).linear_part().terms.items():
+                rows.setdefault(w, {})[k] = c
+        us = [cands[k] for k in linalg.rref(list(rows.values()), kernel=False).pivots]
+        killed.update(us)
+        chosen = [model.diff[gens[i].name] for i in us]
+        words = sorted({w for du in chosen for w in du.terms}, key=lambda w: (len(w), w))
+        index = {w: k for k, w in enumerate(words)}
+        echelon = linalg.rref([{index[w]: c for w, c in du.terms.items()} for du in chosen], kernel=False)
+        for p, row in zip(echelon.pivots, echelon.rows):
+            rest = {words[k]: c for k, c in row.items() if k != p}
+            rests[words[p][0]] = LieElement(model.algebra, n - 1, rest)
+    kept = [g for i, g in enumerate(gens) if i not in killed and i not in rests]
+    alg = FreeLieAlgebra(kept, model.truncation)
+    values = {g.name: alg.zero(g.degree) for g in gens}
+    values.update((g.name, alg.gen(g.name)) for g in alg.generators)
+    r = DglMorphism(model, DglModel(alg), values, check=False)
+    for i in sorted(rests, key=lambda i: gens[i].degree):  # rests read lower pivots only
+        r.values[gens[i].name] = -r.apply(rests[i])
+    diff = {g.name: r.apply(model.diff_of(g.name)) for g in alg.generators}
+    return DglMorphism(model, DglModel(alg, diff, name=model.name), r.values, name="r")
+
+
+def on_minimal_target(psi: DglMorphism) -> DglMorphism:
+    """r o psi for the minimal quotient r of psi's target; psi itself when the
+    target is minimal."""
+    r = minimal_quotient(psi.target)
+    return psi if r is None else r.compose(psi)

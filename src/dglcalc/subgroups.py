@@ -155,9 +155,9 @@ class EvaluationContext:
         self.K = psi.target
         self.cL = DglComplex(self.L)
         self.cK = DglComplex(self.K)
-        self.der_LK = DerComplex(psi, self.cK)
+        self.der_LK = DerComplex(psi)
         identity = DglMorphism.identity(self.L)
-        self.der_LL = DerComplex(identity, self.cL)
+        self.der_LL = DerComplex(identity)
         # The maps below close over locals, never over self: a closure kept
         # on self would make every context a reference cycle.
 

@@ -9,15 +9,16 @@ has no solution.
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
 
-from dglcalc import DglModel, DglMorphism, FreeLieAlgebra, LieElement
+from dglcalc import DglModel, DglMorphism, FreeLieAlgebra, Generator, LieElement
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import _exp_apply
 from dglcalc import linalg
-from dglcalc.modelfile import parse_workspace
+from dglcalc.modelfile import Workspace, parse_workspace
 
 from .oracles import solve_columns
 
@@ -266,6 +267,79 @@ def random_validated_morphism(seed, max_gens=3, truncation=8):
 
         return zero_morphism(src, dst)
     return phi
+
+
+def with_contractible_pairs(seed, psi, pairs=1, twist=False):
+    """psi followed by an isomorphism of its target K onto a presentation with
+    contractible pairs: K + L(u, v; d u = v) for each pair, in seeded degrees
+    and at seeded places in the generator order.  With twist, a seeded
+    unitriangular change of generators g -> g + x_g follows, x_g a combination
+    of brackets and of the generators of g's degree before g; its inverse is
+    read off by recursion in that order, and d becomes phi d phi^{-1}.
+    Upper degrees are dropped: the pairs carry none."""
+    rng = random.Random(seed)
+    K = psi.target
+    gens = [Generator(g.name, g.degree) for g in K.generators]
+    used = {g.name for g in gens}
+
+    def fresh(name):
+        while name in used:
+            name += "'"
+        used.add(name)
+        return name
+
+    couples = []
+    for k in range(pairs):
+        n = rng.randint(1, K.truncation - 1)
+        couples.append((fresh(f"u{k}"), fresh(f"v{k}")))
+        for name, d in zip(couples[-1], (n + 1, n)):
+            gens.insert(rng.randint(0, len(gens)), Generator(name, d))
+    alg = FreeLieAlgebra(gens, K.truncation)
+    incl = DglMorphism(K, DglModel(alg), {g.name: alg.gen(g.name) for g in K.generators}, check=False)
+    diff = {g: incl.apply(v) for g, v in K.diff.items()}
+    diff.update((u, alg.gen(v)) for u, v in couples)
+    plain = DglModel(alg, diff)
+    images = {g.name: alg.gen(g.name) for g in gens}
+    if twist:
+        inv = DglMorphism(plain, plain, dict(images), check=False)
+        order = sorted(range(len(gens)), key=lambda i: gens[i].degree)
+        for k, i in enumerate(order):
+            g = gens[i]
+            terms = {(j,): rng.choice((-1, 1, 2)) for j in order[:k]
+                     if gens[j].degree == g.degree and rng.random() < 0.5}
+            terms.update((w, rng.choice((-2, -1, 1, 2))) for w in alg.words(g.degree)
+                         if len(w) > 1 and rng.random() < 0.3)
+            x = LieElement(alg, g.degree, terms)
+            images[g.name] = images[g.name] + x
+            inv.values[g.name] = alg.gen(g.name) - inv.apply(x)  # x reads earlier letters only
+        phi = DglMorphism(plain, plain, images, check=False)
+        target = DglModel(alg, {g.name: phi.apply(plain.d(inv.values[g.name])) for g in gens})
+        phi = DglMorphism(plain, target, phi.values)
+    else:
+        target, phi = plain, DglMorphism.identity(plain)
+    values = {g: phi.apply(incl.apply(v)) for g, v in psi.values.items()}
+    return DglMorphism(psi.source, target, values)
+
+
+def map_reports(psi, commands=("gseq", "omega", "les"), reduced=True) -> dict:
+    """{command: JSON text of its report on psi}, as `dglcalc --format json`
+    prints it at psi's truncation; with reduced=False the command runs on psi
+    itself rather than on its target's minimal quotient."""
+    from dglcalc import cli
+
+    ws = Workspace(truncation=psi.target.truncation, maps={"i": psi})
+    original = cli.on_minimal_target
+    if not reduced:
+        cli.on_minimal_target = lambda phi: phi
+    try:
+        out = {}
+        for cmd in commands:
+            args = cli.build_parser().parse_args([cmd, "map.dgl", "i", "--max-degree", str(ws.truncation)])
+            report, _ = cli.COMMANDS[cmd](ws, args)
+            out[cmd] = json.dumps(report, indent=2, default=str)
+        return out
+    finally:
+        cli.on_minimal_target = original
 
 
 def exp_automorphism(cyl, element, inverse=False):

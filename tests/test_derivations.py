@@ -444,29 +444,23 @@ def test_der_columns_under_shuffled_generator_orders(order, monkeypatch):
     _assert_columns_match_oracle(psi)
 
 
-# -- boundaries from the columns that add to the span -------------------------------
+# -- boundaries against the elimination of every column ---------------------------
 
 
 def _assert_boundaries_match_full_elimination(psi):
-    # boundaries(n) leaves out the coupled columns at pivot words of the
-    # target's boundaries, and its echelon form, unique for the span, equals
-    # the rows-only elimination of every column, in pivots and in the value
-    # and type of every row entry: with a target complex shared with another
-    # reader that has already eliminated it, and with the complex's own
-    shared = DglComplex(psi.target)
-    for n in range(1, shared.trunc + 1):
-        if shared.computable(n):
-            shared.homology(n)
+    # boundaries(n), rows-only, equals the rows-only elimination of every
+    # column of a fresh complex, in pivots and in the value and type of every
+    # row entry
+    cx = DerComplex(psi)
     checked = 0
-    for cx in (DerComplex(psi, shared), DerComplex(psi)):
-        for n in range(-psi.source.max_generator_degree, cx.trunc + 1):
-            if not cx.complete(n + 1):
-                continue
-            full = linalg.rref(DerComplex(psi).d_columns(n + 1), kernel=False)
-            got = cx.boundaries(n)
-            assert got.pivots == full.pivots, n
-            assert [sorted(r) for r in in_order(got.rows)] == [sorted(r) for r in in_order(full.rows)], n
-            checked += 1
+    for n in range(-psi.source.max_generator_degree, cx.trunc + 1):
+        if not cx.complete(n + 1):
+            continue
+        full = linalg.rref(DerComplex(psi).d_columns(n + 1), kernel=False)
+        got = cx.boundaries(n)
+        assert got.pivots == full.pivots, n
+        assert [sorted(r) for r in in_order(got.rows)] == [sorted(r) for r in in_order(full.rows)], n
+        checked += 1
     assert checked
 
 
@@ -491,28 +485,3 @@ def test_der_boundaries_match_full_elimination_on_random_morphisms(seed):
 @pytest.mark.parametrize("case", cmd_mix_map_ids())
 def test_der_boundaries_match_full_elimination_on_cmd_mix_maps(case):
     _assert_boundaries_match_full_elimination(cmd_mix_map(case))
-
-
-def test_der_boundaries_build_coupled_columns_only_off_target_boundary_pivots(monkeypatch):
-    # at N=15, degree 10 of Der(L, K; psi) pairs a and b with the 39 words of
-    # K_12 and c with the 152 of K_15; B_12(K) has rank 21, so the coupled a
-    # and b blocks build the columns of the 18 other words and the uncoupled
-    # c block is built whole, each column once
-    ctx = EvaluationContext(fixture_map("one_cell_attachment.dgl", "i", truncation=15))
-    cx = ctx.der_LK
-    assert cx.target is ctx.cK and ctx.der_LL.target is ctx.cL
-    built = column_builds(monkeypatch)
-    cx.boundaries(9)
-    pivots = {ctx.cK.record(12).labels[p] for p in ctx.cK.boundaries(12).pivots}
-    assert len(pivots) == 21
-    names = [g.name for g in cx.psi.source.generators]
-    labels = cx.record(10).labels
-    got = [labels[i] for c, n, i in built if c is cx and n == 10]
-    assert len(got) == len(set(got)) == 188
-    for name, size in (("a", 39), ("b", 39), ("c", 152)):
-        gi = names.index(name)
-        words = {w for g, w in labels if g == gi}
-        assert len(words) == size
-        kept = {w for g, w in got if g == gi}
-        assert kept == (words if name == "c" else words - pivots)
-    assert cx.record(10).columns is None

@@ -437,8 +437,7 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     # A subgroup reads only the boundaries of its adjoint cone's target: the
     # G-sequence builds no homology slice of Der(L, L), Der(L, K; psi) or
     # Rel(psi_*), never assembles Rel(psi_*)'s columns, and eliminates each
-    # target degree at most once, rows-only; Der(L, K; psi) and Der(L, L)
-    # read their own targets' boundaries, so K and L may be eliminated
+    # target degree at most once, rows-only; K and L may be eliminated
     # rows-only too, each degree at most once.  A kernel reads its target's
     # boundaries only where its source has a class that the screen (here at
     # every size) leaves in the kernel.  phi_* of an adjoint cone is built
@@ -449,7 +448,6 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
 
     from dglcalc import complexes, linalg
     from dglcalc.complexes import ChainComplex
-    from dglcalc.derivations import DerComplex
     from dglcalc.relative import RelComplex
 
     original = complexes.induced_matrix
@@ -484,7 +482,7 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
         full.append(cplx)
         return elimination(cplx, n)
 
-    for cls in (ChainComplex, DerComplex, RelComplex):
+    for cls in (ChainComplex, RelComplex):  # the classes that define _boundary_rows
         def counted_rows(cplx, n, _build=cls._boundary_rows):
             rows_only.append((cplx, n))
             return _build(cplx, n)
