@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Randomized audit of the long exact sequence, the product construction, the
-free-Lie bracket, the derivation-complex boundaries, the evaluation screen and
-the homotopy invariance of the map reports.
+free-Lie bracket, the derivation-complex boundaries, the evaluation screen,
+the homotopy invariance of the map reports and the object differentials.
 
 Draws seeded random models and morphisms, assembles the long exact derivation
 homology sequence, and checks exactness at every trusted node; then builds
@@ -9,9 +9,10 @@ random product models and checks the homology additivity they must satisfy;
 then draws random generator sets (odd and even, degrees 1-3) and checks the
 bracket of every pair of basis words against the tensor-embedding oracle;
 then, for the same random morphisms and the identities of their source and
-target, checks that `DerComplex.boundaries(n)` equals the rows-only
-elimination of every column of a fresh D_{n+1}, in pivots and in the value
-and type of each row entry, at every degree where D_{n+1} is complete; then,
+target, checks that `DerComplex.boundaries(n)` equals the Bareiss elimination
+of the columns of D_{n+1} that the oracle derivations of `tests/oracles.py`
+build, in pivots and in the value of each row entry, whose type must follow
+the coefficient rule, at every degree where D_{n+1} is complete; then,
 on the same morphisms and identities, screens every subgroup kernel by
 evaluation at the source's cycles at every size, and checks each kernel
 against the echelon kernel of phi_* of its adjoint cone, in pivots and in the
@@ -20,12 +21,15 @@ and the same morphisms, checks that the JSON reports of `gseq`, `omega` and
 `les` are homotopy invariants: psi's reports, computed without reducing its
 target, equal those of psi pushed into seeded presentations of its target
 with contractible pairs (alone, and after a unitriangular change of
-generators), whether those are reduced to their minimal quotient or not.
+generators), whether those are reduced to their minimal quotient or not;
+last, on every complex and cone of an evaluation context of the same
+morphisms, checks that the object differential `d` of each basis vector
+equals its column, in value, type and dict order.
 
     python3 scripts/random_exactness_audit.py [--morphisms 50] [--products 20]
         [--max-generators 4] [--truncation 8] [--seed-offset 0]
 
-Exits 1 if any audit finds a failure; all six audits always run.
+Exits 1 if any audit finds a failure; all seven audits always run.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ from dglcalc.derivations import DerComplex
 
 from tests import oracles
 from tests.helpers import (
+    CONTEXT_COMPLEXES,
     FIXTURE_MAPS,
     basis_element,
     fixture_map,
@@ -138,9 +143,10 @@ def audit_der_boundaries(cfg: Config):
                 if not cx.complete(n + 1):
                     continue
                 degrees += 1
-                full = linalg.rref(DerComplex(phi).d_columns(n + 1), kernel=False)
                 got = cx.boundaries(n)
-                entries = [[sorted(row) for row in in_order(e.rows)] for e in (got, full)]
+                full = oracles.bareiss_rref(oracles.der_columns(cx, n + 1))
+                rows = [{k: linalg.coeff(c) for k, c in row.items()} for row in full.rows]
+                entries = [[sorted(row) for row in in_order(e)] for e in (got.rows, rows)]
                 if got.pivots != full.pivots or entries[0] != entries[1]:
                     failures.append((seed, kind, n))
     print(f"derivation boundaries: {complexes} complexes, {degrees} degrees, {len(failures)} failures")
@@ -198,6 +204,28 @@ def audit_minimal_targets(cfg: Config):
     return not failures
 
 
+def audit_object_differentials(cfg: Config):
+    complexes, columns = 0, 0
+    failures = []
+    for seed in range(cfg.seed_offset, cfg.seed_offset + cfg.morphisms):
+        ctx = EvaluationContext(
+            random_validated_morphism(seed, max_gens=cfg.max_generators, truncation=cfg.truncation)
+        )
+        for name in CONTEXT_COMPLEXES:
+            cx = getattr(ctx, name)
+            complexes += 1
+            for n in range(-cfg.truncation, cx.trunc + 1):
+                if not cx.complete(n):
+                    continue
+                for i, col in enumerate(cx.columns(n)):
+                    columns += 1
+                    got = cx.to_vector(n - 1, cx.d(cx.from_vector(n, {i: 1})))
+                    if in_order([got]) != in_order([col]):
+                        failures.append((seed, name, n, i))
+    print(f"object differentials: {complexes} complexes, {columns} columns, {len(failures)} failures")
+    return not failures
+
+
 def parse_config(argv=None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for f in fields(Config):
@@ -210,7 +238,7 @@ def main(argv=None):
     cfg = parse_config(argv)
     start = time.perf_counter()
     ok = all([audit_les(cfg), audit_products(cfg), audit_brackets(cfg), audit_der_boundaries(cfg),
-              audit_screen(cfg), audit_minimal_targets(cfg)])
+              audit_screen(cfg), audit_minimal_targets(cfg), audit_object_differentials(cfg)])
     print(f"total {time.perf_counter() - start:.2f}s")
     sys.exit(0 if ok else 1)
 

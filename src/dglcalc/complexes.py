@@ -3,13 +3,13 @@
 Every complex in the package (a DGL, a derivation space, a relativization)
 implements the same small interface: basis labels, a completeness predicate
 saying whether the degree is fully known under the truncation, the
-differential column of one basis label, and conversions between basis vectors
-and domain objects.  The base class keeps one record per degree (the labels,
-their index, the columns built so far and the single elimination of d_n) that
-dimensions, conversions and homology read.  Each column is built at most once:
-`apply_d`, d of a lone vector such as a cycle check's, builds only the columns
-of the vector's support, and a reader of every column takes `columns(n)`,
-which reuses them.  A homology slice is `linalg.quotient_basis` of two echelon
+differential column of one basis label, the differential `d` of one domain
+object, and conversions between basis vectors and domain objects.  The base
+class keeps one record per degree (the labels, their index, the columns of
+d_n and its single elimination) that dimensions, conversions and homology
+read.  The columns of a degree are built together, once, by `columns(n)`; d
+of a lone object, such as a cycle check's, is the object's own differential
+and builds no column.  A homology slice is `linalg.quotient_basis` of two echelon
 forms already built, Z_n (the kernel of d_n's elimination) and B_n (the rows
 of d_{n+1}'s), so it eliminates nothing: its representatives are the rows of
 Z_n whose pivots are not pivots of B_n.  Slices carry these deterministic
@@ -67,21 +67,18 @@ class HomologySlice:
 class DegreeRecord:
     """One degree of a complex: basis labels, their index, d_n and its elimination.
 
-    Each column of d_n is built at most once.  A reader of a few vectors
-    (`apply_d`) builds only the columns of their support, into `built`; a
-    reader of every column (the elimination, a cone over the complex) takes
-    `columns`, the whole list, which reuses those.  The elimination is their
-    single rref: its kernel is Z_n and its rows span B_{n-1}.  Both are
-    filled on first use, the elimination rows-only (kernel None) by
+    The columns of d_n are built once, all together, by the first reader of
+    any of them (the elimination, a cone over the complex).  The elimination
+    is their single rref: its kernel is Z_n and its rows span B_{n-1}.  Both
+    are filled on first use, the elimination rows-only (kernel None) by
     `boundaries` until a reader wants Z_n.
     """
 
-    __slots__ = ("labels", "index", "built", "columns", "elimination")
+    __slots__ = ("labels", "index", "columns", "elimination")
 
     def __init__(self, labels: list):
         self.labels = labels
         self.index = {lab: i for i, lab in enumerate(labels)}
-        self.built: dict = {}
         self.columns: Optional[list] = None
         self.elimination: Optional[linalg.Rref] = None
 
@@ -103,8 +100,11 @@ class ChainComplex:
         raise NotImplementedError
 
     def d_columns(self, n: int) -> list:
-        """Images in C_{n-1} of the basis vectors of C_n: the columns already
-        built alone, and d_column of the others."""
+        """Images in C_{n-1} of the basis vectors of C_n."""
+        raise NotImplementedError
+
+    def d(self, obj):
+        """d of one object of the complex, as an object; it builds no column."""
         raise NotImplementedError
 
     def labels(self, n: int) -> list:
@@ -126,22 +126,11 @@ class ChainComplex:
     def dim(self, n: int) -> int:
         return len(self.record(n).labels)
 
-    def column(self, n: int, i: int) -> dict:
-        """d_column(n, i), built at most once per degree."""
-        rec = self.record(n)
-        if rec.columns is not None:
-            return rec.columns[i]
-        col = rec.built.get(i)
-        if col is None:
-            col = rec.built[i] = self.d_column(n, i)
-        return col
-
     def columns(self, n: int) -> list:
-        """d_columns(n), built once per degree; it reuses the columns built alone."""
+        """d_columns(n), built once per degree."""
         rec = self.record(n)
         if rec.columns is None:
             rec.columns = self.d_columns(n)
-            rec.built.clear()
         return rec.columns
 
     def elimination(self, n: int) -> linalg.Rref:
@@ -161,12 +150,6 @@ class ChainComplex:
     def _boundary_rows(self, n: int) -> linalg.Rref:
         """The rows-only echelon form of d_n's columns."""
         return linalg.rref(self.columns(n), kernel=False)
-
-    def apply_d(self, n: int, vec) -> dict:
-        """d_n of a vector of C_n.  It equals linalg.combine(vec, columns(n)),
-        which reads only the columns of vec's support, so only those are
-        built while degree n is not assembled."""
-        return linalg.combine(vec, {i: self.column(n, i) for i in vec})
 
     def computable(self, n: int) -> bool:
         """H_n can be computed: C_n and C_{n-1} are complete."""
@@ -235,8 +218,10 @@ class DglComplex(ChainComplex):
         return self.to_vector(n - 1, self.model._d_word(self.record(n).labels[i]))
 
     def d_columns(self, n: int) -> list:
-        built = self.record(n).built
-        return [built[i] if i in built else self.d_column(n, i) for i in range(self.dim(n))]
+        return [self.d_column(n, i) for i in range(self.dim(n))]
+
+    def d(self, obj: LieElement) -> LieElement:
+        return self.model.d(obj)
 
     def from_vector(self, n: int, vec) -> LieElement:
         words = self.record(n).labels

@@ -20,8 +20,8 @@ table is uncoupled: theta o d_L = 0 for the basis derivation theta_{g,w}, so
 D(theta_{g,w}) = d_K w in g's block, and `DerComplex.d_column` writes that
 column straight from the target's word cache; a coupled column is
 D(theta_{g,w}) through `GenDerivation.differential`.  As in every complex,
-each column is built at most once per degree, alone for d of a lone
-derivation or with the rest of its degree for an elimination.
+the columns of a degree are built together, once; D of a lone derivation,
+such as a cycle check's, is its `differential` and builds no column.
 """
 from __future__ import annotations
 
@@ -219,5 +219,7 @@ class DerComplex(ChainComplex):
         return self.to_vector(n - 1, theta.differential())
 
     def d_columns(self, n: int) -> list:
-        built = self.record(n).built
-        return [built[i] if i in built else self.d_column(n, i) for i in range(self.dim(n))]
+        return [self.d_column(n, i) for i in range(self.dim(n))]
+
+    def d(self, theta: GenDerivation) -> GenDerivation:
+        return theta.differential()

@@ -26,9 +26,9 @@ homology sequence, and (ad_psi, ad) between the first two cones.  A subgroup
 reads its cone's phi and the boundaries of phi's target, so only Rel(ad_psi),
 for `les`, ever assembles its own differential.  A cone's boundaries extend
 W's echelon rows by the residuals of its V columns, so Rel(psi_*) never
-eliminates its stacked matrix.  The differential's one home is `d_column`,
-the column of one basis vector: -d_W w for w, and (phi(v), d_V v) for v, read
-from the factors' columns; a cycle check builds only its support's columns.
+eliminates its stacked matrix.  The differential has two forms: `d_column`,
+one basis vector's column read from the factors' columns, and `d`, delta of
+one object from the factors' own `d`, which builds no column.
 """
 from __future__ import annotations
 
@@ -89,24 +89,24 @@ class RelComplex(ChainComplex):
         """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of the i-th basis vector."""
         wdim = self.W.dim(n)
         if i < wdim:
-            return {k: -c for k, c in self.W.column(n, i).items()}
+            return {k: -c for k, c in self.W.columns(n)[i].items()}
         j = i - wdim
         image = self.W.to_vector(n - 1, self.phi(self.V.from_vector(n - 1, {j: 1})))
-        return self.join(n - 1, image, self.V.column(n - 1, j))
+        return self.join(n - 1, image, self.V.columns(n - 1)[j])
 
     def d_columns(self, n: int) -> list:
-        # every column of W_n and V_{n-1} is read, so each is assembled whole
-        self.W.columns(n)
-        self.V.columns(n - 1)
-        built = self.record(n).built
-        return [built[i] if i in built else self.d_column(n, i) for i in range(self.dim(n))]
+        return [self.d_column(n, i) for i in range(self.dim(n))]
+
+    def d(self, obj):
+        """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of one object (w, v)."""
+        w, v = obj
+        return _minus(self.phi(v), self.W.d(w)), self.V.d(v)
 
     def _boundary_rows(self, n: int) -> linalg.Rref:
         """B_{n-1} with no stacked elimination: W's boundaries span the -d_W
         block, and the residuals of the V columns by them extend that form."""
         base = self.W.boundaries(n - 1)
-        self.V.columns(n - 1)  # every V column is read
-        cols = (self.column(n, i) for i in range(self.W.dim(n), self.dim(n)))
+        cols = (self.d_column(n, i) for i in range(self.W.dim(n), self.dim(n)))
         return linalg.extend(base, linalg.rref([base.reduce(c) for c in cols], kernel=False))
 
     # -- the long exact sequence, in class coordinates ---------------------------
@@ -154,6 +154,11 @@ class RelComplex(ChainComplex):
             return [h.class_coords(self.split(n, row)[1]) for row in rows]
 
         return self._les_map(("P", n), build)
+
+
+def _minus(a, b):
+    """a - b of two objects of one complex, a cone's pairs entry by entry."""
+    return tuple(map(_minus, a, b)) if isinstance(a, tuple) else a + -1 * b
 
 
 # -- long exact sequence reports ------------------------------------------------

@@ -187,10 +187,11 @@ class EvaluationContext:
     def _kernel(self, cone: RelComplex, m: int) -> _Subgroup:
         """ker phi_* in H_m of an adjoint cone's source: the classes phi sends to boundaries.
 
-        Each image is checked exactly to be a cycle.  Then, where `_screen`
-        proves the kernel zero by evaluation at L's cycles (module
-        docstring), the subgroup is zero; otherwise the images are reduced by
-        W's boundaries, read only where V has a class and B_m(W) is complete.
+        Each image is checked exactly to be a cycle by W's object differential
+        `d`, which builds no column.  Then, where `_screen` proves the kernel
+        zero by evaluation at L's cycles (module docstring), the subgroup is
+        zero; otherwise the images are vectorised and reduced by W's
+        boundaries, read only where V has a class and B_m(W) is complete.
         """
         key = (cone, m)
         if key in self._kernels:
@@ -205,14 +206,14 @@ class EvaluationContext:
         else:
             rows = src.homology(m).rep_rows
             images = [cone.phi(src.from_vector(m, row)) for row in rows]
-            vectors = [dst.to_vector(m, image) for image in images]
-            if any(dst.apply_d(m, v) for v in vectors):
+            if not all(_is_zero(dst.d(image)) for image in images):
                 raise InternalError(f"{cone.name}: phi sends a cycle to a non-cycle")
             if rows and self._screen(cone, m, images):
                 kernel = linalg.Rref()
             else:
                 bounds = dst.boundaries(m) if rows and dst.complete(m + 1) else linalg.Rref()
-                kernel = linalg.rref([bounds.reduce(v) for v in vectors]).kernel_space()
+                vectors = [bounds.reduce(dst.to_vector(m, image)) for image in images]
+                kernel = linalg.rref(vectors).kernel_space()
             group = _Subgroup(src, m, kernel, src.trusted(m) and dst.trusted(m))
         self._kernels[key] = group
         return group
@@ -417,6 +418,11 @@ def _evaluate(image, xi: LieElement):
     if isinstance(image, tuple):
         return image[0].apply(xi), image[1].apply(xi)
     return image.apply(xi)
+
+
+def _is_zero(obj) -> bool:
+    """Whether an element, a derivation or a cone's pair of them is zero."""
+    return all(map(_is_zero, obj)) if isinstance(obj, tuple) else obj.is_zero()
 
 
 def _term_homology(group: _Subgroup, incoming: linalg.Rref, outgoing: linalg.Rref):

@@ -25,6 +25,12 @@ from .oracles import solve_columns
 NAMES = "abcdefgh"
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# the attributes of an EvaluationContext that hold its complexes and cones
+CONTEXT_COMPLEXES = (
+    "cL", "cK", "der_LL", "der_LK", "rel", "rel_star", "rel_ad_L", "rel_ad", "rel_ad_pair"
+)
+
 # (file, map name) of every morphism in the fixtures
 FIXTURE_MAPS = (
     ("contractible_pair.dgl", "i"),

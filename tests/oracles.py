@@ -493,6 +493,21 @@ class GenDerivation:
         return GenDerivation(self.along, self.degree - 1, values)
 
 
+def der_columns(cx, n):
+    """The columns of D_n of a package `DerComplex`, in its basis: one basis
+    derivation theta_{g,w} at a time, through `GenDerivation.differential`
+    above, with none of the package's column paths."""
+    from .helpers import basis_element
+
+    psi = cx.psi
+    gens, tgt = psi.source.generators, psi.target.algebra
+    cols = []
+    for gi, word in cx.record(n).labels:
+        theta = GenDerivation(psi, n, {gens[gi].name: basis_element(tgt, word)})
+        cols.append(cx.to_vector(n - 1, theta.differential()))
+    return cols
+
+
 # -- elimination -----------------------------------------------------------
 
 

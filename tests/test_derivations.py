@@ -448,18 +448,21 @@ def test_der_columns_under_shuffled_generator_orders(order, monkeypatch):
 
 
 def _assert_boundaries_match_full_elimination(psi):
-    # boundaries(n), rows-only, equals the rows-only elimination of every
-    # column of a fresh complex, in pivots and in the value and type of every
-    # row entry
+    # boundaries(n), rows-only, equals the Bareiss elimination of every
+    # column of D_{n+1} as the oracle derivations build them, in pivots and
+    # in the value of every row entry, whose type follows the coefficient rule
+    from . import oracles
+
     cx = DerComplex(psi)
     checked = 0
     for n in range(-psi.source.max_generator_degree, cx.trunc + 1):
         if not cx.complete(n + 1):
             continue
-        full = linalg.rref(DerComplex(psi).d_columns(n + 1), kernel=False)
         got = cx.boundaries(n)
+        full = oracles.bareiss_rref(oracles.der_columns(cx, n + 1))
+        rows = [{k: linalg.coeff(c) for k, c in row.items()} for row in full.rows]
         assert got.pivots == full.pivots, n
-        assert [sorted(r) for r in in_order(got.rows)] == [sorted(r) for r in in_order(full.rows)], n
+        assert [sorted(r) for r in in_order(got.rows)] == [sorted(r) for r in in_order(rows)], n
         checked += 1
     assert checked
 

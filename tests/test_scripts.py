@@ -34,6 +34,7 @@ def test_random_exactness_audit():
     assert lines[3].startswith("derivation boundaries: 9 complexes, ") and lines[3].endswith(" 0 failures")
     assert lines[4].startswith("evaluation screen: ") and lines[4].endswith(" 0 failures")
     assert lines[5] == "minimal targets: 9 maps, 27 presentations, 0 failures"
+    assert lines[6].startswith("object differentials: 27 complexes, ") and lines[6].endswith(" 0 failures")
 
 
 def test_report_digests_agree_between_runs(tmp_path):

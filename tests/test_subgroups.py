@@ -584,10 +584,11 @@ def test_g_sequence_reads_target_boundaries_only_under_source_classes():
 
 
 def test_no_column_is_built_twice_in_one_op(monkeypatch, tmp_path, capsys):
-    # A reader of every column takes columns(), which reuses the columns that
-    # apply_d built one at a time: within one op each (complex, degree, label)
-    # is built at most once.  A lone top makes gvp check cycles of Der(L, K;
-    # psi) in a degree before it assembles that degree.
+    # The columns of a degree are built together by columns(), and a cycle
+    # check builds none, as it reads the object differential: within one op
+    # each (complex, degree, label) is built at most once.  A lone top makes
+    # gvp check cycles of Der(L, K; psi) in a degree before it assembles that
+    # degree.
     from dglcalc.cli import main
 
     built = column_builds(monkeypatch)
@@ -750,17 +751,24 @@ def test_screen_values_that_are_not_cycles_are_internal_errors():
 
 
 def test_kernel_refuses_an_adjoint_that_sends_a_cycle_to_a_non_cycle():
-    # the exact cycle check in _kernel is live: a phi that adds a derivation
-    # with a nonzero differential to each adjoint is an internal error
+    # the exact cycle check in _kernel is live on all three cones: a phi that
+    # adds to each adjoint a basis element of the target whose column is
+    # nonzero is an internal error, while the true adjoint passes the check
+    def plus(a, b):
+        return tuple(map(plus, a, b)) if isinstance(a, tuple) else a + b
+
     psi = fixture_map("one_cell_attachment.dgl", "i")
     ctx = EvaluationContext(psi)
-    m = next(m for m in range(1, 6) if ctx.cK.homology(m).dim and ctx.der_LK.computable(m))
-    j = next(j for j in range(ctx.der_LK.dim(m)) if ctx.der_LK.apply_d(m, {j: 1}))
-    theta = ctx.der_LK.from_vector(m, {j: 1})
-    cone = RelComplex(ctx.cK, ctx.der_LK, lambda y: adjoint(psi, y) + theta, name="broken-ad")
-    with pytest.raises(InternalError, match="broken-ad"):
-        ctx._kernel(cone, m)
-    assert ctx._kernel(ctx.rel_ad, m).dim <= ctx.cK.homology(m).dim
+    for cone in (ctx.rel_ad, ctx.rel_ad_L, ctx.rel_ad_pair):
+        src, dst = cone.V, cone.W
+        m = next(m for m in range(1, 8) if dst.computable(m) and src.homology(m).dim)
+        j = next(j for j, col in enumerate(dst.columns(m)) if col)
+        extra = dst.from_vector(m, {j: 1})
+        name = f"broken-{cone.name}"
+        broken = RelComplex(src, dst, lambda x, phi=cone.phi, e=extra: plus(phi(x), e), name=name)
+        with pytest.raises(InternalError, match=name):
+            ctx._kernel(broken, m)
+        assert ctx._kernel(cone, m).dim <= src.homology(m).dim, cone.name
 
 
 def test_evaluation_context_is_freed_without_the_cycle_collector():
