@@ -17,11 +17,15 @@ on the same morphisms and identities, screens every subgroup kernel by
 evaluation at the source's cycles at every size, and checks each kernel
 against the echelon kernel of phi_* of its adjoint cone, in pivots and in the
 value, type and dict order of each row entry; finally, on every fixture map
-and the same morphisms, checks that the JSON reports of `gseq`, `omega` and
-`les` are homotopy invariants: psi's reports, computed without reducing its
-target, equal those of psi pushed into seeded presentations of its target
-with contractible pairs (alone, and after a unitriangular change of
-generators), whether those are reduced to their minimal quotient or not;
+and the same morphisms, checks that the JSON reports of the map commands are
+homotopy invariants: psi's `gseq`, `omega` and `les` reports, computed
+without reducing its target, equal those of psi pushed into seeded
+presentations of its target with contractible pairs (alone, and after a
+unitriangular change of generators), whether those are reduced to their
+minimal quotient or not; and, with representatives left out, so do its
+`evsub`, `center`, `grel` and `gvp` reports and `gottlieb` of its target,
+and the reports of psi read on such presentations of its source, on the
+degrees both report;
 last, on every complex and cone of an evaluation context of the same
 morphisms, checks that the object differential `d` of each basis vector
 equals its column, in value, type and dict order.
@@ -52,13 +56,16 @@ from tests import oracles
 from tests.helpers import (
     CONTEXT_COMPLEXES,
     FIXTURE_MAPS,
+    INVARIANT_COMMANDS,
     basis_element,
     fixture_map,
     in_order,
+    invariant_differences,
     map_reports,
     random_model,
     random_validated_morphism,
     with_contractible_pairs,
+    with_source_pairs,
 )
 
 BRACKET_SETS = 20  # seeded generator sets the bracket audit draws
@@ -184,23 +191,40 @@ def audit_screen(cfg: Config):
     return not failures
 
 
-def audit_minimal_targets(cfg: Config):
+def audit_homotopy_invariance(cfg: Config):
     cases = [(f"{f}:{n}", fixture_map(f, n, truncation=cfg.truncation)) for f, n in FIXTURE_MAPS]
     cases += [(seed, random_validated_morphism(seed, max_gens=cfg.max_generators, truncation=cfg.truncation))
               for seed in range(cfg.seed_offset, cfg.seed_offset + cfg.morphisms)]
     presentations = 0
     failures = []
     for case, psi in cases:
-        want = map_reports(psi, reduced=False)
+        try:
+            every = map_reports(psi, INVARIANT_COMMANDS, reduced=False)
+        except DglError as exc:
+            failures.append((case, type(exc).__name__))
+            continue
+        want = {cmd: every[cmd] for cmd in ("gseq", "omega", "les")}
         for k in range(3):  # psi itself, then k pairs, twisted when k = 2
             try:
                 moved = with_contractible_pairs(k, psi, k, k == 2) if k else psi
                 presentations += 1
-                if any(map_reports(moved, reduced=r) != want for r in (True, False)):
-                    failures.append((case, k))
+                got = map_reports(moved, INVARIANT_COMMANDS)
+                if {cmd: got[cmd] for cmd in want} != want or map_reports(moved, reduced=False) != want:
+                    failures.append((case, "target", k))
+                diff = invariant_differences(got, every, common=("gottlieb",))
+                if diff:
+                    failures.append((case, "target", k, diff))
+                if k:  # the same for psi o back from a presentation of its source
+                    presentations += 1
+                    moved = map_reports(with_source_pairs(k, psi, k, k == 2), INVARIANT_COMMANDS[:-1])
+                    diff = invariant_differences(moved, every, common=INVARIANT_COMMANDS)
+                    if diff:
+                        failures.append((case, "source", k, diff))
             except DglError as exc:
                 failures.append((case, k, type(exc).__name__))
-    print(f"minimal targets: {len(cases)} maps, {presentations} presentations, {len(failures)} failures")
+    for failure in failures:
+        print(f"  differs: {failure}")
+    print(f"homotopy invariance: {len(cases)} maps, {presentations} presentations, {len(failures)} failures")
     return not failures
 
 
@@ -238,7 +262,7 @@ def main(argv=None):
     cfg = parse_config(argv)
     start = time.perf_counter()
     ok = all([audit_les(cfg), audit_products(cfg), audit_brackets(cfg), audit_der_boundaries(cfg),
-              audit_screen(cfg), audit_minimal_targets(cfg), audit_object_differentials(cfg)])
+              audit_screen(cfg), audit_homotopy_invariance(cfg), audit_object_differentials(cfg)])
     print(f"total {time.perf_counter() - start:.2f}s")
     sys.exit(0 if ok else 1)
 

@@ -13,7 +13,7 @@ not searched for: the end condition is polynomial in the suspension values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
@@ -35,15 +35,11 @@ def _fresh_name(base: str, used: set) -> str:
 # -- product with a wedge of spheres ----------------------------------------------
 
 
-@dataclass
-class ProductModel:
-    base: DglModel
-    spheres: list
-    model: DglModel
-    inclusion: DglMorphism  # base -> model
-    sphere_generators: list  # one generator name per sphere
-    suspensions: list  # the degree-n_i suspension derivations along the inclusion
-    suspended_names: list  # per sphere: dict base-generator name -> shifted name
+# inclusion is base -> model; sphere_generators holds one generator name per
+# sphere; suspensions, the degree-n_i suspension derivations along the
+# inclusion; suspended_names, per sphere, a dict base-generator name -> shifted name
+ProductModel = namedtuple("ProductModel", "base spheres model inclusion sphere_generators suspensions "
+                          "suspended_names")
 
 
 def product_model(base: DglModel, spheres) -> ProductModel:
@@ -113,18 +109,10 @@ def sphere_wedge_model(spheres, truncation: int) -> DglModel:
 # -- cylinder objects ---------------------------------------------------------------
 
 
-@dataclass
-class CylinderModel:
-    source: DglModel
-    model: DglModel
-    near_end: DglMorphism  # the sub-DGL inclusion
-    far_end: DglMorphism  # exp([D, sigma]) applied to the near end
-    projection: DglMorphism
-    sigma: GenDerivation
-    conjugation: GenDerivation  # [D, sigma], a degree-0 cycle derivation
-    suspension_names: dict
-    hat_names: dict
-    exp_cap: int
+# near_end is the sub-DGL inclusion, far_end exp([D, sigma]) applied to the
+# near end, and conjugation [D, sigma], a degree-0 cycle derivation
+CylinderModel = namedtuple("CylinderModel", "source model near_end far_end projection sigma conjugation "
+                           "suspension_names hat_names exp_cap")
 
 
 def _exp_apply(theta: GenDerivation, element: LieElement, cap: int) -> LieElement:
@@ -209,10 +197,11 @@ def cylinder(source: DglModel) -> CylinderModel:
 # -- homotopy verification -------------------------------------------------------------
 
 
-@dataclass
-class HomotopyReport:
-    holds: bool
-    mismatches: list = field(default_factory=list)
+class HomotopyReport(namedtuple("HomotopyReport", "holds mismatches")):
+    __slots__ = ()
+
+    def __new__(cls, holds: bool, mismatches: list = None):
+        return super().__new__(cls, holds, [] if mismatches is None else mismatches)
 
 
 def verify_homotopy(

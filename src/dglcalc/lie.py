@@ -32,7 +32,6 @@ on the factors that `FreeLieAlgebra.split` gives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import InternalError, PreconditionError, TruncationError
@@ -41,26 +40,39 @@ from .linalg import coeff
 Word = tuple  # tuple of generator indices; a super-Lyndon word names its standard bracketing
 
 
-@dataclass(frozen=True)
 class Generator:
-    """A free generator with its internal degree and optional upper grading."""
+    """A free generator with its internal degree and optional upper grading,
+    compared and hashed by these three fields."""
 
-    name: str
-    degree: int
-    upper: Optional[int] = None
+    __slots__ = ("name", "degree", "upper")
+
+    def __init__(self, name: str, degree: int, upper: Optional[int] = None):
+        self.name, self.degree, self.upper = name, degree, upper
+
+    def __eq__(self, other):
+        if type(other) is not Generator:
+            return NotImplemented
+        return (self.name, self.degree, self.upper) == (other.name, other.degree, other.upper)
+
+    def __hash__(self):
+        return hash((self.name, self.degree, self.upper))
+
+    def __repr__(self):
+        return f"Generator(name={self.name!r}, degree={self.degree!r}, upper={self.upper!r})"
 
 
 def _word_key(w: Word):
     return (len(w), w)
 
 
-@dataclass
 class _BasisData:
     """One degree of the basis: its super-Lyndon words in (len, word) order,
     and its Lyndon words (all but the squares ww), which build higher degrees."""
 
-    words: list
-    lyndon: list
+    __slots__ = ("words", "lyndon")
+
+    def __init__(self, words: list, lyndon: list):
+        self.words, self.lyndon = words, lyndon
 
 
 class FreeLieAlgebra:

@@ -27,7 +27,6 @@ elimination at all, and `intersect` eliminates their stacked rows once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -85,7 +84,6 @@ def _integerize(row: Vec) -> tuple[Vec, int]:
     return {k: int(v * m) for k, v in row.items()}, m
 
 
-@dataclass
 class Rref:
     """Reduced row echelon form of a list of sparse rows.
 
@@ -93,12 +91,15 @@ class Rref:
     vector of the span is sum_i vec[pivots[i]] * rows[i].  kernel holds the
     input-row combinations that vanish, in reduced echelon form over the
     input indices as the same elimination leaves them, or None when the
-    elimination tracked no combinations.
+    elimination tracked no combinations.  Each list defaults to a fresh one.
     """
 
-    rows: list = field(default_factory=list)
-    pivots: list = field(default_factory=list)
-    kernel: Optional[list] = field(default_factory=list)
+    __slots__ = ("rows", "pivots", "kernel")
+
+    def __init__(self, rows: list = None, pivots: list = None, kernel: Optional[list] = ...):
+        self.rows = [] if rows is None else rows
+        self.pivots = [] if pivots is None else pivots
+        self.kernel = [] if kernel is ... else kernel
 
     @property
     def rank(self) -> int:

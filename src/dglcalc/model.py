@@ -23,7 +23,7 @@ quasi-isomorphism r, with no section and no change of the kept generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Mapping, Optional
 
 from . import linalg
@@ -31,12 +31,13 @@ from .errors import PreconditionError, ValidationError
 from .lie import FreeLieAlgebra, LieElement
 
 
-@dataclass
-class ValidationReport:
-    d_squared_ok: bool
-    minimal: bool
-    bigraded_ok: Optional[bool]  # None when no upper grading is present
-    problems: list = field(default_factory=list)
+class ValidationReport(namedtuple("ValidationReport", "d_squared_ok minimal bigraded_ok problems")):
+    """bigraded_ok is None when no upper grading is present."""
+
+    __slots__ = ()
+
+    def __new__(cls, d_squared_ok: bool, minimal: bool, bigraded_ok: Optional[bool], problems=None):
+        return super().__new__(cls, d_squared_ok, minimal, bigraded_ok, [] if problems is None else problems)
 
     @property
     def ok(self) -> bool:

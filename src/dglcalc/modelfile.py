@@ -25,7 +25,7 @@ Pretty-printing a workspace and re-parsing yields an identical workspace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -68,22 +68,18 @@ def _position(text: str, offset: int) -> tuple:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-@dataclass
-class SuspensionMap:
-    """Degree-raising generator assignment used as homotopy data."""
-
-    name: str
-    source: DglModel
-    target: DglModel
-    values: dict
+# Degree-raising generator assignment used as homotopy data.
+SuspensionMap = namedtuple("SuspensionMap", "name source target values")
 
 
-@dataclass
 class Workspace:
-    truncation: int
-    models: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    smaps: dict = field(default_factory=dict)
+    __slots__ = ("truncation", "models", "maps", "smaps")
+
+    def __init__(self, truncation: int, models: dict = None, maps: dict = None, smaps: dict = None):
+        self.truncation = truncation
+        self.models = {} if models is None else models
+        self.maps = {} if maps is None else maps
+        self.smaps = {} if smaps is None else smaps
 
     def model(self, name: str) -> DglModel:
         if name not in self.models:

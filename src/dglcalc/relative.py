@@ -32,8 +32,8 @@ one object from the factors' own `d`, which builds no column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections import namedtuple
+from typing import Callable
 
 from . import linalg
 from .complexes import ChainComplex, HomologySlice, induced_matrix
@@ -164,20 +164,15 @@ def _minus(a, b):
 # -- long exact sequence reports ------------------------------------------------
 
 
-@dataclass
-class LesNode:
-    degree: int
-    position: str  # "V", "W" or "Rel"
-    dim: int
-    incoming_rank: int
-    outgoing_kernel_dim: int
-    exact: Optional[bool]  # None when untrusted
-    trusted: bool
+# position is "V", "W" or "Rel"; exact is None when untrusted
+LesNode = namedtuple("LesNode", "degree position dim incoming_rank outgoing_kernel_dim exact trusted")
 
 
-@dataclass
 class LesReport:
-    nodes: list = field(default_factory=list)
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: list = None):
+        self.nodes = [] if nodes is None else nodes
 
     @property
     def all_exact(self) -> bool:

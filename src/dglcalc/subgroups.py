@@ -37,7 +37,7 @@ omega-homology of the sequence is measured at the G_n(L) term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
 from . import linalg
@@ -53,56 +53,35 @@ from .relative import LesReport, RelComplex, assemble_les_of_chain_map
 SCREEN_MIN_COLUMNS = 16
 
 
-@dataclass
-class SubspaceReport:
-    topological: int
-    internal: int
-    ambient_dim: int
-    dimension: int
-    representatives: list
-    trusted: bool
-    low_degree_caveat: bool
-    checked_source_degrees: Optional[tuple] = None  # only for homology-level kernels
+class SubspaceReport(namedtuple("SubspaceReport", "topological internal ambient_dim dimension "
+                                "representatives trusted low_degree_caveat checked_source_degrees",
+                                defaults=(None,))):
+    """checked_source_degrees is set only for homology-level kernels."""
+
+    __slots__ = ()
 
     @property
     def full(self) -> bool:
         return self.dimension == self.ambient_dim
 
 
-@dataclass
-class GvpReport:
-    topological: int
-    internal: int
-    evaluation: SubspaceReport
-    center: SubspaceReport
-    quotient_dim: int
-    witness: list  # basis of ker(induced-derivation map) & im(adjoint on homology)
-    trusted: bool
+# evaluation and center are SubspaceReports; witness is a basis of
+# ker(induced-derivation map) & im(adjoint on homology)
+GvpReport = namedtuple("GvpReport", "topological internal evaluation center quotient_dim witness trusted")
+
+GSequenceTerm = namedtuple("GSequenceTerm", "topological internal gottlieb_dim evaluation_dim relative_dim "
+                           "omega_dim homology_at_evaluation homology_at_relative composites_zero "
+                           "omega_representatives trusted low_degree_caveat")
 
 
-@dataclass
-class GSequenceTerm:
-    topological: int
-    internal: int
-    gottlieb_dim: int
-    evaluation_dim: int
-    relative_dim: int
-    omega_dim: int
-    homology_at_evaluation: int
-    homology_at_relative: int
-    composites_zero: bool
-    omega_representatives: list
-    trusted: bool
-    low_degree_caveat: bool
+class CoformalReport(namedtuple("CoformalReport",
+                                "bigraded_ok upper_homology_ok window failures morphism_bigraded")):
+    __slots__ = ()
 
-
-@dataclass
-class CoformalReport:
-    bigraded_ok: bool
-    upper_homology_ok: bool
-    window: list
-    failures: list = field(default_factory=list)
-    morphism_bigraded: Optional[bool] = None
+    def __new__(cls, bigraded_ok: bool, upper_homology_ok: bool, window: list, failures: list = None,
+                morphism_bigraded: Optional[bool] = None):
+        failures = [] if failures is None else failures
+        return super().__new__(cls, bigraded_ok, upper_homology_ok, window, failures, morphism_bigraded)
 
     @property
     def coformal(self) -> bool:

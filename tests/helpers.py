@@ -275,17 +275,20 @@ def random_validated_morphism(seed, max_gens=3, truncation=8):
     return phi
 
 
-def with_contractible_pairs(seed, psi, pairs=1, twist=False):
-    """psi followed by an isomorphism of its target K onto a presentation with
-    contractible pairs: K + L(u, v; d u = v) for each pair, in seeded degrees
-    and at seeded places in the generator order.  With twist, a seeded
-    unitriangular change of generators g -> g + x_g follows, x_g a combination
-    of brackets and of the generators of g's degree before g; its inverse is
-    read off by recursion in that order, and d becomes phi d phi^{-1}.
+def presentation(seed, M, pairs=1, twist=False):
+    """(M', to, back): an isomorphic presentation M' of the model M with
+    contractible pairs, to: M -> M' and back: M' -> M, with back o to = id.
+
+    M' is M + L(u, v; d u = v) for each pair, in seeded degrees and at seeded
+    places in the generator order.  With twist, a seeded unitriangular change
+    of generators g -> g + x_g follows, x_g a combination of brackets and of
+    the generators of g's degree before g; its inverse is read off by
+    recursion in that order, and d becomes phi d phi^{-1}.  `to` is the
+    inclusion followed by phi, `back` is phi^{-1} followed by the projection
+    that kills the pairs; the constructor checks that both are chain maps.
     Upper degrees are dropped: the pairs carry none."""
     rng = random.Random(seed)
-    K = psi.target
-    gens = [Generator(g.name, g.degree) for g in K.generators]
+    gens = [Generator(g.name, g.degree) for g in M.generators]
     used = {g.name for g in gens}
 
     def fresh(name):
@@ -296,18 +299,19 @@ def with_contractible_pairs(seed, psi, pairs=1, twist=False):
 
     couples = []
     for k in range(pairs):
-        n = rng.randint(1, K.truncation - 1)
+        n = rng.randint(1, M.truncation - 1)
         couples.append((fresh(f"u{k}"), fresh(f"v{k}")))
         for name, d in zip(couples[-1], (n + 1, n)):
             gens.insert(rng.randint(0, len(gens)), Generator(name, d))
-    alg = FreeLieAlgebra(gens, K.truncation)
-    incl = DglMorphism(K, DglModel(alg), {g.name: alg.gen(g.name) for g in K.generators}, check=False)
-    diff = {g: incl.apply(v) for g, v in K.diff.items()}
+    alg = FreeLieAlgebra(gens, M.truncation)
+    incl = DglMorphism(M, DglModel(alg), {g.name: alg.gen(g.name) for g in M.generators}, check=False)
+    diff = {g: incl.apply(v) for g, v in M.diff.items()}
     diff.update((u, alg.gen(v)) for u, v in couples)
     plain = DglModel(alg, diff)
     images = {g.name: alg.gen(g.name) for g in gens}
+    inverse = dict(images)
     if twist:
-        inv = DglMorphism(plain, plain, dict(images), check=False)
+        inv = DglMorphism(plain, plain, inverse, check=False)
         order = sorted(range(len(gens)), key=lambda i: gens[i].degree)
         for k, i in enumerate(order):
             g = gens[i]
@@ -320,32 +324,97 @@ def with_contractible_pairs(seed, psi, pairs=1, twist=False):
             inv.values[g.name] = alg.gen(g.name) - inv.apply(x)  # x reads earlier letters only
         phi = DglMorphism(plain, plain, images, check=False)
         target = DglModel(alg, {g.name: phi.apply(plain.d(inv.values[g.name])) for g in gens})
-        phi = DglMorphism(plain, target, phi.values)
+        phi, inverse = DglMorphism(plain, target, phi.values), inv.values
     else:
         target, phi = plain, DglMorphism.identity(plain)
-    values = {g: phi.apply(incl.apply(v)) for g, v in psi.values.items()}
-    return DglMorphism(psi.source, target, values)
+    to = DglMorphism(M, target, {g.name: phi.apply(incl.apply(M.algebra.gen(g.name))) for g in M.generators})
+    killed = {name for couple in couples for name in couple}
+    proj = DglMorphism(plain, M, {g.name: M.algebra.zero(g.degree) if g.name in killed
+                                  else M.algebra.gen(g.name) for g in gens})
+    back = DglMorphism(target, M, {g.name: proj.apply(inverse[g.name]) for g in gens})
+    return target, to, back
+
+
+def with_contractible_pairs(seed, psi, pairs=1, twist=False):
+    """psi followed by `to` of a presentation of its target K with
+    contractible pairs (`presentation`)."""
+    target, to, _ = presentation(seed, psi.target, pairs, twist)
+    return DglMorphism(psi.source, target, {g: to.apply(v) for g, v in psi.values.items()})
+
+
+def with_source_pairs(seed, psi, pairs=1, twist=False):
+    """psi o back: psi read on a presentation of its source L with
+    contractible pairs (`presentation`), a quasi-isomorphic source."""
+    source, _, back = presentation(seed, psi.source, pairs, twist)
+    return DglMorphism(source, psi.target, {g: psi.apply(v) for g, v in back.values.items()})
+
+
+# the map commands whose reports are homotopy invariants of the map, and
+# `gottlieb`, which `map_reports` runs on the map's target
+INVARIANT_COMMANDS = ("gseq", "omega", "les", "evsub", "center", "grel", "gvp", "gottlieb")
 
 
 def map_reports(psi, commands=("gseq", "omega", "les"), reduced=True) -> dict:
     """{command: JSON text of its report on psi}, as `dglcalc --format json`
-    prints it at psi's truncation; with reduced=False the command runs on psi
-    itself rather than on its target's minimal quotient."""
+    prints it at psi's truncation; `gottlieb` reports on psi's target.  With
+    reduced=False the command runs on psi itself rather than on its target's
+    minimal quotient."""
     from dglcalc import cli
 
-    ws = Workspace(truncation=psi.target.truncation, maps={"i": psi})
+    ws = Workspace(truncation=psi.target.truncation, models={"K": psi.target}, maps={"i": psi})
     original = cli.on_minimal_target
     if not reduced:
         cli.on_minimal_target = lambda phi: phi
     try:
         out = {}
         for cmd in commands:
-            args = cli.build_parser().parse_args([cmd, "map.dgl", "i", "--max-degree", str(ws.truncation)])
+            name = "K" if cmd == "gottlieb" else "i"
+            args = cli.build_parser().parse_args([cmd, "map.dgl", name, "--max-degree", str(ws.truncation)])
             report, _ = cli.COMMANDS[cmd](ws, args)
             out[cmd] = json.dumps(report, indent=2, default=str)
         return out
     finally:
         cli.on_minimal_target = original
+
+
+def invariant_differences(got: dict, want: dict, common=()) -> list:
+    """The commands of `got` whose reports differ from those in `want`, once
+    `inputs` and every `representatives` entry (classes written in one
+    presentation's words; gvp prints its witnesses there) are dropped.
+
+    A command in `common` may report a narrower window on one side: a
+    generator above the top one narrows the derivations' window.  It is
+    compared on the entries both sides hold, which must agree in every field
+    unless exactly one of them is trusted; the untrusted one must then be the
+    last degree of the narrower window, which truncation leaves untrusted."""
+    out = []
+    for cmd in got:
+        views = [json.loads(reports[cmd]) for reports in (got, want)]
+        for v in views:
+            del v["inputs"]
+            for entry in v["degrees"]:
+                entry.pop("representatives", None)
+                entry.pop("witness", None)
+        if cmd not in common:
+            if views[0] != views[1]:
+                out.append(cmd)
+            continue
+        entries = [{(e["internal"], e.get("position")): e for e in v.pop("degrees")} for v in views]
+        windows = [{n for n, _ in side} for side in entries]
+        edge = [max(w, default=None) if len(w) < len(o) else None for w, o in zip(windows, windows[::-1])]
+        for key in entries[0].keys() & entries[1].keys():
+            a, b = entries[0][key], entries[1][key]
+            if a["trusted"] == b["trusted"]:
+                agree = a == b
+            else:
+                agree = key[0] == edge[0 if b["trusted"] else 1]
+            if not agree:
+                out.append(cmd)
+                break
+        else:
+            if views[0] != views[1]:  # the fields outside the entries, as les's all_exact
+                out.append(cmd)
+    return out
 
 
 def exp_automorphism(cyl, element, inverse=False):

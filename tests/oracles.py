@@ -39,6 +39,8 @@ off the pivots of one homology slice; it shares `DglComplex` and
 `linalg.rref`.  `tokenize` is the package's earlier model-file scanner, which
 counts the line and column of every token as it goes, kept as the reference
 for the one that reads positions off offsets; it shares only `ParseError`.
+`pbw_lie_dims` reads every dimension of a free graded Lie algebra off the
+graded Poincare-Birkhoff-Witt identity, with no basis at all.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ import re
 import weakref
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import comb, lcm
 
 
 # -- trees -----------------------------------------------------------------
@@ -167,6 +169,27 @@ def lie_basis(degrees, n):
 
 def lie_dim(degrees, n):
     return len(lie_basis(degrees, n)[0])
+
+
+def pbw_lie_dims(degrees, top):
+    """{n: dim L_n} for n <= top, L the free graded Lie algebra on generators
+    of the given degrees, from the graded Poincare-Birkhoff-Witt identity
+
+        prod_{n even} (1 - t^n)^(-l_n) * prod_{n odd} (1 + t^n)^(l_n) = 1 / (1 - sum_g t^|g|),
+
+    the Hilbert series of U(L) = T(V) read as S(L_even) (x) E(L_odd).  The
+    factor of degree n is 1 + l_n t^n + (terms of degree 2n and up), so l_n
+    is the t^n coefficient of the right side less that of the product over
+    the degrees below n.  Exact integers; no basis, word or bracket."""
+    tensor = [1] + [0] * top  # words in the generators, counted by degree
+    for n in range(1, top + 1):
+        tensor[n] = sum(tensor[n - d] for d in degrees if d <= n)
+    product, dims = [1] + [0] * top, {}
+    for n in range(1, top + 1):
+        ell = dims[n] = tensor[n] - product[n]
+        factor = [1] + [comb(ell, j) if n % 2 else comb(ell + j - 1, j) for j in range(1, top // n + 1)]
+        product = [sum(factor[j] * product[k - j * n] for j in range(k // n + 1)) for k in range(top + 1)]
+    return dims
 
 
 def is_lyndon(word):

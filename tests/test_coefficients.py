@@ -6,7 +6,6 @@ homology vectors of each complex its context builds.  A coefficient of a
 representative row (rows of `linalg.rref`), must be an `int` when it is
 integral.
 """
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -34,11 +33,6 @@ def _walk(obj, where, seen):
         return sum(_walk(v, where, seen) for v in obj.values.values())
     if isinstance(obj, DglModel):
         return sum(_walk(v, where, seen) for v in obj.diff.values())
-    if dataclasses.is_dataclass(obj):
-        if id(obj) in seen:
-            return 0
-        seen.add(id(obj))
-        return sum(_walk(getattr(obj, f.name), where, seen) for f in dataclasses.fields(obj))
     if isinstance(obj, dict):
         count = 0
         for k, v in obj.items():
@@ -48,10 +42,17 @@ def _walk(obj, where, seen):
             else:
                 count += _walk(v, where, seen)
         return count
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)):  # the namedtuple records among them
         return sum(_walk(x, where, seen) for x in obj)
     if isinstance(obj, (float, Fraction)):
         _check_number(obj, where)
+        return 0
+    slots = getattr(type(obj), "__slots__", ())
+    if slots:  # the other records: Rref, LesReport, Workspace
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return sum(_walk(getattr(obj, name), where, seen) for name in slots)
     return 0
 
 
@@ -83,6 +84,7 @@ def test_fixture_coefficients_are_int_or_fraction(path, name):
         "grel": [ctx.rel_evaluation_subgroup(t) for t in tops],
         "gvp": [ctx.g_vs_p(t) for t in tops],
         "gseq": ctx.g_sequence(tops),
+        "les": ctx.les([t - 1 for t in tops]),
         "homology": [
             homology_reps(c, n) for c in (ctx.cL, ctx.cK, ctx.der_LK) for n in range(1, tops[-1])
         ],

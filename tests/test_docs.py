@@ -26,17 +26,16 @@ def _resolves(obj, dotted: str) -> bool:
 
 
 def documented(module, name: str) -> bool:
-    """`name` is an attribute of the module, or of a class defined in it."""
+    """`name` is an attribute of the module, or of a class defined in it: the
+    fields of a namedtuple record and the `__slots__` of the others are class
+    attributes too."""
     if _resolves(module, name):
         return True
     classes = [
         v for v in vars(module).values()
         if isinstance(v, type) and v.__module__ == module.__name__
     ]
-    return any(
-        _resolves(cls, name) or name in getattr(cls, "__dataclass_fields__", {})
-        for cls in classes
-    )
+    return any(_resolves(cls, name) for cls in classes)
 
 
 def test_overview_covers_every_module():

@@ -1,6 +1,9 @@
 """Source hygiene: every module-level import is used, every private function is
-referenced, and the export list is sound."""
+referenced, the export list is sound, and importing the CLI generates no code."""
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -78,3 +81,17 @@ def test_every_private_function_is_referenced():
         if used[fn.name] - _references(fn)[fn.name] <= 0
     ]
     assert not unused, f"private functions nothing references: {unused}"
+
+
+def test_importing_the_cli_loads_no_code_generators():
+    """A fresh `import dglcalc.cli` loads neither `dataclasses` nor `inspect`.
+
+    A `@dataclass` writes and execs the source of its methods when its class
+    is created, which every fresh process pays; the package's records are
+    namedtuples or plain `__slots__` classes instead.  `-S` keeps `site` and
+    whatever it imports out of the check."""
+    code = "import sys, dglcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from dglcalc import FreeLieAlgebra, LieElement, TruncationError
 from dglcalc.errors import InternalError, PreconditionError
+from dglcalc.modelfile import parse_workspace
 
 from . import oracles
-from .helpers import basis_element, in_order
+from .helpers import FIXTURES, basis_element, in_order
 
 F = Fraction
+PBW_WORDS = 50000  # basis words the PBW-identity test builds per generator set
 
 
 @pytest.fixture
@@ -206,6 +208,29 @@ def test_every_dimension_matches_tensor_rank_oracle(gens):
     degrees = dict(gens)
     for n in range(1, 7):
         assert alg.dim(n) == oracles.lie_dim(degrees, n), n
+
+
+def _degree_sets():
+    """Generator degrees: the sets above, every fixture model's, and seeded
+    sets of one to four generators in degrees 1-5."""
+    sets = [tuple(d for _, d in gens) for gens in GEN_SETS]
+    for path in sorted(FIXTURES.glob("*.dgl")):
+        for model in parse_workspace(path.read_text(), truncation=12).models.values():
+            sets.append(tuple(g.degree for g in model.generators))
+    for seed in range(8):
+        rng = random.Random(seed)
+        sets.append(tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4))))
+    return sorted({tuple(sorted(s)) for s in sets if s})
+
+
+@pytest.mark.parametrize("degrees", _degree_sets(), ids=lambda s: ",".join(map(str, s)))
+def test_every_dimension_matches_the_pbw_identity(degrees):
+    # past the tensor-rank oracle's degrees: up to the highest degree <= 40
+    # whose bases together hold at most PBW_WORDS words, and at least to 9
+    dims = oracles.pbw_lie_dims(degrees, 40)
+    top = max([9] + [n for n in dims if sum(dims[k] for k in range(1, n + 1)) <= PBW_WORDS])
+    alg = FreeLieAlgebra([(f"g{i}", d) for i, d in enumerate(degrees)], truncation=top)
+    assert [alg.dim(n) for n in range(1, top + 1)] == [dims[n] for n in range(1, top + 1)]
 
 
 @pytest.mark.parametrize("gens", GEN_SETS)

@@ -1,6 +1,10 @@
 """The minimal quotient r: K -> Km of a map's target, and the map commands
 that compute on it: `gseq`, `omega` and `les` must report on r o psi exactly
-what they report on psi, whatever contractible pairs K carries."""
+what they report on psi, whatever contractible pairs K carries.  Every map
+command, and `gottlieb` of the target, reports homotopy invariants: the same
+dimensions and flags on any presentation of the target or of the source."""
+import json
+
 import pytest
 
 from dglcalc import DglMorphism
@@ -12,12 +16,15 @@ from dglcalc.modelfile import parse_workspace
 from .helpers import (
     FIXTURE_MAPS,
     FIXTURES,
+    INVARIANT_COMMANDS,
     cmd_mix_map,
     cmd_mix_map_ids,
     fixture_map,
+    invariant_differences,
     map_reports,
     random_validated_morphism,
     with_contractible_pairs,
+    with_source_pairs,
 )
 
 # (seed, pairs, twist) of the presentations each base map is pushed through
@@ -124,3 +131,37 @@ def test_map_commands_agree_with_the_unreduced_map(case):
         assert not moved.target.validate().minimal
         assert map_reports(moved) == want
         assert map_reports(moved, reduced=False) == want
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_map_report_is_an_invariant_of_the_target(case):
+    """evsub, center, grel, gvp and gottlieb of the target, with gseq, omega
+    and les, as the CLI computes them: the same on psi and on psi pushed into
+    presentations of its target with one contractible pair and with two
+    after a twist, apart from representatives.  `gottlieb` is compared on the
+    degrees both report: a pair above K's top generator narrows its window."""
+    psi = _base_map(case)
+    want = map_reports(psi, INVARIANT_COMMANDS, reduced=False)
+    for seed, pairs, twist in VARIANTS[:2]:
+        got = map_reports(with_contractible_pairs(seed, psi, pairs, twist), INVARIANT_COMMANDS)
+        assert invariant_differences(got, want, common=("gottlieb",)) == [], (seed, pairs, twist)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_map_report_is_an_invariant_of_the_source(case):
+    """The same for psi o back, back: L' -> L from a presentation of the source
+    with contractible pairs, a quasi-isomorphism, on the degrees both report:
+    a pair above L's top generator narrows the derivations' window."""
+    psi = _base_map(case)
+    commands = INVARIANT_COMMANDS[:-1]
+    want = map_reports(psi, commands, reduced=False)
+    shared = set()
+    for seed, pairs, twist in VARIANTS:
+        got = map_reports(with_source_pairs(seed, psi, pairs, twist), commands)
+        assert invariant_differences(got, want, common=commands) == [], (seed, pairs, twist)
+        shared |= _internal_degrees(got["gseq"]) & _internal_degrees(want["gseq"])
+    assert shared  # some presentation leaves degrees to compare
+
+
+def _internal_degrees(text):
+    return {entry["internal"] for entry in json.loads(text)["degrees"]}

@@ -33,7 +33,7 @@ def test_random_exactness_audit():
     assert lines[2].startswith("brackets: 20 generator sets, ") and lines[2].endswith(" 0 failures")
     assert lines[3].startswith("derivation boundaries: 9 complexes, ") and lines[3].endswith(" 0 failures")
     assert lines[4].startswith("evaluation screen: ") and lines[4].endswith(" 0 failures")
-    assert lines[5] == "minimal targets: 9 maps, 27 presentations, 0 failures"
+    assert lines[5] == "homotopy invariance: 9 maps, 45 presentations, 0 failures"
     assert lines[6].startswith("object differentials: 27 complexes, ") and lines[6].endswith(" 0 failures")
 
 
