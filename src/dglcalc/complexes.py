@@ -69,9 +69,8 @@ class DegreeRecord:
 
     The columns of d_n are built once, all together, by the first reader of
     any of them (the elimination, a cone over the complex).  The elimination
-    is their single rref: its kernel is Z_n and its rows span B_{n-1}.  Both
-    are filled on first use, the elimination rows-only (kernel None) by
-    `boundaries` until a reader wants Z_n.
+    is their single rref, made on first use: its kernel is Z_n and its rows
+    span B_{n-1}.
     """
 
     __slots__ = ("labels", "index", "columns", "elimination")
@@ -135,21 +134,13 @@ class ChainComplex:
 
     def elimination(self, n: int) -> linalg.Rref:
         rec = self.record(n)
-        if rec.elimination is None or rec.elimination.kernel is None:
+        if rec.elimination is None:
             rec.elimination = linalg.rref(self.columns(n))
         return rec.elimination
 
     def boundaries(self, n: int) -> linalg.Rref:
-        """B_n as an echelon form: elimination(n + 1) if it exists, else a
-        rows-only one, kept on that record."""
-        rec = self.record(n + 1)
-        if rec.elimination is None:
-            rec.elimination = self._boundary_rows(n + 1)
-        return rec.elimination
-
-    def _boundary_rows(self, n: int) -> linalg.Rref:
-        """The rows-only echelon form of d_n's columns."""
-        return linalg.rref(self.columns(n), kernel=False)
+        """B_n as an echelon form: the rows of elimination(n + 1)."""
+        return self.elimination(n + 1)
 
     def computable(self, n: int) -> bool:
         """H_n can be computed: C_n and C_{n-1} are complete."""

@@ -22,8 +22,6 @@ An `Rref` is the one echelon form of a space: `coords` reads a vector's
 coordinates at its pivots, `kernel_space` gives the null space of its input
 rows as another, `quotient_basis` reads a quotient off two of them with no
 elimination at all, and `intersect` eliminates their stacked rows once.
-`rref(rows, kernel=False)` tracks no combinations and leaves kernel None, and
-`extend` joins two echelon forms whose pivots do not meet with no elimination.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import InternalError, PreconditionError
+from .errors import PreconditionError
 
 Vec = dict  # index -> nonzero coefficient: int when integral, else Fraction
 
@@ -90,16 +88,16 @@ class Rref:
     rows[i] has a 1 at pivots[i] and zeros at every other pivot column, so a
     vector of the span is sum_i vec[pivots[i]] * rows[i].  kernel holds the
     input-row combinations that vanish, in reduced echelon form over the
-    input indices as the same elimination leaves them, or None when the
-    elimination tracked no combinations.  Each list defaults to a fresh one.
+    input indices as the same elimination leaves them.  Each list defaults
+    to a fresh one.
     """
 
     __slots__ = ("rows", "pivots", "kernel")
 
-    def __init__(self, rows: list = None, pivots: list = None, kernel: Optional[list] = ...):
+    def __init__(self, rows: list = None, pivots: list = None, kernel: list = None):
         self.rows = [] if rows is None else rows
         self.pivots = [] if pivots is None else pivots
-        self.kernel = [] if kernel is ... else kernel
+        self.kernel = [] if kernel is None else kernel
 
     @property
     def rank(self) -> int:
@@ -125,8 +123,6 @@ class Rref:
     def kernel_space(self) -> "Rref":
         """The kernel as an echelon form: its rows come out reduced, so each
         row's pivot is its leftmost index."""
-        if self.kernel is None:
-            raise InternalError("a rows-only elimination has no kernel")
         return Rref(rows=self.kernel, pivots=[min(row) for row in self.kernel])
 
 
@@ -156,17 +152,16 @@ def _primitive(row: Vec, combo: Optional[Vec] = None) -> None:
                 combo[k] //= c
 
 
-def rref(rows: Sequence[Vec], kernel: bool = True) -> Rref:
-    """One sparse fraction-free elimination: rows, pivots and kernel.  With
-    kernel=False no combination is tracked; rows and pivots are the same."""
+def rref(rows: Sequence[Vec]) -> Rref:
+    """One sparse fraction-free elimination: rows, pivots and kernel."""
     work = []
-    combos = []  # each row's input combination, None when not tracked
+    combos = []  # each row's input combination
     heap = []  # (leading column, -row index) of the rows still to reduce
     kernel_combos: list = []  # (row index, combination) of the rows that vanish
     for i, r in enumerate(rows):
         ir, mult = _integerize({k: v for k, v in r.items() if v})
         work.append(ir)
-        combos.append({i: mult} if kernel else None)
+        combos.append({i: mult})
         if ir:
             heap.append((min(ir), -i))
         else:
@@ -185,7 +180,7 @@ def rref(rows: Sequence[Vec], kernel: bool = True) -> Rref:
             idx = -heappop(heap)[1]
             a = work[idx][col]
             r = _eliminate(p, work[idx], a, prow)
-            c = _eliminate(p, combos[idx], a, pcomb) if kernel else None
+            c = _eliminate(p, combos[idx], a, pcomb)
             if r:
                 _primitive(r, c)
                 work[idx], combos[idx] = r, c
@@ -208,24 +203,8 @@ def rref(rows: Sequence[Vec], kernel: bool = True) -> Rref:
         p = row[pivot_cols[i]]
         frows[i] = {k: div(v, p) for k, v in row.items()}
 
-    kernel = ([{k: div(v, c[i]) for k, v in c.items()} for i, c in sorted(kernel_combos)]
-              if kernel else None)
+    kernel = [{k: div(v, c[i]) for k, v in c.items()} for i, c in sorted(kernel_combos)]
     return Rref(rows=frows, pivots=pivot_cols, kernel=kernel)
-
-
-def extend(base: Rref, extra: Rref) -> Rref:
-    """The rows-only echelon form of span(base) + span(extra), when extra's
-    rows vanish at base's pivots: each base row loses its entries at extra's
-    pivots, read off its own support, and the two lists merge by pivot."""
-    at = dict(zip(extra.pivots, extra.rows))
-    rows = []
-    for row in base.rows:
-        hits = [(k, c) for k, c in row.items() if k in at]
-        for k, c in hits:
-            row = vec_add(row, at[k], -c)
-        rows.append({k: coeff(v) for k, v in row.items()} if hits else row)
-    merged = sorted(zip(base.pivots + extra.pivots, rows + extra.rows), key=lambda pr: pr[0])
-    return Rref(rows=[r for _, r in merged], pivots=[p for p, _ in merged], kernel=None)
 
 
 def quotient_basis(sup: Rref, sub: Rref) -> Rref:

@@ -329,12 +329,12 @@ def minimal_quotient(model: DglModel) -> Optional[DglMorphism]:
         for k, i in enumerate(cands):
             for w, c in model.diff_of(gens[i].name).linear_part().terms.items():
                 rows.setdefault(w, {})[k] = c
-        us = [cands[k] for k in linalg.rref(list(rows.values()), kernel=False).pivots]
+        us = [cands[k] for k in linalg.rref(list(rows.values())).pivots]
         killed.update(us)
         chosen = [model.diff[gens[i].name] for i in us]
         words = sorted({w for du in chosen for w in du.terms}, key=lambda w: (len(w), w))
         index = {w: k for k, w in enumerate(words)}
-        echelon = linalg.rref([{index[w]: c for w, c in du.terms.items()} for du in chosen], kernel=False)
+        echelon = linalg.rref([{index[w]: c for w, c in du.terms.items()} for du in chosen])
         for p, row in zip(echelon.pivots, echelon.rows):
             rest = {words[k]: c for k, c in row.items() if k != p}
             rests[words[p][0]] = LieElement(model.algebra, n - 1, rest)

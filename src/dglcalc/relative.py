@@ -23,12 +23,12 @@ post-composition on derivation spaces, three adjoint cones whose phi_* are
 the maps the evaluation subgroups are kernels of: ad: L -> Der(L, L; 1),
 ad_psi: K -> Der(L, K; psi), whose sequence is the long exact derivation
 homology sequence, and (ad_psi, ad) between the first two cones.  A subgroup
-reads its cone's phi and the boundaries of phi's target, so only Rel(ad_psi),
-for `les`, ever assembles its own differential.  A cone's boundaries extend
-W's echelon rows by the residuals of its V columns, so Rel(psi_*) never
-eliminates its stacked matrix.  The differential has two forms: `d_column`,
-one basis vector's column read from the factors' columns, and `d`, delta of
-one object from the factors' own `d`, which builds no column.
+reads its cone's phi and the boundaries of phi's target, so of the adjoint
+cones only Rel(ad_psi), for `les`, ever assembles its own differential.  A
+cone's boundaries, like any complex's, are the rows of the one elimination of
+its stacked columns.  The differential has two forms: `d_column`, one basis
+vector's column read from the factors' columns, and `d`, delta of one object
+from the factors' own `d`, which builds no column.
 """
 from __future__ import annotations
 
@@ -101,13 +101,6 @@ class RelComplex(ChainComplex):
         """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of one object (w, v)."""
         w, v = obj
         return _minus(self.phi(v), self.W.d(w)), self.V.d(v)
-
-    def _boundary_rows(self, n: int) -> linalg.Rref:
-        """B_{n-1} with no stacked elimination: W's boundaries span the -d_W
-        block, and the residuals of the V columns by them extend that form."""
-        base = self.W.boundaries(n - 1)
-        cols = (self.d_column(n, i) for i in range(self.W.dim(n), self.dim(n)))
-        return linalg.extend(base, linalg.rref([base.reduce(c) for c in cols], kernel=False))
 
     # -- the long exact sequence, in class coordinates ---------------------------
 

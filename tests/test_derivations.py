@@ -448,9 +448,9 @@ def test_der_columns_under_shuffled_generator_orders(order, monkeypatch):
 
 
 def _assert_boundaries_match_full_elimination(psi):
-    # boundaries(n), rows-only, equals the Bareiss elimination of every
-    # column of D_{n+1} as the oracle derivations build them, in pivots and
-    # in the value of every row entry, whose type follows the coefficient rule
+    # boundaries(n) equals the Bareiss elimination of every column of D_{n+1}
+    # as the oracle derivations build them, in pivots and in the value of
+    # every row entry, whose type follows the coefficient rule
     from . import oracles
 
     cx = DerComplex(psi)

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dglcalc import linalg
-from dglcalc.errors import InternalError, PreconditionError
+from dglcalc.errors import PreconditionError
 
 from . import oracles
-from .helpers import in_order
 from .oracles import bareiss_rref, dense, dense_rank, solve_columns
 
 
@@ -300,27 +299,3 @@ def test_echelon_entries_are_int_exactly_when_integral(case, data):
     ]
     bad = [(vec, v) for vec in vectors for v in vec.values() if not _follows_rule(v)]
     assert not bad
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_rational_matrices(), st.data())
-def test_rows_only_rref_and_extend_match_the_full_rref_of_the_stacked_rows(rows, data):
-    full = linalg.rref(rows)
-    alone = linalg.rref(rows, kernel=False)
-    assert alone.kernel is None and alone.pivots == full.pivots
-    assert in_order(alone.rows) == in_order(full.rows)
-    # split the rows anywhere: the second block's residuals by the first's
-    # echelon form extend it to the echelon form of all the rows
-    cut = data.draw(st.integers(min_value=0, max_value=len(rows)))
-    base = linalg.rref(rows[:cut], kernel=data.draw(st.booleans()))
-    extra = linalg.rref([base.reduce(row) for row in rows[cut:]], kernel=False)
-    got = linalg.extend(base, extra)
-    assert got.kernel is None and got.pivots == full.pivots
-    assert _canonical(got.rows) == _canonical(full.rows)
-
-
-def test_a_rows_only_elimination_has_no_kernel_space():
-    rr = linalg.rref([{0: 1, 1: 2}, {0: 2, 1: 4}, {}], kernel=False)
-    assert rr.rank == 1 and rr.kernel is None
-    with pytest.raises(InternalError):
-        rr.kernel_space()

@@ -436,14 +436,12 @@ def test_g_sequence_builds_each_differential_once(monkeypatch):
 def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     # A subgroup reads only the boundaries of its adjoint cone's target: the
     # G-sequence builds no homology slice of Der(L, L), Der(L, K; psi) or
-    # Rel(psi_*), never assembles Rel(psi_*)'s columns, and eliminates each
-    # target degree at most once, rows-only; K and L may be eliminated
-    # rows-only too, each degree at most once.  A kernel reads its target's
-    # boundaries only where its source has a class that the screen (here at
-    # every size) leaves in the kernel.  phi_* of an adjoint cone is built
-    # only for the image that g_vs_p intersects and for the LES, each matrix
-    # built and eliminated at most once per degree.  Only the LES, through
-    # H(Rel(ad_psi)), needs an adjoint cone's own differential.
+    # Rel(psi_*), and eliminates each target degree at most once.  A kernel
+    # reads its target's boundaries only where its source has a class that
+    # the screen (here at every size) leaves in the kernel.  phi_* of an
+    # adjoint cone is built only for the image that g_vs_p intersects and for
+    # the LES, each matrix built and eliminated at most once per degree.  Only
+    # the LES, through H(Rel(ad_psi)), needs an adjoint cone's own differential.
     import sys
 
     from dglcalc import complexes, linalg
@@ -461,14 +459,12 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("dglcalc") and getattr(module, "induced_matrix", None) is original:
             monkeypatch.setattr(module, "induced_matrix", counted)
-    eliminated, kinds, assembled, sliced, full, rows_only = [], [], [], [], [], []
-    rref, d_columns = linalg.rref, RelComplex.d_columns
-    homology, elimination = ChainComplex.homology, ChainComplex.elimination
+    eliminated, assembled, sliced = [], [], []
+    rref, d_columns, homology = linalg.rref, RelComplex.d_columns, ChainComplex.homology
 
-    def counted_rref(rows, *args, **kwargs):
+    def counted_rref(rows):
         eliminated.append(rows)
-        kinds.append(kwargs.get("kernel", args[0] if args else True))
-        return rref(rows, *args, **kwargs)
+        return rref(rows)
 
     def counted_d_columns(cone, n):
         assembled.append(cone)
@@ -478,16 +474,6 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
         sliced.append(cplx)
         return homology(cplx, n)
 
-    def counted_elimination(cplx, n):
-        full.append(cplx)
-        return elimination(cplx, n)
-
-    for cls in (ChainComplex, RelComplex):  # the classes that define _boundary_rows
-        def counted_rows(cplx, n, _build=cls._boundary_rows):
-            rows_only.append((cplx, n))
-            return _build(cplx, n)
-
-        monkeypatch.setattr(cls, "_boundary_rows", counted_rows)
     read, kernels = [], []  # (complex, n) of boundaries(n); (cone, m, W's read) per kernel
     screened = {}  # (cone, m): the screen's verdict, where it ran
     boundaries, kernel = ChainComplex.boundaries, EvaluationContext._kernel
@@ -511,7 +497,6 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counted_rref)
     monkeypatch.setattr(RelComplex, "d_columns", counted_d_columns)
     monkeypatch.setattr(ChainComplex, "homology", counted_homology)
-    monkeypatch.setattr(ChainComplex, "elimination", counted_elimination)
     monkeypatch.setattr(ChainComplex, "boundaries", counted_boundaries)
     monkeypatch.setattr(EvaluationContext, "_kernel", counted_kernel)
     monkeypatch.setattr(EvaluationContext, "_screen", counted_screen)
@@ -526,16 +511,11 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     def is_target(cplx):
         return any(cplx is t for t in targets)
 
-    assert not [c for c in sliced + full if is_target(c)]
-    assert not [c for c in assembled if c is ctx.rel_star]
+    assert not [c for c in sliced if is_target(c)]
     assert not [dst for _, _, dst, _ in calls if is_target(dst)]
-    built = [(id(c), n) for c, n in rows_only]
-    assert {id(t) for t in targets} <= {i for i, _ in built} <= {id(t) for t in targets + (ctx.cK, ctx.cL)}
-    assert len(built) == len(set(built))
-    # each degree's one elimination is rows-only, and no other is
-    assert kinds.count(False) == len(built)
-    columns = [t.record(n).columns for t in targets[:2] for n in t._records]
-    assert not [r for r, k in zip(eliminated, kinds) if k and any(r is c for c in columns)]
+    columns = [[r.columns for r in t._records.values() if r.columns is not None] for t in targets]
+    counts = [[sum(rows is c for rows in eliminated) for c in cols] for cols in columns]
+    assert all(max(c, default=0) == 1 for c in counts), counts
     wanted = [(bool(cone.V.homology(m).dim) and cone.W.complete(m + 1)
                and not screened.get((cone, m)), got) for cone, m, got in kernels if m >= 1]
     assert [got for _, got in wanted] == [want for want, _ in wanted]
@@ -608,6 +588,40 @@ def test_no_column_is_built_twice_in_one_op(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_no_degree_is_eliminated_twice_in_one_op(monkeypatch, capsys):
+    # A degree's one elimination serves its cycles and its boundaries alike:
+    # within one op no record's columns are eliminated twice.  Every list is
+    # kept, not its id, which a freed list may hand on.
+    from dglcalc import linalg
+    from dglcalc.cli import main
+    from dglcalc.complexes import ChainComplex
+
+    eliminated, columns = [], []
+    rref, build = linalg.rref, ChainComplex.columns
+
+    def counted_rref(rows):
+        eliminated.append(rows)
+        return rref(rows)
+
+    def counted_columns(cplx, n):
+        cols = build(cplx, n)
+        columns.append(cols)
+        return cols
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(ChainComplex, "columns", counted_columns)
+    for path, name in FIXTURE_MAPS:
+        for cmd in ("evsub", "center", "gvp", "grel", "gseq", "les"):
+            eliminated.clear()
+            columns.clear()
+            args = [cmd, str(FIXTURES / path), name, "--max-degree", "12", "--format", "json"]
+            assert main(args) == 0
+            unique = {id(cols): cols for cols in columns}.values()
+            twice = [sum(rows is cols for rows in eliminated) for cols in unique]
+            assert twice and max(twice) <= 1, (cmd, path, name)
+    capsys.readouterr()
+
+
 def test_les_builds_each_coupled_column_once(monkeypatch, capsys):
     # every GenDerivation.differential of les is one coupled Der column, and
     # at N=12 there are 64 of them in the degrees les reads
@@ -672,8 +686,8 @@ def _map_case(case):
 def test_kernel_is_the_echelon_kernel_of_phi_star(case):
     # the kernel read from the target's boundaries is the canonical kernel of
     # phi_* in class coordinates; every kernel is built before any phi_* is, so
-    # each reads its target's rows-only eliminations.  The seeded maps give
-    # kernels that are neither zero nor the whole group.
+    # each reads its target's boundaries, not its homology.  The seeded maps
+    # give kernels that are neither zero nor the whole group.
     ctx = EvaluationContext(_map_case(case))
     got = {}
     for cone in (ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair):
