@@ -3,7 +3,7 @@
 Every complex in the package (a DGL, a derivation space, a relativization)
 implements the same small interface: basis labels, a completeness predicate
 saying whether the degree is fully known under the truncation, the
-differential column of one basis label, the differential `d` of one domain
+differential columns of one degree, the differential `d` of one domain
 object, and conversions between basis vectors and domain objects.  The base
 class keeps one record per degree (the labels, their index, the columns of
 d_n and its single elimination) that dimensions, conversions and homology
@@ -92,10 +92,6 @@ class ChainComplex:
         self._homology_cache = {}
 
     def complete(self, n: int) -> bool:
-        raise NotImplementedError
-
-    def d_column(self, n: int, i: int) -> dict:
-        """The image in C_{n-1} of the i-th basis vector of C_n."""
         raise NotImplementedError
 
     def d_columns(self, n: int) -> list:
@@ -205,11 +201,9 @@ class DglComplex(ChainComplex):
             return []
         return list(self.model.algebra._basis_data(n).words)
 
-    def d_column(self, n: int, i: int) -> dict:
-        return self.to_vector(n - 1, self.model._d_word(self.record(n).labels[i]))
-
     def d_columns(self, n: int) -> list:
-        return [self.d_column(n, i) for i in range(self.dim(n))]
+        d_word = self.model._d_word
+        return [self.to_vector(n - 1, d_word(w)) for w in self.record(n).labels]
 
     def d(self, obj: LieElement) -> LieElement:
         return self.model.d(obj)

@@ -10,13 +10,13 @@ into the long exact homology sequence
 
     ... -> H_{n+1}(Rel) -P-> H_n(V) -phi-> H_n(W) -J-> H_n(Rel) -> ...
 
-The cone owns this sequence: `phi_star`, `j_star` and `p_star` give the three
-maps in class coordinates, each computed once per degree, and `les_rref`
-gives the one elimination of each.  `assemble_les_of_chain_map` checks
-exactness at a node by reading ker(outgoing)/im(incoming) as a homology slice
-of the two eliminations: the node is exact when the slice is zero, and a
-nonzero composite is an `InternalError`.  On vectors, J is `join(n, w, {})`
-and P is `split(n, v)[1]`.
+The cone owns this sequence: `phi_star`, `j_star` and `p_star` build the
+three maps in class coordinates, and `les_rref` gives the one elimination of
+each per degree.  `assemble_les_of_chain_map` checks exactness at a node by
+reading ker(outgoing)/im(incoming) as a homology slice of the two
+eliminations: the node is exact when the slice is zero, and a nonzero
+composite is an `InternalError`.  On vectors, J is `join(n, w, {})` and P is
+`split(n, v)[1]`.
 
 An evaluation context builds, besides Rel(psi) and the cone of
 post-composition on derivation spaces, three adjoint cones whose phi_* are
@@ -26,9 +26,9 @@ homology sequence, and (ad_psi, ad) between the first two cones.  A subgroup
 reads its cone's phi and the boundaries of phi's target, so of the adjoint
 cones only Rel(ad_psi), for `les`, ever assembles its own differential.  A
 cone's boundaries, like any complex's, are the rows of the one elimination of
-its stacked columns.  The differential has two forms: `d_column`, one basis
-vector's column read from the factors' columns, and `d`, delta of one object
-from the factors' own `d`, which builds no column.
+its stacked columns.  The differential has two forms: `d_columns`, a
+degree's columns read from each factor's columns once, and `d`, delta of
+one object from the factors' own `d`, which builds no column.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ class RelComplex(ChainComplex):
         self.phi = phi  # object-level map, degree 0
         self.name = name
         self.trunc = min(V.trunc, W.trunc)
-        self._les_maps = {}
         self._les_rrefs = {}
 
     def complete(self, n: int) -> bool:
@@ -85,17 +84,14 @@ class RelComplex(ChainComplex):
         w, v = obj
         return self.join(n, self.W.to_vector(n, w), self.V.to_vector(n - 1, v))
 
-    def d_column(self, n: int, i: int) -> dict:
-        """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of the i-th basis vector."""
-        wdim = self.W.dim(n)
-        if i < wdim:
-            return {k: -c for k, c in self.W.columns(n)[i].items()}
-        j = i - wdim
-        image = self.W.to_vector(n - 1, self.phi(self.V.from_vector(n - 1, {j: 1})))
-        return self.join(n - 1, image, self.V.columns(n - 1)[j])
-
     def d_columns(self, n: int) -> list:
-        return [self.d_column(n, i) for i in range(self.dim(n))]
+        """The negated columns of d_W, then (phi(v), d_V(v)) of each basis vector v."""
+        W, V = self.W, self.V
+        cols = [{k: -c for k, c in col.items()} for col in W.columns(n)] if W.dim(n) else []
+        for j, col in enumerate(V.columns(n - 1) if V.dim(n - 1) else ()):
+            image = W.to_vector(n - 1, self.phi(V.from_vector(n - 1, {j: 1})))
+            cols.append(self.join(n - 1, image, col))
+        return cols
 
     def d(self, obj):
         """delta(w, v) = (phi(v) - d_W(w), d_V(v)) of one object (w, v)."""
@@ -103,12 +99,6 @@ class RelComplex(ChainComplex):
         return _minus(self.phi(v), self.W.d(w)), self.V.d(v)
 
     # -- the long exact sequence, in class coordinates ---------------------------
-
-    def _les_map(self, key, build: Callable) -> list:
-        cols = self._les_maps.get(key)
-        if cols is None:
-            cols = self._les_maps[key] = build()
-        return cols
 
     def les_rref(self, name: str, n: int) -> linalg.Rref:
         """The one elimination of the map `name` ("phi", "J" or "P") at degree n.
@@ -124,29 +114,19 @@ class RelComplex(ChainComplex):
 
     def phi_star(self, n: int) -> list:
         """phi_*: H_n(V) -> H_n(W), one column per class of H_n(V)."""
-        return self._les_map(
-            ("phi", n), lambda: induced_matrix(self.V, n, self.W, n, self.phi)
-        )
+        return induced_matrix(self.V, n, self.W, n, self.phi)
 
     def j_star(self, n: int) -> list:
         """J_*: H_n(W) -> H_n(Rel), one column per class of H_n(W)."""
-
-        def build():
-            rows = self.W.homology(n).rep_rows
-            h = self.homology(n)
-            return [h.class_coords(self.join(n, row, {})) for row in rows]
-
-        return self._les_map(("J", n), build)
+        rows = self.W.homology(n).rep_rows
+        h = self.homology(n)
+        return [h.class_coords(self.join(n, row, {})) for row in rows]
 
     def p_star(self, n: int) -> list:
         """P_*: H_n(Rel) -> H_{n-1}(V), one column per class of H_n(Rel)."""
-
-        def build():
-            rows = self.homology(n).rep_rows
-            h = self.V.homology(n - 1)
-            return [h.class_coords(self.split(n, row)[1]) for row in rows]
-
-        return self._les_map(("P", n), build)
+        rows = self.homology(n).rep_rows
+        h = self.V.homology(n - 1)
+        return [h.class_coords(self.split(n, row)[1]) for row in rows]
 
 
 def _minus(a, b):

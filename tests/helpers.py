@@ -81,17 +81,18 @@ def cmd_mix_map(case):
 
 def column_builds(monkeypatch) -> list:
     """Records (complex, degree, label index) of every differential column
-    that a package complex builds through its `d_column`, from now on."""
+    that a package complex builds through its `d_columns`, from now on."""
     from dglcalc.derivations import DerComplex
     from dglcalc.relative import RelComplex
 
     built = []
     for cls in (DglComplex, DerComplex, RelComplex):
-        def counted(cplx, n, i, _build=cls.d_column):
-            built.append((cplx, n, i))
-            return _build(cplx, n, i)
+        def counted(cplx, n, _build=cls.d_columns):
+            cols = _build(cplx, n)
+            built.extend((cplx, n, i) for i in range(len(cols)))
+            return cols
 
-        monkeypatch.setattr(cls, "d_column", counted)
+        monkeypatch.setattr(cls, "d_columns", counted)
     return built
 
 

@@ -12,7 +12,7 @@ from dglcalc import (
     adjoint,
     zero_morphism,
 )
-from dglcalc.complexes import DglComplex
+from dglcalc.complexes import ChainComplex, DglComplex
 from dglcalc.derivations import DerComplex
 from dglcalc import linalg
 
@@ -194,12 +194,44 @@ def test_les_matches_object_oracle_on_random_morphisms(seed):
 
 
 def test_cone_les_maps_are_computed_once():
-    _, _, incl = make_contractible_pair()
-    rel = EvaluationContext(incl).rel
-    for n in range(1, 5):
-        assert rel.phi_star(n) is rel.phi_star(n)
-        assert rel.j_star(n) is rel.j_star(n)
-        assert rel.p_star(n) is rel.p_star(n)
+    # each map of the sequence is eliminated once per degree, and that one
+    # elimination is what every reader shares; the maps themselves are built
+    # afresh, to the same columns, on each call
+    for psi in (make_contractible_pair()[2], fixture_map("one_cell_attachment.dgl", "i")):
+        rel = EvaluationContext(psi).rel
+        ranks = 0
+        for n in range(1, 5):
+            for name in ("phi", "J", "P"):
+                assert rel.les_rref(name, n) is rel.les_rref(name, n), (name, n)
+                ranks += rel.les_rref(name, n).rank
+            assert rel.phi_star(n) == rel.phi_star(n)
+            assert rel.j_star(n) == rel.j_star(n)
+            assert rel.p_star(n) == rel.p_star(n)
+        assert ranks
+
+
+@pytest.mark.parametrize("path,name", FIXTURE_MAPS)
+def test_a_cone_degree_reads_each_factor_block_once(path, name, monkeypatch):
+    # delta's columns are the negated d_W block and one column per basis
+    # vector of V_{n-1}: one degree of a cone reads W's columns and V's
+    # columns at most once each, whatever its dimension
+    ctx = EvaluationContext(fixture_map(path, name))
+    reads, columns = [], ChainComplex.columns
+
+    def counted(cplx, n):
+        reads.append(cplx)
+        return columns(cplx, n)
+
+    monkeypatch.setattr(ChainComplex, "columns", counted)
+    wide = 0
+    for cone in (ctx.rel, ctx.rel_star, ctx.rel_ad_L, ctx.rel_ad, ctx.rel_ad_pair):
+        for n in [n for n in range(-4, cone.trunc + 1) if cone.complete(n)]:
+            reads.clear()
+            cone.d_columns(n)
+            counts = [sum(c is factor for c in reads) for factor in (cone.W, cone.V)]
+            assert max(counts) <= 1, (cone.name, n, counts)
+            wide += cone.W.dim(n) > 1 or cone.V.dim(n - 1) > 1
+    assert wide
 
 
 @pytest.mark.parametrize("path,name", FIXTURE_MAPS)

@@ -622,6 +622,32 @@ def test_no_degree_is_eliminated_twice_in_one_op(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_each_les_map_is_built_once_per_op(monkeypatch, capsys):
+    # phi_*, J_* and P_* are plain builders with no cache of their own: within
+    # one op each (cone, map, degree) is built at most once, as les reads it
+    # through the cone's one elimination and gseq through its restricted maps
+    from dglcalc.cli import main
+
+    built = []
+    for attr in ("phi_star", "j_star", "p_star"):
+        def counted(cone, n, _attr=attr, _build=getattr(RelComplex, attr)):
+            built.append((cone, _attr, n))
+            return _build(cone, n)
+
+        monkeypatch.setattr(RelComplex, attr, counted)
+    total = 0
+    for path, name in FIXTURE_MAPS:
+        for cmd in ("gseq", "les", "gvp"):
+            built.clear()
+            args = [cmd, str(FIXTURES / path), name, "--max-degree", "12", "--format", "json"]
+            assert main(args) == 0
+            keys = [(id(cone), attr, n) for cone, attr, n in built]
+            assert len(keys) == len(set(keys)), (cmd, path, name)
+            total += len(keys)
+    assert total
+    capsys.readouterr()
+
+
 def test_les_builds_each_coupled_column_once(monkeypatch, capsys):
     # every GenDerivation.differential of les is one coupled Der column, and
     # at N=12 there are 64 of them in the degrees les reads
