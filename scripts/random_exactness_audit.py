@@ -16,7 +16,10 @@ the coefficient rule, at every degree where D_{n+1} is complete; then,
 on the same morphisms and identities, screens every subgroup kernel by
 evaluation at the source's cycles at every size, and checks each kernel
 against the echelon kernel of phi_* of its adjoint cone, in pivots and in the
-value, type and dict order of each row entry; finally, on every fixture map
+value, type and dict order of each row entry, and checks that the `g_vs_p`
+witnesses at every computable top are independent cycles of Der(L, K; psi),
+as many as its quotient dimension, whose classes span im phi_* & ker i as
+`tests/oracles.gvp_witness_space` reads it; finally, on every fixture map
 and the same morphisms, checks that the JSON reports of the map commands are
 homotopy invariants: psi's `gseq`, `omega` and `les` reports, computed
 without reducing its target, equal those of psi pushed into seeded
@@ -59,6 +62,7 @@ from tests.helpers import (
     INVARIANT_COMMANDS,
     basis_element,
     fixture_map,
+    gvp_witness_check,
     in_order,
     invariant_differences,
     map_reports,
@@ -161,7 +165,7 @@ def audit_der_boundaries(cfg: Config):
 
 
 def audit_screen(cfg: Config):
-    kernels, decided = 0, 0
+    kernels, decided, quotients = 0, 0, 0
     failures = []
     floor, subgroups.SCREEN_MIN_COLUMNS = subgroups.SCREEN_MIN_COLUMNS, 0
     try:
@@ -183,11 +187,15 @@ def audit_screen(cfg: Config):
                     want = cone.les_rref("phi", m).kernel_space()
                     if basis.pivots != want.pivots or in_order(basis.rows) != in_order(want.rows):
                         failures.append((seed, kind, cone.name, m))
+                reports, bad = gvp_witness_check(ctx)
+                failures += [(seed, kind, "gvp", top) for top in bad]
+                quotients += sum(1 for r in reports if r.quotient_dim)
                 kernels += len(got)
                 decided += sum(verdicts)
     finally:
         subgroups.SCREEN_MIN_COLUMNS = floor
-    print(f"evaluation screen: {kernels} kernels, {decided} decided by the screen, {len(failures)} failures")
+    print(f"evaluation screen: {kernels} kernels, {decided} decided by the screen, "
+          f"{quotients} gvp quotients, {len(failures)} failures")
     return not failures
 
 

@@ -20,8 +20,8 @@ comes out of the one pass already in reduced echelon form.
 
 An `Rref` is the one echelon form of a space: `coords` reads a vector's
 coordinates at its pivots, `kernel_space` gives the null space of its input
-rows as another, `quotient_basis` reads a quotient off two of them with no
-elimination at all, and `intersect` eliminates their stacked rows once.
+rows as another, and `quotient_basis` reads a quotient off two of them with
+no elimination at all.
 """
 from __future__ import annotations
 
@@ -225,15 +225,4 @@ def quotient_basis(sup: Rref, sub: Rref) -> Rref:
     for p, row in zip(sub.pivots, sub.rows):
         if p not in at or out.reduce(vec_add(row, at[p], -1)):
             raise PreconditionError("quotient_basis: subspace is not contained in the ambient space")
-    return out
-
-
-def intersect(a: Rref, b: Rref) -> list:
-    """Reduced echelon basis of span(a) & span(b), the a-parts of the kernel
-    of a's rows stacked on b's: the kernel's pivots lie in the a-block, as b's
-    rows are independent, and a is reduced, so the basis comes out reduced."""
-    out = []
-    for combo in rref(a.rows + b.rows).kernel:
-        row = combine({j: c for j, c in combo.items() if j < a.rank}, a.rows)
-        out.append({k: coeff(v) for k, v in row.items()})
     return out

@@ -24,9 +24,10 @@ Rel(psi_*) -> Rel(psi) sends (theta, eta) to (theta(xi), eta(xi)), commuting
 with delta exactly.  After the adjoint it sends a class x to the class of
 [x, psi(xi)], so ker phi_* lies in the joint kernel of these maps over the
 representatives xi of H(L); where that is zero, so is the subgroup, and no
-boundary is eliminated.  The Whitehead center and `g_vs_p` read the same
-pairing, into H(K).
-`g_vs_p` and `les` read phi_* itself, from the cone's one elimination.  The
+boundary is eliminated.  The Whitehead center reads the same pairing, into
+H(K); composed with ad_*, the induced-derivation map i is that pairing, so
+`g_vs_p` reads ker i & im phi_* off H(K) alone, as ad_* of P_m / G_m.
+`les` reads phi_* itself, from the cone's one elimination.  The
 G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
 restricted from the long exact homology sequence of Rel(psi), whose maps it
 reads from that cone; a class's coordinates in a subgroup are its entries at
@@ -65,8 +66,8 @@ class SubspaceReport(namedtuple("SubspaceReport", "topological internal ambient_
         return self.dimension == self.ambient_dim
 
 
-# evaluation and center are SubspaceReports; witness is a basis of
-# ker(induced-derivation map) & im(adjoint on homology)
+# evaluation and center are SubspaceReports; witness is ad(y) for y in the
+# canonical complement of G_m in P_m, a basis of ker(i) & im(ad_*)
 GvpReport = namedtuple("GvpReport", "topological internal evaluation center quotient_dim witness trusted")
 
 GSequenceTerm = namedtuple("GSequenceTerm", "topological internal gottlieb_dim evaluation_dim relative_dim "
@@ -93,13 +94,16 @@ class CoformalReport(namedtuple("CoformalReport",
 
 
 class _Subgroup:
-    """A kernel subspace of one homology group: its echelon form in class coordinates."""
+    """A kernel subspace of one homology group: its echelon form in class
+    coordinates, with the source degrees a homology-level kernel checked."""
 
-    def __init__(self, cplx: ChainComplex, degree: int, basis: linalg.Rref, trusted: bool):
+    def __init__(self, cplx: ChainComplex, degree: int, basis: linalg.Rref, trusted: bool,
+                 checked_source_degrees: Optional[tuple] = None):
         self.cplx = cplx
         self.degree = degree
         self.basis = basis
         self.trusted = trusted
+        self.checked_source_degrees = checked_source_degrees
 
     @property
     def dim(self) -> int:
@@ -112,7 +116,7 @@ class _Subgroup:
         reps = self.ambient().rep_rows
         return [self.cplx.from_vector(self.degree, linalg.combine(v, reps)) for v in self.basis.rows]
 
-    def report(self, top: int, checked_source_degrees: Optional[tuple] = None) -> SubspaceReport:
+    def report(self, top: int) -> SubspaceReport:
         return SubspaceReport(
             topological=top,
             internal=self.degree,
@@ -121,7 +125,7 @@ class _Subgroup:
             representatives=self.representatives() if self.dim else [],
             trusted=self.trusted,
             low_degree_caveat=self.degree <= 2,
-            checked_source_degrees=checked_source_degrees,
+            checked_source_degrees=self.checked_source_degrees,
         )
 
 
@@ -263,10 +267,10 @@ class EvaluationContext:
                 return linalg.Rref()
         return linalg.rref(cols).kernel_space()
 
-    def whitehead_center(self, top: int) -> SubspaceReport:
-        m = top - 1
+    def _center(self, m: int) -> _Subgroup:
+        """P_m in H_m(K): the classes y whose pairing xi -> [y, psi(xi)] vanishes in homology."""
         if m < 1:
-            return _Subgroup(self.cK, m, linalg.Rref(), True).report(top)
+            return _Subgroup(self.cK, m, linalg.Rref(), True)
         if not self.cK.computable(m):
             raise TruncationError("center degree is outside the computable window")
         hK = self.cK.homology(m)
@@ -274,40 +278,32 @@ class EvaluationContext:
         bracket, apply = self.K.algebra.bracket, self.psi.apply
         j_max = min(self.L.truncation - 1, self.K.truncation - 1 - m)
         kernel = self._pairing_kernel(self.cK, m, ys, lambda y, xi: bracket(y, apply(xi)), j_max)
-        return _Subgroup(self.cK, m, kernel, hK.trusted).report(top, (1, j_max))
+        return _Subgroup(self.cK, m, kernel, hK.trusted, (1, j_max))
+
+    def whitehead_center(self, top: int) -> SubspaceReport:
+        return self._center(top - 1).report(top)
 
     # -- the center/evaluation comparison ---------------------------------------
 
     def g_vs_p(self, top: int) -> GvpReport:
+        """P_m / G_m, with witnesses ad(y) for y in the canonical complement of
+        G_m in P_m: a basis of ker i & im phi_* = ad_*(P_m), as G_m = ker ad_*."""
         m = top - 1
-        ev = self.evaluation_subgroup(top)
-        ce = self.whitehead_center(top)
-        quotient = ce.dimension - ev.dimension
-        witness_rows, witnesses = [], []
-        if m >= 1:  # the evaluation subgroup above checked that Der is computable
-            image = self.rel_ad.les_rref("phi", m)
-            hDer = self.der_LK.homology(m)
-            thetas = [self.der_LK.from_vector(m, row) for row in hDer.rep_rows]
-            j_max = min(self.L.truncation - 1, self.K.truncation - 1 - m)
-            ker_i = self._pairing_kernel(self.cK, m, thetas, _evaluate, j_max)
-            witness_rows = linalg.intersect(image, ker_i)
-            witnesses = [
-                self.der_LK.from_vector(m, linalg.combine(row, hDer.rep_rows))
-                for row in witness_rows
-            ]
-        if len(witness_rows) != quotient:
-            raise InternalError(
-                "quotient dimension disagrees with the kernel/image intersection: "
-                f"{quotient} vs {len(witness_rows)}"
-            )
+        g = self._kernel(self.rel_ad, m)
+        p = self._center(m)
+        try:
+            rest = linalg.quotient_basis(p.basis, g.basis)
+        except PreconditionError:
+            raise InternalError("evaluation subgroup not inside the center") from None
+        ys = _Subgroup(self.cK, m, rest, p.trusted).representatives()
         return GvpReport(
             topological=top,
             internal=m,
-            evaluation=ev,
-            center=ce,
-            quotient_dim=quotient,
-            witness=witnesses,
-            trusted=ev.trusted and ce.trusted,
+            evaluation=g.report(top),
+            center=p.report(top),
+            quotient_dim=rest.rank,
+            witness=[adjoint(self.psi, y) for y in ys],
+            trusted=g.trusted and p.trusted,
         )
 
     # -- the G-sequence -----------------------------------------------------------

@@ -17,10 +17,11 @@ from pathlib import Path
 from dglcalc import DglModel, DglMorphism, FreeLieAlgebra, Generator, LieElement
 from dglcalc.complexes import DglComplex
 from dglcalc.constructions import _exp_apply
+from dglcalc.errors import PreconditionError
 from dglcalc import linalg
 from dglcalc.modelfile import Workspace, parse_workspace
 
-from .oracles import solve_columns
+from .oracles import gvp_witness_space, solve_columns
 
 NAMES = "abcdefgh"
 
@@ -94,6 +95,24 @@ def column_builds(monkeypatch) -> list:
 
         monkeypatch.setattr(cls, "d_columns", counted)
     return built
+
+
+def gvp_witness_check(ctx) -> tuple:
+    """(reports, bad tops) of `g_vs_p` over ctx's computable tops.  A top is
+    bad unless its witnesses are independent cycles of Der(L, K; psi), as
+    many as quotient_dim, whose classes span the oracle's im phi_* & ker i."""
+    reports, bad = [ctx.g_vs_p(top) for top in ctx.computable_tops()], []
+    for r in reports:
+        h, space = ctx.der_LK.homology(r.internal), linalg.rref(gvp_witness_space(ctx, r.internal))
+        try:
+            coords = [h.class_coords(ctx.der_LK.to_vector(r.internal, w)) for w in r.witness]
+        except PreconditionError:
+            bad.append(r.topological)
+            continue
+        if not len(coords) == linalg.rref(coords).rank == r.quotient_dim == space.rank \
+                or any(map(space.reduce, coords)):
+            bad.append(r.topological)
+    return reports, bad
 
 
 def basis_element(alg, word):

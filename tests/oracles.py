@@ -18,9 +18,14 @@ solver, rebuilt on the combinations that `bareiss_rref` tracks; it also uses
 `Rref.reduce` as its membership test.  `quotient_basis` is the package's earlier
 quotient of echelon forms, which reduces every row of the ambient space and
 eliminates the residuals, kept as the reference for the elimination-free one;
-it shares `linalg.rref` and `Rref.reduce`.  `les_by_objects` is the package's
-earlier long-exact-sequence check, which induces every map from domain
-objects, kept as the reference for the cone's class-coordinate maps.
+it shares `linalg.rref` and `Rref.reduce`.  `intersect` is the package's
+earlier intersection of echelon forms, one elimination of their stacked rows,
+and `gvp_witness_space` is its earlier `g_vs_p` witness space, im phi_* & ker i
+in derivation homology, which it reads through `intersect`; both are kept as
+the reference for the witnesses that `g_vs_p` now reads off H(K) alone.
+`les_by_objects` is the package's earlier long-exact-sequence check, which
+induces every map from domain objects, kept as the reference for the cone's
+class-coordinate maps.
 `leibniz_d_word` is the package's earlier word differential, which adds
 bracketed elements, kept as the reference for the one that sums into one
 dict; it shares the basis, `split` and `bracket`.  `GenDerivation` is the
@@ -374,6 +379,19 @@ def quotient_basis(sup, sub):
     return out
 
 
+def intersect(a, b):
+    """Reduced echelon basis of span(a) & span(b), the a-parts of the kernel
+    of a's rows stacked on b's: the kernel's pivots lie in the a-block, as b's
+    rows are independent, and a is reduced, so the basis comes out reduced."""
+    from dglcalc import linalg
+
+    out = []
+    for combo in linalg.rref(a.rows + b.rows).kernel:
+        row = linalg.combine({j: c for j, c in combo.items() if j < a.rank}, a.rows)
+        out.append({k: linalg.coeff(v) for k, v in row.items()})
+    return out
+
+
 def d_squared_sweep(model):
     """Whether d(d(w)) = 0 for every basis word w in degrees 2..N.
 
@@ -702,6 +720,23 @@ def les_by_objects(V, W, phi, degrees):
                 LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, exact, True)
             )
     return report
+
+
+# -- the center/evaluation quotient in derivation homology ----------------------
+
+
+def gvp_witness_space(ctx, m):
+    """im phi_* & ker i in class coordinates of H_m(Der(L, K; psi)), the way
+    the package's earlier `g_vs_p` read it: phi_* from the adjoint cone's one
+    elimination, i the pairing theta -> (xi -> class of theta(xi) in H(K))
+    over the center's window, and the two met by `intersect`.  It shares the
+    context's complexes, `les_rref` and `_pairing_kernel`."""
+    from dglcalc.subgroups import _evaluate
+
+    image = ctx.rel_ad.les_rref("phi", m)
+    thetas = [ctx.der_LK.from_vector(m, row) for row in ctx.der_LK.homology(m).rep_rows]
+    j_max = min(ctx.L.truncation - 1, ctx.K.truncation - 1 - m)
+    return intersect(image, ctx._pairing_kernel(ctx.cK, m, thetas, _evaluate, j_max))
 
 
 # -- coformality, one upper degree at a time -------------------------------------

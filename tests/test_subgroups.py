@@ -42,6 +42,7 @@ from .helpers import (
     cmd_mix_map_text,
     column_builds,
     fixture_map,
+    gvp_witness_check,
     in_order,
     random_model,
     random_upper_grading,
@@ -155,6 +156,48 @@ def test_g_vs_p_identity_abelian():
     model = make_sphere_model(2)
     ident = DglMorphism.identity(model)
     assert EvaluationContext(ident).g_vs_p(3).quotient_dim == 0
+
+
+# seeds of random_validated_morphism(seed, max_gens=3, truncation=8) with a
+# nonzero quotient; at 51 and 127 top 5 has G_m = 1 inside P_m = 2
+GVP_SEEDS = (51, 78, 99, 116, 127, 154, 171, 194)
+
+
+@pytest.mark.parametrize("case", [*(f"{f}:{n}" for f, n in FIXTURE_MAPS), *cmd_mix_map_ids(), *GVP_SEEDS])
+def test_gvp_witnesses_span_the_oracle_intersection(case):
+    """The witnesses ad(y), y over the complement of G_m in P_m, are
+    independent classes of H_m(Der(L, K; psi)) spanning im phi_* & ker i, as
+    the intersection oracle reads it, at every computable top."""
+    if isinstance(case, int):
+        psi = random_validated_morphism(case, max_gens=3, truncation=8)
+    else:
+        psi = fixture_map(*case.split(":")) if ":" in case else cmd_mix_map(case)
+    reports, bad = gvp_witness_check(EvaluationContext(psi))
+    assert bad == []
+    if case in GVP_SEEDS:
+        assert any(r.quotient_dim for r in reports)
+
+
+@pytest.mark.parametrize("path,name", FIXTURE_MAPS)
+def test_gvp_reads_no_derivation_homology(monkeypatch, path, name):
+    """g_vs_p reads P_m and G_m in H_m(K) alone: it builds no homology of
+    Der(L, K; psi), no phi_* of the adjoint cone and no induced matrix."""
+    import sys
+
+    from dglcalc import complexes
+
+    calls, original = [], complexes.induced_matrix
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("dglcalc") and getattr(module, "induced_matrix", None) is original:
+            monkeypatch.setattr(module, "induced_matrix", lambda *args: calls.append(args) or original(*args))
+    ctx = EvaluationContext(fixture_map(path, name, truncation=12))
+    tops = ctx.computable_tops()
+    assert tops
+    for top in tops:
+        ctx.g_vs_p(top)
+    assert ctx.der_LK._homology_cache == {}
+    assert ctx.rel_ad._les_rrefs == {}
+    assert calls == []
 
 
 # -- relative evaluation subgroups ----------------------------------------------------
@@ -439,8 +482,8 @@ def test_adjoint_homology_matrix_is_built_once_per_degree(monkeypatch):
     # Rel(psi_*), and eliminates each target degree at most once.  A kernel
     # reads its target's boundaries only where its source has a class that
     # the screen (here at every size) leaves in the kernel.  phi_* of an
-    # adjoint cone is built only for the image that g_vs_p intersects and for
-    # the LES, each matrix built and eliminated at most once per degree.  Only
+    # adjoint cone is built only for the LES, each matrix built and
+    # eliminated at most once per degree.  Only
     # the LES, through H(Rel(ad_psi)), needs an adjoint cone's own differential.
     import sys
 
@@ -567,8 +610,8 @@ def test_no_column_is_built_twice_in_one_op(monkeypatch, tmp_path, capsys):
     # The columns of a degree are built together by columns(), and a cycle
     # check builds none, as it reads the object differential: within one op
     # each (complex, degree, label) is built at most once.  A lone top makes
-    # gvp check cycles of Der(L, K; psi) in a degree before it assembles that
-    # degree.
+    # evsub and gvp check cycles of Der(L, K; psi) in a degree whose columns
+    # they do not build.
     from dglcalc.cli import main
 
     built = column_builds(monkeypatch)
