@@ -10,9 +10,9 @@ into the long exact homology sequence
 
     ... -> H_{n+1}(Rel) -P-> H_n(V) -phi-> H_n(W) -J-> H_n(Rel) -> ...
 
-The cone owns this sequence: `phi_star`, `j_star` and `p_star` build the
-three maps in class coordinates, and `les_rref` gives the one elimination of
-each per degree.  `assemble_les_of_chain_map` checks exactness at a node by
+The cone builds the three maps in class coordinates (`phi_star`, `j_star`,
+`p_star`) and caches none of them.  `assemble_les_of_chain_map` eliminates
+each once per degree within its call, and checks exactness at a node by
 reading ker(outgoing)/im(incoming) as a homology slice of the two
 eliminations: the node is exact when the slice is zero, and a nonzero
 composite is an `InternalError`.  On vectors, J is `join(n, w, {})` and P is
@@ -49,7 +49,6 @@ class RelComplex(ChainComplex):
         self.phi = phi  # object-level map, degree 0
         self.name = name
         self.trunc = min(V.trunc, W.trunc)
-        self._les_rrefs = {}
 
     def complete(self, n: int) -> bool:
         return self.W.complete(n) and self.V.complete(n - 1)
@@ -99,18 +98,6 @@ class RelComplex(ChainComplex):
         return _minus(self.phi(v), self.W.d(w)), self.V.d(v)
 
     # -- the long exact sequence, in class coordinates ---------------------------
-
-    def les_rref(self, name: str, n: int) -> linalg.Rref:
-        """The one elimination of the map `name` ("phi", "J" or "P") at degree n.
-
-        Its kernel and rows serve every reader; a map with no columns gets an
-        empty echelon form and no rref call.
-        """
-        rr = self._les_rrefs.get((name, n))
-        if rr is None:
-            cols = {"phi": self.phi_star, "J": self.j_star, "P": self.p_star}[name](n)
-            rr = self._les_rrefs[name, n] = linalg.rref(cols) if cols else linalg.Rref()
-        return rr
 
     def phi_star(self, n: int) -> list:
         """phi_*: H_n(V) -> H_n(W), one column per class of H_n(V)."""
@@ -165,6 +152,16 @@ def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
     map's rows, which raises `InternalError` when their composite is nonzero.
     """
     V, W = rel.V, rel.W
+    builders = {"phi": rel.phi_star, "J": rel.j_star, "P": rel.p_star}
+    eliminations = {}
+
+    def eliminated(name, n):
+        # the one elimination of a map per degree; a map with no columns gets no rref call
+        if (name, n) not in eliminations:
+            cols = builders[name](n)
+            eliminations[name, n] = linalg.rref(cols) if cols else linalg.Rref()
+        return eliminations[name, n]
+
     report = LesReport()
     for n in degrees:
         # exactness at a node: im(incoming) = ker(outgoing)
@@ -177,9 +174,7 @@ def assemble_les_of_chain_map(rel: RelComplex, degrees) -> LesReport:
             if not trusted:
                 report.nodes.append(LesNode(n, position, -1, -1, -1, None, False))
                 continue
-            h = HomologySlice(
-                n, rel.les_rref(*outgoing).kernel_space(), rel.les_rref(*incoming), True
-            )
+            h = HomologySlice(n, eliminated(*outgoing).kernel_space(), eliminated(*incoming), True)
             inc, out_kernel = h.boundaries.rank, h.cycles.rank
             report.nodes.append(
                 LesNode(n, position, cplx.homology(n).dim, inc, out_kernel, not h.dim, True)

@@ -27,7 +27,7 @@ representatives xi of H(L); where that is zero, so is the subgroup, and no
 boundary is eliminated.  The Whitehead center reads the same pairing, into
 H(K); composed with ad_*, the induced-derivation map i is that pairing, so
 `g_vs_p` reads ker i & im phi_* off H(K) alone, as ad_* of P_m / G_m.
-`les` reads phi_* itself, from the cone's one elimination.  The
+`les` reads phi_* itself, eliminated once per degree of its call.  The
 G-sequence is the chain complex G_n(L) -> G_n(K,L;psi) -> G^rel_n -> ...
 restricted from the long exact homology sequence of Rel(psi), whose maps it
 reads from that cone; a class's coordinates in a subgroup are its entries at
@@ -205,12 +205,11 @@ class EvaluationContext:
         """Whether evaluation at L's cycles, of degree j up to L's top
         generator degree, sends the images of H_m(V) to independent classes
         of V, so that ker phi_* is zero.  It runs only where the exact path
-        would eliminate W's boundaries, on at least SCREEN_MIN_COLUMNS
-        columns; there V is complete in degree m + j + 1 and L in degree
-        j + 1, so every slice it reads is trusted."""
+        would read B_m(W), from at least SCREEN_MIN_COLUMNS columns of degree
+        m + 1; there V is complete in degree m + j + 1 and L in degree j + 1,
+        so every slice it reads is trusted."""
         dst = cone.W
-        if not (dst.complete(m + 1) and dst.record(m + 1).elimination is None
-                and dst.dim(m + 1) >= SCREEN_MIN_COLUMNS):
+        if not (dst.complete(m + 1) and dst.dim(m + 1) >= SCREEN_MIN_COLUMNS):
             return False
         j_top = self.L.max_generator_degree
         return not self._pairing_kernel(cone.V, m, images, _evaluate, j_top, stop=True).rank

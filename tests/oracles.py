@@ -727,13 +727,14 @@ def les_by_objects(V, W, phi, degrees):
 
 def gvp_witness_space(ctx, m):
     """im phi_* & ker i in class coordinates of H_m(Der(L, K; psi)), the way
-    the package's earlier `g_vs_p` read it: phi_* from the adjoint cone's one
-    elimination, i the pairing theta -> (xi -> class of theta(xi) in H(K))
+    the package's earlier `g_vs_p` read it: the elimination of the adjoint
+    cone's phi_*, i the pairing theta -> (xi -> class of theta(xi) in H(K))
     over the center's window, and the two met by `intersect`.  It shares the
-    context's complexes, `les_rref` and `_pairing_kernel`."""
+    context's complexes, `linalg.rref` and `_pairing_kernel`."""
+    from dglcalc import linalg
     from dglcalc.subgroups import _evaluate
 
-    image = ctx.rel_ad.les_rref("phi", m)
+    image = linalg.rref(ctx.rel_ad.phi_star(m))
     thetas = [ctx.der_LK.from_vector(m, row) for row in ctx.der_LK.homology(m).rep_rows]
     j_max = min(ctx.L.truncation - 1, ctx.K.truncation - 1 - m)
     return intersect(image, ctx._pairing_kernel(ctx.cK, m, thetas, _evaluate, j_max))

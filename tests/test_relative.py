@@ -193,21 +193,18 @@ def test_les_matches_object_oracle_on_random_morphisms(seed):
     _assert_les_matches_oracle(psi, range(1, 5))
 
 
-def test_cone_les_maps_are_computed_once():
-    # each map of the sequence is eliminated once per degree, and that one
-    # elimination is what every reader shares; the maps themselves are built
-    # afresh, to the same columns, on each call
+def test_cone_les_maps_are_built_afresh_to_the_same_columns():
+    # the cone caches none of its sequence's maps: each call builds phi_*, J_*
+    # and P_* afresh, to the same columns
     for psi in (make_contractible_pair()[2], fixture_map("one_cell_attachment.dgl", "i")):
         rel = EvaluationContext(psi).rel
-        ranks = 0
+        nonzero = 0
         for n in range(1, 5):
-            for name in ("phi", "J", "P"):
-                assert rel.les_rref(name, n) is rel.les_rref(name, n), (name, n)
-                ranks += rel.les_rref(name, n).rank
-            assert rel.phi_star(n) == rel.phi_star(n)
-            assert rel.j_star(n) == rel.j_star(n)
-            assert rel.p_star(n) == rel.p_star(n)
-        assert ranks
+            for build in (rel.phi_star, rel.j_star, rel.p_star):
+                cols = build(n)
+                assert build(n) == cols, (build.__name__, n)
+                nonzero += any(cols)
+        assert nonzero
 
 
 @pytest.mark.parametrize("path,name", FIXTURE_MAPS)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 
 
 def _run(name, *args):
@@ -45,6 +46,21 @@ def test_report_digests_agree_between_runs(tmp_path):
         ]
     assert all(key.startswith("gseq fixtures/") for key in json.loads(a.read_text()))
     assert _run("report_digests.py", "--compare", str(a), str(b)) == []
+
+
+def test_reports_match_the_golden_digests(tmp_path):
+    # every report the digest script covers is byte-identical to the committed
+    # digests; a change that alters output on purpose regenerates that file with
+    # `report_digests.py --out` and lists the changed keys in CHANGES.md
+    out = tmp_path / "digests.json"
+    assert _run("report_digests.py", "--out", str(out)) == [
+        f"{len(json.loads(GOLDEN_DIGESTS.read_text()))} ops digested"
+    ]
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "report_digests.py"), "--compare", str(GOLDEN_DIGESTS), str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stdout
 
 
 def test_report_digests_cover_the_parse_error_paths(tmp_path):
